@@ -10,7 +10,7 @@ seam). Embedding and head are untied to keep freezing semantics simple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,8 +40,36 @@ class BackboneConfig:
             raise InvalidConfigError("need n_layers >= 1 and vocab_size >= 5")
 
 
+class ParamSet:
+    """Base of the parameter dataclasses. Tensor names follow the fields in
+    field order: a tensor field is `<prefix>.<field>`, a list of layers is
+    `<prefix>.<field>.<i>.<layer field>`, and the config is not a tensor.
+    `named_tensors()` is the one list that saving, loading and the
+    optimizer walk."""
+
+    PREFIX = ""
+
+    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out.append((f"{prefix}.{f.name}", value))
+            elif isinstance(value, list):
+                for i, layer in enumerate(value):
+                    out.extend(layer.named(f"{prefix}.{f.name}.{i}"))
+        return out
+
+    def named_tensors(self) -> list[tuple[str, Tensor]]:
+        return self.named(self.PREFIX)
+
+    def set_requires_grad(self, flag: bool) -> None:
+        for _, t in self.named_tensors():
+            t.requires_grad = flag
+
+
 @dataclass
-class LayerParams:
+class LayerParams(ParamSet):
     attn_norm: Tensor
     w_qkv: Tensor
     w_attn_out: Tensor
@@ -49,19 +77,21 @@ class LayerParams:
     w_up: Tensor
     w_down: Tensor
 
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.attn_norm", self.attn_norm),
-            (f"{prefix}.w_qkv", self.w_qkv),
-            (f"{prefix}.w_attn_out", self.w_attn_out),
-            (f"{prefix}.mlp_norm", self.mlp_norm),
-            (f"{prefix}.w_up", self.w_up),
-            (f"{prefix}.w_down", self.w_down),
-        ]
+    @classmethod
+    def init(cls, d: int, hidden: int, rng: np.random.Generator, std: float) -> LayerParams:
+        """Norm gains at one; matrices drawn from N(0, std^2) in field order."""
+        return cls(
+            attn_norm=T.param(np.ones(d)),
+            w_qkv=T.param(rng.normal(0.0, std, (d, 3 * d))),
+            w_attn_out=T.param(rng.normal(0.0, std, (d, d))),
+            mlp_norm=T.param(np.ones(d)),
+            w_up=T.param(rng.normal(0.0, std, (d, hidden))),
+            w_down=T.param(rng.normal(0.0, std, (hidden, d))),
+        )
 
 
 @dataclass
-class BackboneParams:
+class BackboneParams(ParamSet):
     config: BackboneConfig
     embed: Tensor       # V x d token embedding table (houses the MASK row)
     pos: Tensor         # max_len x d learned absolute positions
@@ -69,33 +99,7 @@ class BackboneParams:
     final_norm: Tensor = None
     w_lm: Tensor = None  # d x V, no bias
 
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [("backbone.embed", self.embed), ("backbone.pos", self.pos)]
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.named(f"backbone.layers.{i}"))
-        out.append(("backbone.final_norm", self.final_norm))
-        out.append(("backbone.w_lm", self.w_lm))
-        return out
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for _, t in self.named_tensors():
-            t.requires_grad = flag
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_tensors()}
-
-
-def _layer_init(cfg: BackboneConfig, rng: np.random.Generator, std: float) -> LayerParams:
-    d = cfg.d_model
-    hidden = cfg.mlp_mult * d
-    return LayerParams(
-        attn_norm=T.param(np.ones(d)),
-        w_qkv=T.param(rng.normal(0.0, std, (d, 3 * d))),
-        w_attn_out=T.param(rng.normal(0.0, std, (d, d))),
-        mlp_norm=T.param(np.ones(d)),
-        w_up=T.param(rng.normal(0.0, std, (d, hidden))),
-        w_down=T.param(rng.normal(0.0, std, (hidden, d))),
-    )
+    PREFIX = "backbone"
 
 
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, std: float = 0.02) -> BackboneParams:
@@ -105,7 +109,7 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, std: float = 0.
         config=cfg,
         embed=T.param(rng.normal(0.0, std, (cfg.vocab_size, d))),
         pos=T.param(rng.normal(0.0, std, (cfg.max_len, d))),
-        layers=[_layer_init(cfg, rng, std) for _ in range(cfg.n_layers)],
+        layers=[LayerParams.init(d, cfg.mlp_mult * d, rng, std) for _ in range(cfg.n_layers)],
         final_norm=T.param(np.ones(d)),
         w_lm=T.param(rng.normal(0.0, std, (d, cfg.vocab_size))),
     )
@@ -219,59 +223,16 @@ def perturbation_norm(x_a, x_b, params: BackboneParams) -> float:
     return float(np.sqrt(np.sum((rows_b - rows_a) ** 2)))
 
 
-def embedding_distance(params: BackboneParams, token_id: int, ref_id: int) -> float:
-    """L2 distance between two embedding rows (token vs MASK in practice)."""
-    e = params.embed.data
-    return float(np.linalg.norm(e[token_id] - e[ref_id]))
-
-
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = [
-    "d_model", "n_heads", "n_layers", "vocab_size", "block_size", "max_len",
-    "norm_eps", "mlp_mult",
-]
-
 
 def save_backbone(path: str, params: BackboneParams) -> None:
-    named = [
-        (f"backbone.config.{f}", np.asarray([getattr(params.config, f)]))
-        for f in _CONFIG_FIELDS
-    ]
-    named += [(name, t.data) for name, t in params.named_tensors()]
-    checkpoint.save_tensors(path, named)
+    checkpoint.save_params(path, params)
 
 
 def load_backbone(path: str) -> BackboneParams:
     blob = checkpoint.load_tensors(path)
-    kwargs = {}
-    for f in _CONFIG_FIELDS:
-        val = blob[f"backbone.config.{f}"][0]
-        # config scalars are stored as f32 records; snap floats to 6
-        # significant digits so values like 1e-6 round-trip exactly
-        kwargs[f] = float(f"{val:.6g}") if f == "norm_eps" else int(val)
-    cfg = BackboneConfig(**kwargs)
-    cfg.validate()
-    layers = []
-    for i in range(cfg.n_layers):
-        p = f"backbone.layers.{i}"
-        layers.append(
-            LayerParams(
-                attn_norm=T.param(blob[f"{p}.attn_norm"]),
-                w_qkv=T.param(blob[f"{p}.w_qkv"]),
-                w_attn_out=T.param(blob[f"{p}.w_attn_out"]),
-                mlp_norm=T.param(blob[f"{p}.mlp_norm"]),
-                w_up=T.param(blob[f"{p}.w_up"]),
-                w_down=T.param(blob[f"{p}.w_down"]),
-            )
-        )
-    return BackboneParams(
-        config=cfg,
-        embed=T.param(blob["backbone.embed"]),
-        pos=T.param(blob["backbone.pos"]),
-        layers=layers,
-        final_norm=T.param(blob["backbone.final_norm"]),
-        w_lm=T.param(blob["backbone.w_lm"]),
-    )
+    cfg = checkpoint.read_config(blob, BackboneParams.PREFIX, BackboneConfig)
+    return checkpoint.fill(init_backbone(cfg, checkpoint.UNFILLED), blob)

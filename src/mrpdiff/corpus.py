@@ -24,25 +24,6 @@ _CHARS = [str(d) for d in range(10)] + ["+", "-", "=", " "] + [
 ]
 
 
-@dataclass(frozen=True)
-class Vocab:
-    symbols: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def char_id(self, ch: str) -> int:
-        return self.symbols.index(ch)
-
-
-def build_vocab() -> Vocab:
-    v = Vocab(symbols=tuple(_SPECIALS + _CHARS))
-    assert v.size <= 64
-    return v
-
-
-_DEFAULT_VOCAB = build_vocab()
 _CHAR_TO_ID = {ch: i + len(_SPECIALS) for i, ch in enumerate(_CHARS)}
 _ID_TO_CHAR = {i + len(_SPECIALS): ch for i, ch in enumerate(_CHARS)}
 
@@ -71,10 +52,6 @@ class Example:
     prompt_ids: tuple   # BOS + question tokens
     response_ids: tuple  # answer tokens + EOS, right-padded with PAD to the block grid
 
-    @property
-    def total_len(self) -> int:
-        return len(self.prompt_ids) + len(self.response_ids)
-
 
 def make_example(a: int, b: int, op: str, block_size: int) -> Example:
     if op == "+":
@@ -85,10 +62,12 @@ def make_example(a: int, b: int, op: str, block_size: int) -> Example:
         raise InvalidConfigError(f"unsupported operator {op!r}")
     if result < 0:
         raise InvalidConfigError("negative results are out of task scope")
-    question = f"{a}{op}{b}="
-    answer = str(result)
+    return _example(f"{a}{op}{b}=", str(result), block_size)
+
+
+def _example(question: str, answer: str, block_size: int) -> Example:
     resp = tokenize(answer) + [EOS_ID]
-    if len(resp) > 0 and len(resp) % block_size:
+    if len(resp) % block_size:
         resp = resp + [PAD_ID] * (block_size - len(resp) % block_size)
     return Example(
         question=question,
@@ -143,17 +122,7 @@ def load_dataset(path: str, block_size: int = 8) -> list[Example]:
                 raise InvalidConfigError(
                     f"{path}:{lineno + 1}: expected TAB-separated prompt and response"
                 ) from None
-            resp = tokenize(answer) + [EOS_ID]
-            if len(resp) % block_size:
-                resp = resp + [PAD_ID] * (block_size - len(resp) % block_size)
-            out.append(
-                Example(
-                    question=question,
-                    answer=answer,
-                    prompt_ids=tuple([BOS_ID] + tokenize(question)),
-                    response_ids=tuple(resp),
-                )
-            )
+            out.append(_example(question, answer, block_size))
     return out
 
 

@@ -20,7 +20,7 @@ from . import backbone as bb
 from . import checkpoint
 from .corpus import EOS_ID, MASK_ID, PAD_ID
 from .errors import ContractViolationError, InvalidConfigError
-from .numerics.tensor import Tensor, no_grad
+from .numerics.tensor import Tensor, _softmax_data, no_grad
 
 
 @dataclass
@@ -99,15 +99,6 @@ def state_from_example(ex, block_size: int, all_masked: bool = True) -> Sequence
                          block_size=block_size)
 
 
-def initial_state(prompt_ids, n_blocks: int, block_size: int) -> SequenceState:
-    prompt = np.asarray(prompt_ids, dtype=np.int64)
-    total = len(prompt) + n_blocks * block_size
-    ids = np.concatenate([prompt, np.full(n_blocks * block_size, MASK_ID, dtype=np.int64)])
-    masked = np.zeros(total, dtype=bool)
-    masked[len(prompt):] = True
-    return SequenceState(ids=ids, masked=masked, prompt_len=len(prompt), block_size=block_size)
-
-
 # ---------------------------------------------------------------------------
 # corruption (training-time forward process)
 # ---------------------------------------------------------------------------
@@ -159,11 +150,7 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
     positions = x.masked_in_block(block)
     if len(positions) == 0 or len(data) <= positions[-1]:
         raise ContractViolationError("logits rows do not cover the current block")
-    rows = data[positions]
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    np.maximum(shifted, -700.0, out=shifted)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax_data(data[positions])
     tokens = p.argmax(axis=-1)
     probs = p[np.arange(len(positions)), tokens]
     return Confidence(positions=positions, probs=probs, tokens=tokens.astype(np.int64))
@@ -206,10 +193,6 @@ class Policy:
         if self.kind == "dynamic":
             return select_dynamic(conf, self.tau)
         raise InvalidConfigError(f"unknown policy kind {self.kind!r}")
-
-    @property
-    def param(self) -> float:
-        return float(self.r) if self.kind == "static" else float(self.tau)
 
 
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
@@ -293,9 +276,6 @@ class DecodeTrace:
     block_size: int
     prompt_len: int
     records: list = field(default_factory=list)
-
-    def backbone_records(self) -> list:
-        return [r for r in self.records if r.kind == "backbone"]
 
 
 def save_trace(path: str, trace: DecodeTrace) -> None:

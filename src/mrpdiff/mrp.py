@@ -24,6 +24,7 @@ from .backbone import (
     BackboneConfig,
     BackboneParams,
     LayerParams,
+    ParamSet,
     additive_mask,
     input_embedding,
     transformer_layer,
@@ -41,7 +42,7 @@ class MrpConfig:
     sigma_init: float = 0.2
     unroll: int = 2           # training unroll steps per backward
     reveal_k: int = 1         # ground-truth tokens revealed per block per step
-    objective: str = "residual"
+    objective: str = field(default="residual", metadata={"choices": OBJECTIVES})
 
     def validate(self) -> None:
         if self.depth < 1:
@@ -55,7 +56,7 @@ class MrpConfig:
 
 
 @dataclass
-class MrpParams:
+class MrpParams(ParamSet):
     config: MrpConfig
     w_fuse: Tensor            # 2d x d
     b_fuse: Tensor            # d
@@ -63,39 +64,15 @@ class MrpParams:
     out_norm: Tensor = None
     w_out: Tensor = None      # d x d, zero-initialized
 
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [("mrp.w_fuse", self.w_fuse), ("mrp.b_fuse", self.b_fuse)]
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.named(f"mrp.layers.{i}"))
-        out.append(("mrp.out_norm", self.out_norm))
-        out.append(("mrp.w_out", self.w_out))
-        return out
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for _, t in self.named_tensors():
-            t.requires_grad = flag
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_tensors()}
+    PREFIX = "mrp"
 
 
 def init_mrp(cfg: MrpConfig, bb_cfg: BackboneConfig, rng: np.random.Generator) -> MrpParams:
     cfg.validate()
     d = bb_cfg.d_model
-    hidden = bb_cfg.mlp_mult * d
     std = cfg.sigma_init
-    layers = []
-    for _ in range(cfg.depth):
-        layers.append(
-            LayerParams(
-                attn_norm=T.param(np.ones(d)),
-                w_qkv=T.param(rng.normal(0.0, std, (d, 3 * d))),
-                w_attn_out=T.param(rng.normal(0.0, std, (d, d))),
-                mlp_norm=T.param(np.ones(d)),
-                w_up=T.param(rng.normal(0.0, std, (d, hidden))),
-                w_down=T.param(rng.normal(0.0, std, (hidden, d))),
-            )
-        )
+    # the trunk draws before w_fuse; this order fixes the random stream
+    layers = [LayerParams.init(d, bb_cfg.mlp_mult * d, rng, std) for _ in range(cfg.depth)]
     return MrpParams(
         config=cfg,
         w_fuse=T.param(rng.normal(0.0, std, (2 * d, d))),
@@ -142,48 +119,21 @@ def accumulate(run_h: Tensor, run_logits: Tensor, out: tuple[Tensor, Tensor]) ->
 # checkpoint I/O
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = ["depth", "sigma_init", "unroll", "reveal_k"]
-
 
 def save_mrp(path: str, params: MrpParams) -> None:
-    named = [
-        (f"mrp.config.{f}", np.asarray([getattr(params.config, f)]))
-        for f in _CONFIG_FIELDS
-    ]
-    named.append(("mrp.config.objective",
-                  np.asarray([float(OBJECTIVES.index(params.config.objective))])))
-    named += [(name, t.data) for name, t in params.named_tensors()]
-    checkpoint.save_tensors(path, named)
+    checkpoint.save_params(path, params)
 
 
 def load_mrp(path: str) -> MrpParams:
     blob = checkpoint.load_tensors(path)
-    cfg = MrpConfig(
-        depth=int(blob["mrp.config.depth"][0]),
-        sigma_init=float(f"{blob['mrp.config.sigma_init'][0]:.6g}"),
-        unroll=int(blob["mrp.config.unroll"][0]),
-        reveal_k=int(blob["mrp.config.reveal_k"][0]),
-        objective=OBJECTIVES[int(blob["mrp.config.objective"][0])],
-    )
-    cfg.validate()
-    layers = []
-    for i in range(cfg.depth):
-        p = f"mrp.layers.{i}"
-        layers.append(
-            LayerParams(
-                attn_norm=T.param(blob[f"{p}.attn_norm"]),
-                w_qkv=T.param(blob[f"{p}.w_qkv"]),
-                w_attn_out=T.param(blob[f"{p}.w_attn_out"]),
-                mlp_norm=T.param(blob[f"{p}.mlp_norm"]),
-                w_up=T.param(blob[f"{p}.w_up"]),
-                w_down=T.param(blob[f"{p}.w_down"]),
-            )
+    cfg = checkpoint.read_config(blob, MrpParams.PREFIX, MrpConfig)
+    # the file holds no backbone config: the head's widths come from its
+    # first MLP matrix (d x mlp_mult * d), and fill checks every other shape
+    w_up = blob.get("mrp.layers.0.w_up")
+    if w_up is None or w_up.ndim != 2 or w_up.shape[0] < 1:
+        raise InvalidConfigError(
+            "checkpoint record 'mrp.layers.0.w_up' is missing or not a matrix"
         )
-    return MrpParams(
-        config=cfg,
-        w_fuse=T.param(blob["mrp.w_fuse"]),
-        b_fuse=T.param(blob["mrp.b_fuse"]),
-        layers=layers,
-        out_norm=T.param(blob["mrp.out_norm"]),
-        w_out=T.param(blob["mrp.w_out"]),
-    )
+    d, hidden = w_up.shape
+    widths = BackboneConfig(d_model=d, mlp_mult=hidden // d)
+    return checkpoint.fill(init_mrp(cfg, widths, checkpoint.UNFILLED), blob)

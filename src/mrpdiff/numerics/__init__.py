@@ -1,61 +1,1 @@
-from .tensor import (
-    Tensor,
-    add,
-    backward,
-    concat_last,
-    embed,
-    grad_enabled,
-    kl_rows,
-    log_softmax_rows,
-    matmul,
-    mean_all,
-    mul,
-    no_grad,
-    reshape,
-    rmsnorm,
-    scale,
-    select_rows,
-    silu,
-    slice_last,
-    slice_rows,
-    softmax_rows,
-    sub,
-    sum_all,
-    take_per_row,
-    param,
-    transpose,
-    zero_grads,
-)
-from .optim import OptimizerState, adamw_step, cosine_lr
-
-__all__ = [
-    "Tensor",
-    "add",
-    "backward",
-    "concat_last",
-    "embed",
-    "grad_enabled",
-    "kl_rows",
-    "log_softmax_rows",
-    "matmul",
-    "mean_all",
-    "mul",
-    "no_grad",
-    "reshape",
-    "rmsnorm",
-    "scale",
-    "select_rows",
-    "silu",
-    "slice_last",
-    "slice_rows",
-    "softmax_rows",
-    "sub",
-    "sum_all",
-    "take_per_row",
-    "param",
-    "transpose",
-    "zero_grads",
-    "OptimizerState",
-    "adamw_step",
-    "cosine_lr",
-]
+"""Float64 tensors with tape autodiff (tensor) and AdamW (optim)."""

@@ -34,10 +34,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -69,27 +65,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; full definitions below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def tensor(data) -> Tensor:
@@ -378,12 +353,6 @@ def sum_all(a) -> Tensor:
         _push(table, a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out, (a,), bwd)
-
-
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    return scale(sum_all(a), 1.0 / n)
 
 
 _KL_EPS = 1e-12

@@ -10,12 +10,11 @@ seed, so their comparison is noise-paired.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import backbone as bb
-from . import diffusion
 from . import mrp as mrp_mod
 from .corpus import Example
 from .diffusion import SequenceState, corrupt, state_from_example
@@ -249,15 +248,6 @@ def mrp_train_step(
     return mean_loss, step_sums / used
 
 
-def direct_train_step(batch, bb_params, g_params, opt, cfg, rng):
-    """Ablation variant: the student is softmax of the head's own logits
-    (no addition of the base logits). Same teacher, masking, and random
-    stream as mrp_train_step; the head must carry objective='direct'."""
-    if g_params.config.objective != "direct":
-        raise InvalidConfigError("direct_train_step requires objective='direct'")
-    return mrp_train_step(batch, bb_params, g_params, opt, cfg, rng)
-
-
 def train_mrp(
     examples: list[Example],
     bb_params: bb.BackboneParams,
@@ -265,31 +255,35 @@ def train_mrp(
     g_cfg: mrp_mod.MrpConfig,
     log_rows: list | None = None,
 ) -> mrp_mod.MrpParams:
-    """Distill a correction head against the frozen backbone."""
+    """Distill a correction head against the frozen backbone. The backbone's
+    requires_grad flags are restored on return, also when a step raises."""
     cfg.validate()
     g_cfg.validate()
+    _weights(cfg, g_cfg.unroll)  # a step_weights length mismatch fails before any step
     if not examples:
         raise InvalidConfigError("empty dataset")
-    bb_params.set_requires_grad(False)
     block_size = bb_params.config.block_size
     rng = np.random.default_rng(cfg.seed)
     g_params = mrp_mod.init_mrp(g_cfg, bb_params.config, rng)
     steps = _plan_steps(len(examples), cfg)
     opt = OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=steps,
                          weight_decay=cfg.weight_decay)
+    flags = [t.requires_grad for _, t in bb_params.named_tensors()]
+    bb_params.set_requires_grad(False)
     t0 = time.perf_counter()
-    for step, batch_idx in enumerate(_batches(len(examples), cfg, rng, steps)):
-        batch = [state_from_example(examples[i], block_size, all_masked=False)
-                 for i in batch_idx]
-        lr = cosine_lr(opt.step_count, opt)
-        loss, per_step = mrp_train_step(batch, bb_params, g_params, opt, cfg, rng)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"distillation loss became {loss} at step {step}")
-        if log_rows is not None and (step % cfg.log_every == 0 or step == steps - 1):
-            row = {"step": step, "lr": lr, "loss": loss,
-                   "wall_seconds": time.perf_counter() - t0}
-            for j, v in enumerate(per_step):
-                row[f"loss_step_{j + 1}"] = float(v)
-            log_rows.append(row)
-    bb_params.set_requires_grad(True)
+    try:
+        for step, batch_idx in enumerate(_batches(len(examples), cfg, rng, steps)):
+            batch = [state_from_example(examples[i], block_size, all_masked=False)
+                     for i in batch_idx]
+            lr = cosine_lr(opt.step_count, opt)
+            loss, per_step = mrp_train_step(batch, bb_params, g_params, opt, cfg, rng)
+            if log_rows is not None and (step % cfg.log_every == 0 or step == steps - 1):
+                row = {"step": step, "lr": lr, "loss": loss,
+                       "wall_seconds": time.perf_counter() - t0}
+                for j, v in enumerate(per_step):
+                    row[f"loss_step_{j + 1}"] = float(v)
+                log_rows.append(row)
+    finally:
+        for (_, t), flag in zip(bb_params.named_tensors(), flags):
+            t.requires_grad = flag
     return g_params

@@ -252,3 +252,29 @@ def test_checkpoint_missing_file_raises():
     from mrpdiff.errors import MissingArtifactError
     with pytest.raises(MissingArtifactError):
         checkpoint.load_tensors("/nonexistent/x.mrpc")
+
+
+@pytest.mark.parametrize("keep", [10, 200, -100])
+def test_checkpoint_truncated_raises_typed_error(tmp_path, keep):
+    # 10 B cuts the header length, 200 B the JSON header, -100 B the payload
+    path = str(tmp_path / "model.mrpc")
+    bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
+    raw = open(path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(raw[:keep])
+    with pytest.raises(InvalidConfigError):
+        bb.load_backbone(path)
+
+
+@pytest.mark.parametrize("damage", ["wrong_shape", "missing"])
+def test_checkpoint_bad_record_raises_typed_error(tmp_path, damage):
+    path = str(tmp_path / "model.mrpc")
+    bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
+    blob = checkpoint.load_tensors(path)
+    if damage == "wrong_shape":
+        blob["backbone.layers.1.w_up"] = blob["backbone.layers.1.w_up"].T
+    else:
+        del blob["backbone.final_norm"]
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match="backbone"):
+        bb.load_backbone(path)

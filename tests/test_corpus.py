@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from mrpdiff import corpus
+from mrpdiff.backbone import BackboneConfig
 from mrpdiff.corpus import (
     BOS_ID,
     EOS_ID,
     MASK_ID,
     PAD_ID,
     Example,
-    build_vocab,
     detokenize,
     exact_match_accuracy,
     gen_arithmetic,
@@ -25,8 +25,7 @@ from mrpdiff.errors import InvalidConfigError
 
 def test_special_ids_fixed():
     assert (MASK_ID, PAD_ID, BOS_ID, EOS_ID) == (0, 1, 2, 3)
-    v = build_vocab()
-    assert v.size <= 64
+    assert max(corpus._ID_TO_CHAR) < BackboneConfig().vocab_size
 
 
 def test_tokenize_roundtrip():
@@ -66,7 +65,7 @@ def test_example_block_padding_and_single_eos():
     for ex in gen_arithmetic(seed=2, count=300, max_operand=999):
         assert len(ex.response_ids) % 8 == 0
         assert sum(1 for i in ex.response_ids if i == EOS_ID) == 1
-        assert all(i < build_vocab().size for i in ex.prompt_ids + ex.response_ids)
+        assert all(i < BackboneConfig().vocab_size for i in ex.prompt_ids + ex.response_ids)
         # answer + EOS, then only PAD
         tail = ex.response_ids[len(ex.answer) + 1:]
         assert all(i == PAD_ID for i in tail)

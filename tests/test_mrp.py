@@ -1,0 +1,72 @@
+"""Correction head: zero-init identity, logit/hidden tie, checkpoint round trip."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from mrpdiff import backbone as bb
+from mrpdiff import checkpoint, mrp
+from mrpdiff.corpus import MASK_ID
+from mrpdiff.diffusion import SequenceState
+from mrpdiff.errors import InvalidConfigError
+from mrpdiff.numerics.tensor import no_grad
+
+BB_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=32)
+
+
+def _setup(seed=0, **mrp_kw):
+    rng = np.random.default_rng(seed)
+    bb_params = bb.init_backbone(BB_CFG, rng)
+    head = mrp.init_mrp(mrp.MrpConfig(**mrp_kw), BB_CFG, rng)
+    ids = rng.integers(4, BB_CFG.vocab_size, size=3 + 2 * BB_CFG.block_size)
+    ids[[4, 6, 9]] = MASK_ID
+    x = SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=3,
+                      block_size=BB_CFG.block_size)
+    with no_grad():
+        h, _ = bb.forward(x, bb_params)
+    return bb_params, head, x, h
+
+
+def test_zero_init_head_gives_zero_correction():
+    bb_params, head, x, h = _setup()
+    delta_h, delta_logits = mrp.mrp_forward(x, h, head, bb_params)
+    assert not delta_h.data.any() and not delta_logits.data.any()
+
+
+def test_delta_logits_is_delta_h_times_lm_head():
+    bb_params, head, x, h = _setup(seed=1)
+    head.w_out.data = np.random.default_rng(2).normal(0.0, 0.1, head.w_out.shape)
+    delta_h, delta_logits = mrp.mrp_forward(x, h, head, bb_params)
+    assert delta_h.data.any()
+    assert np.array_equal(delta_logits.data, delta_h.data @ bb_params.w_lm.data)
+
+
+@pytest.mark.parametrize("objective", ["residual", "direct"])
+def test_save_load_roundtrip_bytes_identical(tmp_path, objective):
+    _, head, _, _ = _setup(depth=2, objective=objective)
+    head.w_out.data = np.random.default_rng(3).normal(0.0, 0.1, head.w_out.shape)
+    p1, p2 = str(tmp_path / "a.mrpc"), str(tmp_path / "b.mrpc")
+    mrp.save_mrp(p1, head)
+    loaded = mrp.load_mrp(p1)
+    assert loaded.config == head.config
+    for (n1, t1), (n2, t2) in zip(head.named_tensors(), loaded.named_tensors(), strict=True):
+        assert n1 == n2 and t2.requires_grad
+        np.testing.assert_array_equal(t1.data.astype(np.float32), t2.data)
+    mrp.save_mrp(p2, loaded)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("name", ["mrp.layers.0.w_up", "mrp.w_fuse"])
+def test_load_rejects_missing_or_misshapen_record(tmp_path, name):
+    _, head, _, _ = _setup(depth=2)
+    path = str(tmp_path / "head.mrpc")
+    mrp.save_mrp(path, head)
+    blob = checkpoint.load_tensors(path)
+    if name == "mrp.w_fuse":
+        blob[name] = blob[name].T
+    else:
+        del blob[name]
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match=name):
+        mrp.load_mrp(path)
