@@ -16,6 +16,7 @@ import numpy as np
 
 from . import checkpoint
 from .errors import InvalidConfigError, InvalidShapeError
+from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import Tensor
 
@@ -158,27 +159,45 @@ def additive_mask(L: int, block_size: int, prompt_len: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transformer_layer(stream: Tensor, layer: LayerParams, addmask: np.ndarray,
-                      n_heads: int, eps: float) -> Tensor:
-    """One pre-norm block: masked self-attention + MLP, both residual."""
+def active_ops():
+    """The op set a forward starts on: the tensor ops `T` while the tape
+    records, their plain-array twins `A` under `no_grad` (same bits, no
+    Tensor per intermediate)."""
+    return T if T.grad_enabled() else A
+
+
+def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
+                      addmask: np.ndarray, n_heads: int, eps: float) -> Tensor | np.ndarray:
+    """One pre-norm block: masked self-attention + MLP, both residual.
+    Computes with `T` on a Tensor stream and with `A` on an ndarray."""
+    ops = T if isinstance(stream, Tensor) else A
     L, d = stream.shape
     dh = d // n_heads
-    a = T.rmsnorm(stream, layer.attn_norm, eps)
-    qkv = T.matmul(a, layer.w_qkv)
-    q = T.transpose(T.reshape(T.slice_last(qkv, 0, d), (L, n_heads, dh)), (1, 0, 2))
-    k = T.transpose(T.reshape(T.slice_last(qkv, d, 2 * d), (L, n_heads, dh)), (1, 0, 2))
-    v = T.transpose(T.reshape(T.slice_last(qkv, 2 * d, 3 * d), (L, n_heads, dh)), (1, 0, 2))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    probs = T.softmax_rows(T.add(scores, addmask))
-    ctx = T.reshape(T.transpose(T.matmul(probs, v), (1, 0, 2)), (L, d))
-    stream = T.add(stream, T.matmul(ctx, layer.w_attn_out))
-    m = T.rmsnorm(stream, layer.mlp_norm, eps)
-    return T.add(stream, T.matmul(T.silu(T.matmul(m, layer.w_up)), layer.w_down))
+    a = ops.rmsnorm(stream, layer.attn_norm, eps)
+    qkv = ops.matmul(a, layer.w_qkv)
+    q = ops.transpose(ops.reshape(ops.slice_last(qkv, 0, d), (L, n_heads, dh)), (1, 0, 2))
+    k = ops.transpose(ops.reshape(ops.slice_last(qkv, d, 2 * d), (L, n_heads, dh)), (1, 0, 2))
+    v = ops.transpose(ops.reshape(ops.slice_last(qkv, 2 * d, 3 * d), (L, n_heads, dh)), (1, 0, 2))
+    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    probs = ops.softmax_rows(ops.add(scores, addmask))
+    ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), (1, 0, 2)), (L, d))
+    stream = ops.add(stream, ops.matmul(ctx, layer.w_attn_out))
+    m = ops.rmsnorm(stream, layer.mlp_norm, eps)
+    return ops.add(stream, ops.matmul(ops.silu(ops.matmul(m, layer.w_up)), layer.w_down))
 
 
-def input_embedding(params: BackboneParams, ids: np.ndarray) -> Tensor:
-    """Token embedding plus learned absolute position rows."""
-    return T.add(T.embed(params.embed, ids), T.slice_rows(params.pos, len(ids)))
+def input_embedding(params: BackboneParams, ids: np.ndarray) -> Tensor | np.ndarray:
+    """Token embedding plus learned absolute position rows: a Tensor while
+    the tape records, an ndarray under `no_grad`."""
+    ops = active_ops()
+    return ops.add(ops.embed(params.embed, ids), ops.slice_rows(params.pos, len(ids)))
+
+
+def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
+    """Raise InvalidShapeError unless every id indexes the embedding table
+    (a negative id would silently wrap to the last row)."""
+    if np.any(ids >= cfg.vocab_size) or np.any(ids < 0):
+        raise InvalidShapeError("token id out of vocabulary range")
 
 
 def forward(x, params: BackboneParams, window: int | None = None) -> tuple[Tensor, Tensor]:
@@ -187,7 +206,8 @@ def forward(x, params: BackboneParams, window: int | None = None) -> tuple[Tenso
     Returns (h, logits): h is the final post-norm hidden state (the tensor
     that multiplies the LM head), logits = h @ w_lm. `window` truncates the
     computation to the first `window` positions; block-causality makes the
-    retained rows bit-identical to a full-length forward.
+    retained rows bit-identical to a full-length forward. Under `no_grad`
+    every intermediate is a plain ndarray and only h and logits are wrapped.
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
@@ -196,16 +216,16 @@ def forward(x, params: BackboneParams, window: int | None = None) -> tuple[Tenso
     L = len(ids)
     if L > cfg.max_len:
         raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    if np.any(ids >= cfg.vocab_size) or np.any(ids < 0):
-        raise InvalidShapeError("token id out of vocabulary range")
+    check_ids(ids, cfg)
     addmask = additive_mask(L, x.block_size, x.prompt_len)
 
+    ops = active_ops()
     stream = input_embedding(params, ids)
     for layer in params.layers:
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
-    h = T.rmsnorm(stream, params.final_norm, cfg.norm_eps)
-    logits = T.matmul(h, params.w_lm)
-    return h, logits
+    h = ops.rmsnorm(stream, params.final_norm, cfg.norm_eps)
+    logits = ops.matmul(h, params.w_lm)
+    return T._as_tensor(h), T._as_tensor(logits)
 
 
 def perturbation_norm(x_a, x_b, params: BackboneParams) -> float:

@@ -25,7 +25,9 @@ from .backbone import (
     BackboneParams,
     LayerParams,
     ParamSet,
+    active_ops,
     additive_mask,
+    check_ids,
     input_embedding,
     transformer_layer,
 )
@@ -83,30 +85,39 @@ def init_mrp(cfg: MrpConfig, bb_cfg: BackboneConfig, rng: np.random.Generator) -
     )
 
 
-def mrp_forward(x, h: Tensor, params: MrpParams, bb_params: BackboneParams) -> tuple[Tensor, Tensor]:
+def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
+                bb_params: BackboneParams) -> tuple[Tensor, Tensor]:
     """Predict (hidden residual, logit residual) for the post-reveal state x.
 
     `h` is the running hidden state, row-aligned with x (possibly a
     truncated window). The trunk reuses the backbone's token/positional
     embeddings and LM head; only the fusion, trunk layers, output norm and
-    output projection are its own.
+    output projection are its own. Under `no_grad` it computes on plain
+    ndarrays, as `backbone.forward` does.
     """
     cfg = bb_params.config
+    d = cfg.d_model
+    if params.w_fuse.shape != (2 * d, d):
+        raise InvalidConfigError(
+            f"correction head of width {params.w_fuse.shape[1]} does not fit a "
+            f"backbone of width {d}"
+        )
     L = h.shape[0]
     ids = np.asarray(x.ids, dtype=np.int64)[:L]
-    if len(ids) != L or h.shape[1] != cfg.d_model:
+    if len(ids) != L or h.shape[1] != d:
         raise InvalidShapeError(
             f"hidden state shape {h.shape} does not align with sequence"
         )
+    check_ids(ids, cfg)
     addmask = additive_mask(L, x.block_size, x.prompt_len)
-    fused = T.add(T.matmul(T.concat_last(input_embedding(bb_params, ids), h),
-                           params.w_fuse), params.b_fuse)
-    stream = fused
+    ops = active_ops()
+    stream = ops.add(ops.matmul(ops.concat_last(input_embedding(bb_params, ids), h),
+                                params.w_fuse), params.b_fuse)
     for layer in params.layers:
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
-    delta_h = T.matmul(T.rmsnorm(stream, params.out_norm, cfg.norm_eps), params.w_out)
-    delta_logits = T.matmul(delta_h, bb_params.w_lm)
-    return delta_h, delta_logits
+    delta_h = ops.matmul(ops.rmsnorm(stream, params.out_norm, cfg.norm_eps), params.w_out)
+    delta_logits = ops.matmul(delta_h, bb_params.w_lm)
+    return T._as_tensor(delta_h), T._as_tensor(delta_logits)
 
 
 def accumulate(run_h: Tensor, run_logits: Tensor, out: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:

@@ -1,1 +1,2 @@
-"""Float64 tensors with tape autodiff (tensor) and AdamW (optim)."""
+"""Float64 tensors with tape autodiff (tensor), their forward-only twins on
+plain ndarrays (arrays) and AdamW (optim)."""

@@ -9,6 +9,14 @@ Backward semantics: ``backward(loss)`` walks the tape once with a scratch
 gradient table and *adds* the result into ``.grad`` of every tensor with
 ``requires_grad=True``, so repeated calls accumulate. Intermediate nodes
 never retain gradients.
+
+``no_grad()`` turns recording off. The ops here still return Tensors, with
+no tape behind them. The model forwards (``backbone.forward``,
+``mrp.mrp_forward``) go further: under ``no_grad`` they compute on plain
+ndarrays with the twins in ``numerics.arrays`` and wrap only their outputs
+in Tensors. Both op sets take their values from the same helpers
+(``_rmsnorm_data``, ``_silu_data``, ``_softmax_data``), so a forward gives
+the same bits with and without the tape.
 """
 
 from __future__ import annotations
@@ -32,6 +40,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def grad_enabled() -> bool:
+    """False inside `no_grad()`."""
+    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -149,10 +162,15 @@ def scale(a, s: float) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def _silu_data(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(silu(x), sigmoid(x))."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, sig
+
+
 def silu(a) -> Tensor:
     a = _as_tensor(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * sig
+    out, sig = _silu_data(a.data)
 
     def bwd(g, table):
         _push(table, a, g * sig * (1.0 + a.data * (1.0 - sig)))
@@ -179,10 +197,9 @@ def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     out = np.ascontiguousarray(a.data.transpose(axes))
-    inv = tuple(np.argsort(axes))
 
     def bwd(g, table):
-        _push(table, a, g.transpose(inv))
+        _push(table, a, g.transpose(tuple(np.argsort(axes))))
 
     return _make(out, (a,), bwd)
 
@@ -287,14 +304,21 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
+def _rmsnorm_data(x: np.ndarray, gain: np.ndarray, eps: float):
+    """(normed * gain, 1 / rms, normed) with normed = x / sqrt(mean(x^2) + eps)."""
+    # the ufunc reductions here and in _softmax_data are what np.mean/max/sum
+    # compute, without their Python-level dispatch
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps
+    inv = 1.0 / np.sqrt(ms)
+    normed = x * inv
+    return normed * gain, inv, normed
+
+
 def rmsnorm(a, gain, eps: float = 1e-6) -> Tensor:
     """y = x / sqrt(mean(x^2, last) + eps) * gain, gain shaped (d,)."""
     a, gain = _as_tensor(a), _as_tensor(gain)
     d = a.data.shape[-1]
-    ms = np.mean(a.data * a.data, axis=-1, keepdims=True) + eps
-    inv = 1.0 / np.sqrt(ms)
-    normed = a.data * inv
-    out = normed * gain.data
+    out, inv, normed = _rmsnorm_data(a.data, gain.data, eps)
 
     def bwd(g, table):
         gg = g * gain.data
@@ -307,12 +331,13 @@ def rmsnorm(a, gain, eps: float = 1e-6) -> Tensor:
 
 
 def _softmax_data(z: np.ndarray) -> np.ndarray:
-    # max-subtraction; the -700 floor keeps exp() in normal range so rows
-    # stay strictly positive for any finite input
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    np.maximum(shifted, -700.0, out=shifted)
+    # max-subtraction keeps exp() <= 1 and the row sum >= 1. An entry more
+    # than ~745 below its row's max (a blocked attention score, additive
+    # mask -1e30) becomes exactly 0, so neither it nor its gradient is a
+    # subnormal, which would slow every later product it enters.
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_rows(a) -> Tensor:

@@ -170,6 +170,23 @@ def test_masked_block_order_invariance():
     assert np.array_equal(lx.data[lo:hi], ly.data[lo:hi])
 
 
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+def test_no_grad_forward_bit_identical_to_taped(block_size, prompt_len):
+    cfg = tiny_config(block_size=block_size, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    for mask_frac in (0.5, 1.0):
+        x = rand_state(rng, prompt_len, 3, block_size, mask_frac=mask_frac)
+        for window in (None, prompt_len + block_size, prompt_len + 2 * block_size):
+            h, logits = bb.forward(x, params, window=window)
+            assert logits._parents  # the tape was recorded
+            with no_grad():
+                h0, l0 = bb.forward(x, params, window=window)
+            assert np.array_equal(h.data, h0.data)
+            assert np.array_equal(logits.data, l0.data)
+
+
 # ---------------------------------------------------------------------------
 # perturbation norm
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""Correction head: zero-init identity, logit/hidden tie, checkpoint round trip."""
+"""Correction head: zero-init identity, logit/hidden tie, tape-free
+inference, input checks, checkpoint round trip."""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from mrpdiff import backbone as bb
-from mrpdiff import checkpoint, mrp
+from mrpdiff import checkpoint, corpus, mrp, training
 from mrpdiff.corpus import MASK_ID
-from mrpdiff.diffusion import SequenceState
-from mrpdiff.errors import InvalidConfigError
-from mrpdiff.numerics.tensor import no_grad
+from mrpdiff.diffusion import SequenceState, corrupt, state_from_example
+from mrpdiff.errors import InvalidConfigError, InvalidShapeError
+from mrpdiff.numerics import tensor as T
+from mrpdiff.numerics.tensor import Tensor, no_grad
 
 BB_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=32)
 
@@ -40,6 +44,67 @@ def test_delta_logits_is_delta_h_times_lm_head():
     delta_h, delta_logits = mrp.mrp_forward(x, h, head, bb_params)
     assert delta_h.data.any()
     assert np.array_equal(delta_logits.data, delta_h.data @ bb_params.w_lm.data)
+
+
+@pytest.mark.parametrize("objective", mrp.OBJECTIVES)
+@pytest.mark.parametrize("block_size", [4, 8])
+def test_no_grad_mrp_forward_bit_identical_to_taped(objective, block_size):
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=block_size,
+                            max_len=64)
+    bb_params = bb.init_backbone(cfg, np.random.default_rng(block_size), std=0.3)
+    examples = corpus.gen_arithmetic(1, 4, 999, block_size)
+    head = training.train_mrp(examples, bb_params,
+                              training.TrainConfig(batch_size=2, max_steps=2),
+                              mrp.MrpConfig(depth=2, objective=objective))
+    rng = np.random.default_rng(0)
+    for ex in examples:
+        x = corrupt(state_from_example(ex, block_size, all_masked=False), rng, rate=0.5)
+        for window in (None, x.prompt_len + block_size):
+            with no_grad():
+                h, _ = bb.forward(x, bb_params, window=window)
+            taped = mrp.mrp_forward(x, h, head, bb_params)
+            assert taped[1]._parents and taped[1].data.any()
+            with no_grad():
+                plain = mrp.mrp_forward(x, h, head, bb_params)
+            for a, b in zip(taped, plain, strict=True):
+                assert np.array_equal(a.data, b.data)
+
+
+def test_no_grad_forwards_build_no_tensor_nodes(monkeypatch):
+    bb_params, head, x, _ = _setup(seed=4)
+    calls = []
+    make = T._make
+    monkeypatch.setattr(T, "_make", lambda *args: calls.append(1) or make(*args))
+    with no_grad():
+        h, logits = bb.forward(x, bb_params)
+        out = mrp.mrp_forward(x, h, head, bb_params)
+    assert calls == []
+    for t in (h, logits, *out):
+        assert isinstance(t, Tensor) and type(t.data) is np.ndarray
+    mrp.mrp_forward(x, h, head, bb_params)  # with the tape on, nodes are made
+    assert calls
+
+
+@pytest.mark.parametrize("bad_id", [-1, BB_CFG.vocab_size])
+@pytest.mark.parametrize("taped", [True, False])
+def test_mrp_forward_rejects_out_of_range_ids(bad_id, taped):
+    bb_params, head, x, h = _setup()
+    x.ids[1] = bad_id
+    with contextlib.nullcontext() if taped else no_grad():
+        with pytest.raises(InvalidShapeError, match="vocabulary"):
+            mrp.mrp_forward(x, h, head, bb_params)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_mrp_forward_rejects_head_of_another_width(taped):
+    wide = bb.BackboneConfig(d_model=32, n_heads=2, n_layers=1, block_size=4, max_len=32)
+    bb_params = bb.init_backbone(wide, np.random.default_rng(0))
+    _, head, x, _ = _setup()  # a head for a d=16 backbone
+    with no_grad():
+        h, _ = bb.forward(x, bb_params)
+    with contextlib.nullcontext() if taped else no_grad():
+        with pytest.raises(InvalidConfigError, match="width"):
+            mrp.mrp_forward(x, h, head, bb_params)
 
 
 @pytest.mark.parametrize("objective", ["residual", "direct"])

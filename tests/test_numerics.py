@@ -49,6 +49,15 @@ def test_softmax_rows_sum_to_one_and_positive():
     assert (p > 0).all()
 
 
+def test_softmax_blocked_entry_is_exact_zero_with_no_subnormal_gradient():
+    z = T.param(np.array([0.0, -1e30]))  # -1e30: a blocked attention score
+    p = T.softmax_rows(z)
+    assert p.data.tolist() == [1.0, 0.0]
+    backward(T.sum_all(T.mul(p, T.tensor([0.0, 1e-6]))))
+    g = z.grad
+    assert not np.any((g != 0.0) & (np.abs(g) < np.finfo(np.float64).tiny))
+
+
 def test_softmax_empty_last_extent_raises():
     with pytest.raises(InvalidShapeError):
         T.softmax_rows(T.tensor(np.empty((3, 0))))
