@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import checkpoint
-from .errors import InvalidConfigError, InvalidShapeError
+from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError
 from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import Tensor
@@ -166,18 +166,88 @@ def active_ops():
     return T if T.grad_enabled() else A
 
 
+@dataclass
+class LayerKV:
+    """One layer's keys and values, each (heads, rows, dh), for the first
+    `rows` rows of a window; None until the first forward fills them."""
+
+    rows: int
+    k: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of the cached rows followed by `k`, `v`. An empty
+        cache instead keeps the first `rows` of `k`, `v` and returns them
+        as given."""
+        if self.k is None:
+            self.k, self.v = k[:, :self.rows], v[:, :self.rows]
+            return k, v
+        return np.concatenate([self.k, k], axis=1), np.concatenate([self.v, v], axis=1)
+
+
+class PrefixKV:
+    """Every layer's keys and values for rows [0, rows) of a window, plus
+    those rows' h and logits.
+
+    `rows` is where the window's last block starts. Block-causal attention
+    keeps the rows before it from seeing that block, so while the block is
+    denoised their keys, values, h and logits do not change: the first
+    forward given the prefix computes the full window and fills it, later
+    ones compute only the last block's rows. No-grad only.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.ids: np.ndarray | None = None
+        self.layers: list[LayerKV] = []
+        self.h: np.ndarray | None = None
+        self.logits: np.ndarray | None = None
+
+    def begin(self, ids: np.ndarray, x, n_layers: int) -> int:
+        """Check that the prefix fits this forward and return its first
+        row to compute: 0 when the prefix is empty, else `rows`."""
+        if T.grad_enabled():
+            raise ContractViolationError(
+                "a prefix cache holds no tape: run the forward under no_grad"
+            )
+        last = len(ids) - x.block_size
+        if last < x.prompt_len or self.rows != last:
+            raise ContractViolationError(
+                f"prefix of {self.rows} rows does not end where the window's "
+                f"last block starts ({last})"
+            )
+        if self.h is None:
+            self.ids = ids[:self.rows].copy()
+            self.layers = [LayerKV(self.rows) for _ in range(n_layers)]
+            return 0
+        if not np.array_equal(ids[:self.rows], self.ids):
+            raise ContractViolationError("prefix tokens changed since the cache was filled")
+        return self.rows
+
+    def complete(self, h: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The full window's h and logits from the rows this forward
+        computed; an empty prefix keeps its rows of them."""
+        if self.h is None:
+            self.h, self.logits = h[:self.rows].copy(), logits[:self.rows].copy()
+            return h, logits
+        return np.concatenate([self.h, h]), np.concatenate([self.logits, logits])
+
+
 def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
-                      addmask: np.ndarray, n_heads: int, eps: float) -> Tensor | np.ndarray:
+                      addmask: np.ndarray, n_heads: int, eps: float,
+                      cache: LayerKV | None = None) -> Tensor | np.ndarray:
     """One pre-norm block: masked self-attention + MLP, both residual.
-    Computes with `T` on a Tensor stream and with `A` on an ndarray."""
+    Computes with `T` on a Tensor stream and with `A` on an ndarray. With a
+    filled `cache` the stream holds the rows after the cached ones, and
+    `addmask` their rows of the window's mask."""
     ops = T if isinstance(stream, Tensor) else A
     L, d = stream.shape
     dh = d // n_heads
     a = ops.rmsnorm(stream, layer.attn_norm, eps)
-    qkv = ops.matmul(a, layer.w_qkv)
-    q = ops.transpose(ops.reshape(ops.slice_last(qkv, 0, d), (L, n_heads, dh)), (1, 0, 2))
-    k = ops.transpose(ops.reshape(ops.slice_last(qkv, d, 2 * d), (L, n_heads, dh)), (1, 0, 2))
-    v = ops.transpose(ops.reshape(ops.slice_last(qkv, 2 * d, 3 * d), (L, n_heads, dh)), (1, 0, 2))
+    qkv = ops.transpose(ops.reshape(ops.matmul(a, layer.w_qkv), (L, 3, n_heads, dh)), (1, 2, 0, 3))
+    q, k, v = ops.unstack(qkv)
+    if cache is not None:
+        k, v = cache.extend(k, v)
     scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     probs = ops.softmax_rows(ops.add(scores, addmask))
     ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), (1, 0, 2)), (L, d))
@@ -186,11 +256,13 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     return ops.add(stream, ops.matmul(ops.silu(ops.matmul(m, layer.w_up)), layer.w_down))
 
 
-def input_embedding(params: BackboneParams, ids: np.ndarray) -> Tensor | np.ndarray:
-    """Token embedding plus learned absolute position rows: a Tensor while
-    the tape records, an ndarray under `no_grad`."""
+def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> Tensor | np.ndarray:
+    """Token embedding plus learned absolute position rows for ids at
+    positions start, start + 1, ...: a Tensor while the tape records, an
+    ndarray under `no_grad`."""
     ops = active_ops()
-    return ops.add(ops.embed(params.embed, ids), ops.slice_rows(params.pos, len(ids)))
+    return ops.add(ops.embed(params.embed, ids),
+                   ops.slice_rows(params.pos, start + len(ids), start))
 
 
 def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
@@ -200,7 +272,8 @@ def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
         raise InvalidShapeError("token id out of vocabulary range")
 
 
-def forward(x, params: BackboneParams, window: int | None = None) -> tuple[Tensor, Tensor]:
+def forward(x, params: BackboneParams, window: int | None = None,
+            prefix: PrefixKV | None = None) -> tuple[Tensor, Tensor]:
     """Run the denoiser on sequence state `x` (ids, prompt_len, block_size).
 
     Returns (h, logits): h is the final post-norm hidden state (the tensor
@@ -208,6 +281,10 @@ def forward(x, params: BackboneParams, window: int | None = None) -> tuple[Tenso
     computation to the first `window` positions; block-causality makes the
     retained rows bit-identical to a full-length forward. Under `no_grad`
     every intermediate is a plain ndarray and only h and logits are wrapped.
+
+    `prefix` (no-grad only) caches the rows before the window's last block:
+    an empty one is filled by this forward, a filled one limits the work to
+    the last block's rows. Either way h and logits cover the whole window.
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
@@ -218,13 +295,20 @@ def forward(x, params: BackboneParams, window: int | None = None) -> tuple[Tenso
         raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")
     check_ids(ids, cfg)
     addmask = additive_mask(L, x.block_size, x.prompt_len)
+    start, caches = 0, [None] * len(params.layers)
+    if prefix is not None:
+        start = prefix.begin(ids, x, len(params.layers))
+        caches = prefix.layers
+        addmask = addmask[start:]
 
     ops = active_ops()
-    stream = input_embedding(params, ids)
-    for layer in params.layers:
-        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
+    stream = input_embedding(params, ids[start:], start)
+    for layer, cache in zip(params.layers, caches):
+        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps, cache)
     h = ops.rmsnorm(stream, params.final_norm, cfg.norm_eps)
     logits = ops.matmul(h, params.w_lm)
+    if prefix is not None:
+        h, logits = prefix.complete(h, logits)
     return T._as_tensor(h), T._as_tensor(logits)
 
 

@@ -88,9 +88,14 @@ class SequenceState:
 
 
 def state_from_example(ex, block_size: int, all_masked: bool = True) -> SequenceState:
-    """Decode-ready state (response fully masked) or the clean x0."""
+    """Decode-ready state (response fully masked) or the clean x0. The
+    response must be a whole number of blocks."""
     prompt = np.asarray(ex.prompt_ids, dtype=np.int64)
     resp = np.asarray(ex.response_ids, dtype=np.int64)
+    if block_size < 1 or len(resp) % block_size:
+        raise InvalidConfigError(
+            f"block_size {block_size} does not divide the response length {len(resp)}"
+        )
     ids = np.concatenate([prompt, np.full_like(resp, MASK_ID) if all_masked else resp])
     masked = np.zeros(len(ids), dtype=bool)
     if all_masked:
@@ -195,12 +200,32 @@ class Policy:
         raise InvalidConfigError(f"unknown policy kind {self.kind!r}")
 
 
+def _check_positions(x: SequenceState, positions: np.ndarray, op: str) -> None:
+    """Raise unless `positions` is a 1-D list of distinct response positions."""
+    if positions.ndim != 1:
+        raise ContractViolationError(f"{op} expects a 1-D list of positions")
+    # plain lists: cheaper than numpy reductions at the few positions of a step
+    pos = positions.tolist()
+    if min(pos) < x.prompt_len or max(pos) >= x.length:
+        raise ContractViolationError(
+            f"{op} of a position outside the response [{x.prompt_len}, {x.length})"
+        )
+    if len(set(pos)) != len(pos):
+        raise ContractViolationError(f"{op} of a repeated position")
+
+
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
-    """Set ids and clear mask flags at `positions` (all currently masked)."""
+    """Set ids and clear mask flags at `positions` (distinct response
+    positions, all currently masked), one token per position."""
     positions = np.asarray(positions, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.int64)
-    if len(positions) == 0:
+    if tokens.shape != positions.shape:
+        raise ContractViolationError(
+            f"reveal of {positions.size} positions with {tokens.size} tokens"
+        )
+    if positions.size == 0:
         return x
+    _check_positions(x, positions, "reveal")
     if not x.masked[positions].all():
         raise ContractViolationError("reveal of a position that is not masked")
     x.ids[positions] = tokens
@@ -209,9 +234,11 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
 
 
 def remask(x: SequenceState, positions) -> SequenceState:
+    """Mask `positions` again (distinct response positions, none masked)."""
     positions = np.asarray(positions, dtype=np.int64)
-    if len(positions) == 0:
+    if positions.size == 0:
         return x
+    _check_positions(x, positions, "remask")
     if x.masked[positions].any():
         raise ContractViolationError("remask of a position that is already masked")
     x.ids[positions] = MASK_ID
@@ -349,15 +376,17 @@ def denoise_block_baseline(
     """Denoise the current block with backbone forwards only: forward ->
     confidence -> select -> reveal until the block is clean. Each step
     reveals at least one position, so a block finishes in <= block_size
-    forwards."""
+    forwards. The first forward caches the rows before the block, which the
+    later ones reuse."""
     block = x.current_block
     lo, hi = x.block_bounds(block)
     if not x.masked[lo:hi].all():
         raise ContractViolationError("baseline denoise expects a fully masked block")
     window = x.window_end(block)
+    prefix = bb.PrefixKV(lo)
     while x.masked[lo:hi].any():
         with no_grad():
-            h, logits = bb.forward(x, params, window=window)
+            h, logits = bb.forward(x, params, window=window, prefix=prefix)
         conf = confidence_of(logits, x)
         positions = policy.select(conf)
         tokens = conf.tokens[np.searchsorted(conf.positions, positions)]

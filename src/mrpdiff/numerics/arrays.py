@@ -44,12 +44,12 @@ def concat_last(a, b) -> np.ndarray:
     return np.concatenate([_v(a), _v(b)], axis=-1)
 
 
-def slice_last(a, start: int, stop: int) -> np.ndarray:
-    return np.ascontiguousarray(_v(a)[..., start:stop])
+def slice_rows(a, stop: int, start: int = 0) -> np.ndarray:
+    return np.ascontiguousarray(_v(a)[start:stop])
 
 
-def slice_rows(a, stop: int) -> np.ndarray:
-    return np.ascontiguousarray(_v(a)[:stop])
+def unstack(a) -> tuple[np.ndarray, ...]:
+    return tuple(_v(a))
 
 
 def embed(table, ids) -> np.ndarray:

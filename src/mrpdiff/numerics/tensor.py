@@ -228,17 +228,32 @@ def slice_last(a, start: int, stop: int) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def slice_rows(a, stop: int) -> Tensor:
-    """First `stop` rows of a 2-D tensor (positional-embedding lookup)."""
+def slice_rows(a, stop: int, start: int = 0) -> Tensor:
+    """Rows [start, stop) of a 2-D tensor (positional-embedding lookup)."""
     a = _as_tensor(a)
-    out = np.ascontiguousarray(a.data[:stop])
+    out = np.ascontiguousarray(a.data[start:stop])
 
     def bwd(g, table):
         full = np.zeros_like(a.data)
-        full[:stop] = g
+        full[start:stop] = g
         _push(table, a, full)
 
     return _make(out, (a,), bwd)
+
+
+def unstack(a) -> tuple[Tensor, ...]:
+    """Split along the leading axis: (a[0], a[1], ...), each a view of a."""
+    a = _as_tensor(a)
+
+    def part(i: int) -> Tensor:
+        def bwd(g, table):
+            full = np.zeros_like(a.data)
+            full[i] = g
+            _push(table, a, full)
+
+        return _make(a.data[i], (a,), bwd)
+
+    return tuple(part(i) for i in range(a.data.shape[0]))
 
 
 def select_rows(a, idx) -> Tensor:

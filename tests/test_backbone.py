@@ -9,7 +9,7 @@ from mrpdiff import backbone as bb
 from mrpdiff import checkpoint
 from mrpdiff.corpus import MASK_ID
 from mrpdiff.diffusion import SequenceState
-from mrpdiff.errors import InvalidConfigError, InvalidShapeError
+from mrpdiff.errors import ContractViolationError, InvalidConfigError, InvalidShapeError
 from mrpdiff.numerics.tensor import no_grad
 
 
@@ -185,6 +185,66 @@ def test_no_grad_forward_bit_identical_to_taped(block_size, prompt_len):
                 h0, l0 = bb.forward(x, params, window=window)
             assert np.array_equal(h.data, h0.data)
             assert np.array_equal(logits.data, l0.data)
+
+
+# ---------------------------------------------------------------------------
+# prefix K/V reuse
+# ---------------------------------------------------------------------------
+
+
+def _mask_block(x, block, share):
+    """Mask the first `share` of the block's positions (the rest keep their ids)."""
+    lo, hi = x.block_bounds(block)
+    cut = lo + int(round(share * (hi - lo)))
+    x.ids[lo:cut] = MASK_ID
+    x.masked[lo:cut] = True
+
+
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+def test_prefix_forward_matches_full_forward(block_size, prompt_len):
+    cfg = tiny_config(block_size=block_size, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    for block in range(3):
+        x = rand_state(rng, prompt_len, 3, block_size)
+        for b in range(block, 3):
+            _mask_block(x, b, 1.0)
+        window = x.window_end(block)
+        lo, hi = x.block_bounds(block)
+        prefix = bb.PrefixKV(lo)
+        # the first forward fills the prefix, the later ones reuse it after
+        # tokens of the block are revealed
+        for share in (1.0, 0.5, 0.0):
+            x.ids[lo:hi] = rng.integers(4, cfg.vocab_size, size=hi - lo)
+            x.masked[lo:hi] = False
+            _mask_block(x, block, share)
+            with no_grad():
+                h, logits = bb.forward(x, params, window=window, prefix=prefix)
+                h0, l0 = bb.forward(x, params, window=window)
+            assert h.shape == h0.shape and logits.shape == l0.shape
+            np.testing.assert_allclose(h.data, h0.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits.data, l0.data, rtol=0, atol=1e-12)
+            assert prefix.h is not None
+
+
+def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = rand_state(np.random.default_rng(9), 3, 3, cfg.block_size, mask_frac=1.0)
+    window = x.window_end(1)
+    with pytest.raises(ContractViolationError, match="no_grad"):
+        bb.forward(x, params, window=window, prefix=bb.PrefixKV(3 + cfg.block_size))
+    for rows in (3, 3 + 2 * cfg.block_size, window):
+        with pytest.raises(ContractViolationError, match="last block"):
+            with no_grad():
+                bb.forward(x, params, window=window, prefix=bb.PrefixKV(rows))
+    prefix = bb.PrefixKV(3 + cfg.block_size)
+    with no_grad():
+        bb.forward(x, params, window=window, prefix=prefix)
+        x.ids[3] = 7 if x.ids[3] != 7 else 8
+        with pytest.raises(ContractViolationError, match="changed"):
+            bb.forward(x, params, window=window, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mrpdiff.errors import InvalidShapeError, NoGradError
+from mrpdiff.numerics import arrays as A
 from mrpdiff.numerics import tensor as T
 from mrpdiff.numerics.optim import OptimizerState, adamw_step, cosine_lr
 from mrpdiff.numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -205,6 +206,26 @@ def test_fd_shape_ops():
     check_grads(lambda: T.sum_all(T.mul(T.concat_last(x, y), T.concat_last(x, y))), [x, y])
     check_grads(lambda: T.sum_all(T.mul(T.slice_last(x, 1, 4), T.slice_last(x, 1, 4))), [x])
     check_grads(lambda: T.sum_all(T.mul(T.slice_rows(x, 2), T.slice_rows(x, 2))), [x])
+
+
+def test_fd_unstack_writes_each_slot():
+    rng = np.random.default_rng(7)
+    x = _rand(rng, 3, 2, 4)
+    check_grads(lambda: T.sum_all(T.mul(T.unstack(x)[1], T.unstack(x)[2])), [x])
+    zero_grads([x])
+    backward(T.sum_all(T.unstack(x)[1]))
+    assert np.array_equal(x.grad, np.eye(3)[1][:, None, None] * np.ones((3, 2, 4)))
+
+
+def test_array_twins_of_unstack_and_slice_rows_match_tensor_ops():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(3, 2, 4))
+    for a, t in zip(A.unstack(x), T.unstack(T.tensor(x)), strict=True):
+        assert np.array_equal(a, t.data) and a.flags.c_contiguous
+    y = rng.normal(size=(6, 3))
+    assert np.array_equal(A.slice_rows(y, 5, 2), T.slice_rows(T.tensor(y), 5, 2).data)
+    z = _rand(rng, 6, 3)
+    check_grads(lambda: T.sum_all(T.mul(T.slice_rows(z, 5, 2), T.slice_rows(z, 5, 2))), [z])
 
 
 def test_fd_gather_ops():

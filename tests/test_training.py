@@ -1,4 +1,5 @@
-"""Correction-head distillation leaves the backbone's grad flags as it found them."""
+"""Correction-head distillation leaves the backbone's grad flags as it found
+them; finite-difference gradients of the training losses."""
 
 from __future__ import annotations
 
@@ -8,8 +9,11 @@ import pytest
 from mrpdiff import backbone as bb
 from mrpdiff import training
 from mrpdiff.corpus import gen_arithmetic, make_example
+from mrpdiff.diffusion import corrupt, state_from_example
 from mrpdiff.errors import InvalidConfigError, InvalidShapeError
-from mrpdiff.mrp import MrpConfig
+from mrpdiff.mrp import MrpConfig, init_mrp
+
+from util import check_grads
 
 BB_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=1, block_size=4, max_len=16)
 TRAIN = training.TrainConfig(batch_size=2, max_steps=2)
@@ -43,3 +47,39 @@ def test_train_mrp_checks_step_weights_before_training():
     with pytest.raises(InvalidConfigError, match="step_weights"):
         training.train_mrp(gen_arithmetic(0, 4, block_size=4), params, cfg, MrpConfig(unroll=2))
     assert all(_flags(params))
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradients through the model forwards
+# ---------------------------------------------------------------------------
+
+
+def test_fd_masked_cross_entropy_through_backbone_forward():
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
+    x0 = state_from_example(make_example(99, 7, "+", 4), 4, all_masked=False)
+    xt = corrupt(x0, np.random.default_rng(2), rate=0.6)
+    assert xt.masked.any()
+    tensors = [t for _, t in params.named_tensors()]
+    check_grads(lambda: training.masked_cross_entropy(bb.forward(xt, params)[1], xt, x0.ids),
+                tensors, max_coords=8)
+
+
+@pytest.mark.parametrize("objective", ["residual", "direct"])
+def test_fd_kd_sequence_loss_wrt_head_parameters(objective):
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
+    params.set_requires_grad(False)
+    head = init_mrp(MrpConfig(depth=1, objective=objective), cfg, np.random.default_rng(3))
+    # a zero output projection would zero every other head gradient
+    head.w_out.data[:] = np.random.default_rng(4).normal(0.0, 0.3, head.w_out.shape)
+    x0 = state_from_example(make_example(999, 99, "+", 4), 4, all_masked=False)
+    train_cfg = training.TrainConfig()
+
+    def loss():
+        total, _ = training.kd_sequence_loss(x0, params, head, train_cfg,
+                                             np.random.default_rng(5))
+        return total
+
+    assert loss() is not None
+    check_grads(loss, [t for _, t in head.named_tensors()], max_coords=8)
