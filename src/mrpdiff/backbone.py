@@ -33,12 +33,18 @@ class BackboneConfig:
     mlp_mult: int = 4
 
     def validate(self) -> None:
+        sizes = ("d_model", "n_heads", "n_layers", "block_size", "max_len", "mlp_mult")
+        small = [name for name in sizes if getattr(self, name) < 1]
+        if small:
+            raise InvalidConfigError(f"{', '.join(small)} must be >= 1")
+        if not self.norm_eps > 0:
+            raise InvalidConfigError("norm_eps must be > 0")
+        if self.vocab_size < 5:
+            raise InvalidConfigError("vocab_size must be >= 5")
         if self.d_model % self.n_heads:
             raise InvalidConfigError("d_model must be divisible by n_heads")
         if self.max_len % self.block_size:
             raise InvalidConfigError("block_size must divide max_len")
-        if self.n_layers < 1 or self.vocab_size < 5:
-            raise InvalidConfigError("need n_layers >= 1 and vocab_size >= 5")
 
 
 class ParamSet:
@@ -166,44 +172,53 @@ def active_ops():
     return T if T.grad_enabled() else A
 
 
+def operands(ops, *tensors) -> tuple | list:
+    """`tensors` as `ops` computes with them: the Tensors for `T`, their
+    arrays for `A`."""
+    return tensors if ops is T else [t.data for t in tensors]
+
+
 @dataclass
 class LayerKV:
-    """One layer's keys and values, each (heads, rows, dh), for the first
-    `rows` rows of a window; None until the first forward fills them."""
+    """One layer's keys, stored transposed as (heads, dh, L), and values,
+    (heads, L, dh), over the L rows of a window."""
 
-    rows: int
-    k: np.ndarray | None = None
-    v: np.ndarray | None = None
+    k_t: np.ndarray
+    v: np.ndarray
 
-    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of the cached rows followed by `k`, `v`. An empty
-        cache instead keeps the first `rows` of `k`, `v` and returns them
-        as given."""
-        if self.k is None:
-            self.k, self.v = k[:, :self.rows], v[:, :self.rows]
-            return k, v
-        return np.concatenate([self.k, k], axis=1), np.concatenate([self.v, v], axis=1)
+    @classmethod
+    def empty(cls, n_heads: int, rows: int, dh: int) -> LayerKV:
+        return cls(np.empty((n_heads, dh, rows)), np.empty((n_heads, rows, dh)))
+
+    def write(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store the keys and values, each (heads, n, dh), of the window's
+        last n rows in place and return the whole window's (k_t, v)."""
+        lo = self.v.shape[1] - k.shape[1]
+        self.k_t[:, :, lo:] = k.transpose(0, 2, 1)
+        self.v[:, lo:] = v
+        return self.k_t, self.v
 
 
 class PrefixKV:
-    """Every layer's keys and values for rows [0, rows) of a window, plus
-    those rows' h and logits.
+    """Every layer's keys and values over a window, plus the h and logits
+    of its rows [0, rows).
 
     `rows` is where the window's last block starts. Block-causal attention
     keeps the rows before it from seeing that block, so while the block is
     denoised their keys, values, h and logits do not change: the first
     forward given the prefix computes the full window and fills it, later
-    ones compute only the last block's rows. No-grad only.
+    ones compute only the last block's rows and overwrite that block's
+    keys and values. No-grad only.
     """
 
     def __init__(self, rows: int):
         self.rows = rows
-        self.ids: np.ndarray | None = None
+        self.ids: bytes | None = None
         self.layers: list[LayerKV] = []
         self.h: np.ndarray | None = None
         self.logits: np.ndarray | None = None
 
-    def begin(self, ids: np.ndarray, x, n_layers: int) -> int:
+    def begin(self, ids: np.ndarray, x, cfg: BackboneConfig) -> int:
         """Check that the prefix fits this forward and return its first
         row to compute: 0 when the prefix is empty, else `rows`."""
         if T.grad_enabled():
@@ -211,22 +226,25 @@ class PrefixKV:
                 "a prefix cache holds no tape: run the forward under no_grad"
             )
         last = len(ids) - x.block_size
-        if last < x.prompt_len or self.rows != last:
+        if last < x.prompt_len or self.rows != last or (last - x.prompt_len) % x.block_size:
             raise ContractViolationError(
                 f"prefix of {self.rows} rows does not end where the window's "
                 f"last block starts ({last})"
             )
+        # the prefix ids as bytes: one compare instead of numpy's array_equal
+        prefix_ids = ids[:self.rows].tobytes()
         if self.h is None:
-            self.ids = ids[:self.rows].copy()
-            self.layers = [LayerKV(self.rows) for _ in range(n_layers)]
+            self.ids = prefix_ids
+            dh = cfg.d_model // cfg.n_heads
+            self.layers = [LayerKV.empty(cfg.n_heads, len(ids), dh) for _ in range(cfg.n_layers)]
             return 0
-        if not np.array_equal(ids[:self.rows], self.ids):
+        if prefix_ids != self.ids:
             raise ContractViolationError("prefix tokens changed since the cache was filled")
         return self.rows
 
     def complete(self, h: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The full window's h and logits from the rows this forward
-        computed; an empty prefix keeps its rows of them."""
+        """The full window's h and logits, new arrays, from the rows this
+        forward computed; an empty prefix keeps a copy of its rows."""
         if self.h is None:
             self.h, self.logits = h[:self.rows].copy(), logits[:self.rows].copy()
             return h, logits
@@ -234,26 +252,38 @@ class PrefixKV:
 
 
 def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
-                      addmask: np.ndarray, n_heads: int, eps: float,
+                      addmask: np.ndarray | None, n_heads: int, eps: float,
                       cache: LayerKV | None = None) -> Tensor | np.ndarray:
     """One pre-norm block: masked self-attention + MLP, both residual.
-    Computes with `T` on a Tensor stream and with `A` on an ndarray. With a
-    filled `cache` the stream holds the rows after the cached ones, and
-    `addmask` their rows of the window's mask."""
+    Computes with `T` on a Tensor stream and with `A` on an ndarray.
+    `addmask` holds the stream's rows of the window's additive mask; None
+    adds nothing, for rows that see every key. On an ndarray the keys and
+    values are written into `cache`, or into a new window-sized `LayerKV`,
+    and attention reads the whole window's from it; with a filled cache
+    the stream holds only the window's last rows."""
     ops = T if isinstance(stream, Tensor) else A
+    attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = operands(
+        ops, layer.attn_norm, layer.w_qkv, layer.w_attn_out, layer.mlp_norm,
+        layer.w_up, layer.w_down)
     L, d = stream.shape
     dh = d // n_heads
-    a = ops.rmsnorm(stream, layer.attn_norm, eps)
-    qkv = ops.transpose(ops.reshape(ops.matmul(a, layer.w_qkv), (L, 3, n_heads, dh)), (1, 2, 0, 3))
+    a = ops.rmsnorm(stream, attn_norm, eps)
+    qkv = ops.transpose(ops.reshape(ops.matmul(a, w_qkv), (L, 3, n_heads, dh)), (1, 2, 0, 3))
     q, k, v = ops.unstack(qkv)
-    if cache is not None:
-        k, v = cache.extend(k, v)
-    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    probs = ops.softmax_rows(ops.add(scores, addmask))
+    if ops is T:
+        k_t = T.transpose(k, (0, 2, 1))
+    else:
+        # keys in a contiguous (heads, dh, L) buffer, the layout the tensor
+        # transpose leaves: on a strided view the scores' matmul gives other bits
+        k_t, v = (LayerKV.empty(n_heads, L, dh) if cache is None else cache).write(k, v)
+    scores = ops.scale(ops.matmul(q, k_t), 1.0 / math.sqrt(dh))
+    if addmask is not None:
+        scores = ops.add(scores, addmask)
+    probs = ops.softmax_rows(scores)
     ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), (1, 0, 2)), (L, d))
-    stream = ops.add(stream, ops.matmul(ctx, layer.w_attn_out))
-    m = ops.rmsnorm(stream, layer.mlp_norm, eps)
-    return ops.add(stream, ops.matmul(ops.silu(ops.matmul(m, layer.w_up)), layer.w_down))
+    stream = ops.add(stream, ops.matmul(ctx, w_attn_out))
+    m = ops.rmsnorm(stream, mlp_norm, eps)
+    return ops.add(stream, ops.matmul(ops.silu(ops.matmul(m, w_up)), w_down))
 
 
 def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> Tensor | np.ndarray:
@@ -261,15 +291,18 @@ def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> 
     positions start, start + 1, ...: a Tensor while the tape records, an
     ndarray under `no_grad`."""
     ops = active_ops()
-    return ops.add(ops.embed(params.embed, ids),
-                   ops.slice_rows(params.pos, start + len(ids), start))
+    embed, pos = operands(ops, params.embed, params.pos)
+    return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, start + len(ids), start))
 
 
 def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
-    """Raise InvalidShapeError unless every id indexes the embedding table
-    (a negative id would silently wrap to the last row)."""
-    if np.any(ids >= cfg.vocab_size) or np.any(ids < 0):
-        raise InvalidShapeError("token id out of vocabulary range")
+    """Raise InvalidShapeError unless there is at least one id and every id
+    indexes the embedding table (a negative id would silently wrap to the
+    last row)."""
+    # a plain list: cheaper than two numpy reductions at a window's few ids
+    values = ids.tolist()
+    if not values or min(values) < 0 or max(values) >= cfg.vocab_size:
+        raise InvalidShapeError("token ids must be non-empty and within the vocabulary")
 
 
 def forward(x, params: BackboneParams, window: int | None = None,
@@ -284,7 +317,8 @@ def forward(x, params: BackboneParams, window: int | None = None,
 
     `prefix` (no-grad only) caches the rows before the window's last block:
     an empty one is filled by this forward, a filled one limits the work to
-    the last block's rows. Either way h and logits cover the whole window.
+    the last block's rows. Either way h and logits are new arrays over the
+    whole window.
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
@@ -294,19 +328,21 @@ def forward(x, params: BackboneParams, window: int | None = None,
     if L > cfg.max_len:
         raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")
     check_ids(ids, cfg)
-    addmask = additive_mask(L, x.block_size, x.prompt_len)
     start, caches = 0, [None] * len(params.layers)
     if prefix is not None:
-        start = prefix.begin(ids, x, len(params.layers))
+        start = prefix.begin(ids, x, cfg)
         caches = prefix.layers
-        addmask = addmask[start:]
+    # the rows of the window's last block see every key: their mask rows
+    # are all zero, so a filled prefix adds no mask
+    addmask = None if start else additive_mask(L, x.block_size, x.prompt_len)
 
     ops = active_ops()
+    final_norm, w_lm = operands(ops, params.final_norm, params.w_lm)
     stream = input_embedding(params, ids[start:], start)
     for layer, cache in zip(params.layers, caches):
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps, cache)
-    h = ops.rmsnorm(stream, params.final_norm, cfg.norm_eps)
-    logits = ops.matmul(h, params.w_lm)
+    h = ops.rmsnorm(stream, final_norm, cfg.norm_eps)
+    logits = ops.matmul(h, w_lm)
     if prefix is not None:
         h, logits = prefix.complete(h, logits)
     return T._as_tensor(h), T._as_tensor(logits)

@@ -29,9 +29,11 @@ from .backbone import (
     additive_mask,
     check_ids,
     input_embedding,
+    operands,
     transformer_layer,
 )
 from .errors import InvalidConfigError, InvalidShapeError
+from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import Tensor
 
@@ -111,12 +113,16 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
     check_ids(ids, cfg)
     addmask = additive_mask(L, x.block_size, x.prompt_len)
     ops = active_ops()
-    stream = ops.add(ops.matmul(ops.concat_last(input_embedding(bb_params, ids), h),
-                                params.w_fuse), params.b_fuse)
+    w_fuse, b_fuse, out_norm, w_out, w_lm = operands(
+        ops, params.w_fuse, params.b_fuse, params.out_norm, params.w_out, bb_params.w_lm)
+    if ops is A and isinstance(h, Tensor):
+        h = h.data
+    stream = ops.add(ops.matmul(ops.concat_last(input_embedding(bb_params, ids), h), w_fuse),
+                     b_fuse)
     for layer in params.layers:
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
-    delta_h = ops.matmul(ops.rmsnorm(stream, params.out_norm, cfg.norm_eps), params.w_out)
-    delta_logits = ops.matmul(delta_h, bb_params.w_lm)
+    delta_h = ops.matmul(ops.rmsnorm(stream, out_norm, cfg.norm_eps), w_out)
+    delta_logits = ops.matmul(delta_h, w_lm)
     return T._as_tensor(delta_h), T._as_tensor(delta_logits)
 
 

@@ -1,68 +1,55 @@
 """Forward-only twins of the tensor ops a model forward uses, on plain
 ndarrays.
 
-Each op makes the same numpy calls as its namesake in ``numerics.tensor``
-(the value helpers for rmsnorm, silu and softmax are shared), so it returns
-exactly the bits that op would put in ``.data``, without building a Tensor
-or a backward closure. Arguments may be Tensors (the model's parameters);
-their ``.data`` is read. No gradient flows through these ops.
+Every op takes and returns ndarrays: the model forwards pass each
+parameter's ``.data``. An op computes the values its namesake in
+``numerics.tensor`` puts in ``.data`` (the rmsnorm, silu and softmax helpers
+are shared), without building a Tensor or a backward closure.
+``transpose`` and ``slice_rows`` return views where the tensor ops copy to
+contiguous memory; ``backbone.transformer_layer`` keeps the one operand
+whose layout changes a matmul's bits, the keys, in a contiguous buffer. No
+gradient flows through these ops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _rmsnorm_data, _silu_data, _softmax_data
+from .tensor import _rmsnorm_data, _silu_data, _softmax_data
+
+add = np.add
+scale = np.multiply
+matmul = np.matmul
+softmax_rows = _softmax_data
 
 
-def _v(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else x
+def silu(a: np.ndarray) -> np.ndarray:
+    return _silu_data(a)[0]
 
 
-def add(a, b) -> np.ndarray:
-    return _v(a) + _v(b)
+def reshape(a: np.ndarray, shape) -> np.ndarray:
+    return a.reshape(shape)
 
 
-def scale(a, s: float) -> np.ndarray:
-    return _v(a) * float(s)
+def transpose(a: np.ndarray, axes) -> np.ndarray:
+    return a.transpose(axes)
 
 
-def silu(a) -> np.ndarray:
-    return _silu_data(_v(a))[0]
+def concat_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate((a, b), axis=-1)
 
 
-def reshape(a, shape) -> np.ndarray:
-    return _v(a).reshape(shape)
+def slice_rows(a: np.ndarray, stop: int, start: int = 0) -> np.ndarray:
+    return a[start:stop]
 
 
-def transpose(a, axes) -> np.ndarray:
-    # contiguous like the tensor op, so later matmuls see the same layout
-    return np.ascontiguousarray(_v(a).transpose(axes))
+def unstack(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(a)
 
 
-def concat_last(a, b) -> np.ndarray:
-    return np.concatenate([_v(a), _v(b)], axis=-1)
+def embed(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    return table[ids]
 
 
-def slice_rows(a, stop: int, start: int = 0) -> np.ndarray:
-    return np.ascontiguousarray(_v(a)[start:stop])
-
-
-def unstack(a) -> tuple[np.ndarray, ...]:
-    return tuple(_v(a))
-
-
-def embed(table, ids) -> np.ndarray:
-    return _v(table)[np.asarray(ids, dtype=np.int64)]
-
-
-def matmul(a, b) -> np.ndarray:
-    return np.matmul(_v(a), _v(b))
-
-
-def rmsnorm(a, gain, eps: float = 1e-6) -> np.ndarray:
-    return _rmsnorm_data(_v(a), _v(gain), eps)[0]
-
-
-def softmax_rows(a) -> np.ndarray:
-    return _softmax_data(_v(a))
+def rmsnorm(a: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    return _rmsnorm_data(a, gain, eps)[0]

@@ -12,11 +12,14 @@ never retain gradients.
 
 ``no_grad()`` turns recording off. The ops here still return Tensors, with
 no tape behind them. The model forwards (``backbone.forward``,
-``mrp.mrp_forward``) go further: under ``no_grad`` they compute on plain
-ndarrays with the twins in ``numerics.arrays`` and wrap only their outputs
-in Tensors. Both op sets take their values from the same helpers
-(``_rmsnorm_data``, ``_silu_data``, ``_softmax_data``), so a forward gives
-the same bits with and without the tape.
+``mrp.mrp_forward``) go further: under ``no_grad`` they hand each
+parameter's ``.data`` to the ndarray-only twins in ``numerics.arrays`` and
+wrap only their outputs in Tensors. The twins share the value helpers
+(``_rmsnorm_data``, ``_silu_data``, ``_softmax_data``) and the numpy calls of
+the ops here, and return views where these copy. The one operand whose
+layout changes a matmul's bits, the attention keys, stays contiguous (see
+``backbone.transformer_layer``), so a forward gives the same bits with and
+without the tape.
 """
 
 from __future__ import annotations

@@ -45,6 +45,10 @@ class TrainConfig:
                 raise InvalidConfigError("step_weights must sum to 1")
         if self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfigError("batch_size and epochs must be >= 1")
+        if self.log_every < 1:
+            raise InvalidConfigError("log_every must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise InvalidConfigError("max_steps must be None or >= 1")
 
 
 def _weights(cfg: TrainConfig, k: int) -> list[float]:

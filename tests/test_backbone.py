@@ -154,6 +154,24 @@ def test_forward_rejects_overlong_input():
             bb.forward(x, params)
 
 
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("bad", ["negative", "vocab_size", "empty"])
+def test_forward_rejects_out_of_range_and_empty_ids(bad, taped):
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = rand_state(np.random.default_rng(5), 3, 2, cfg.block_size)
+    if bad == "empty":
+        x = make_state([], 0, cfg.block_size)
+    else:
+        x.ids[4] = -1 if bad == "negative" else cfg.vocab_size
+    with pytest.raises(InvalidShapeError, match="vocabulary"):
+        if taped:
+            bb.forward(x, params)
+        else:
+            with no_grad():
+                bb.forward(x, params)
+
+
 def test_masked_block_order_invariance():
     # all MASK ids are identical by construction, so a fully masked block's
     # logits depend only on the preceding clean blocks
@@ -185,6 +203,22 @@ def test_no_grad_forward_bit_identical_to_taped(block_size, prompt_len):
                 h0, l0 = bb.forward(x, params, window=window)
             assert np.array_equal(h.data, h0.data)
             assert np.array_equal(logits.data, l0.data)
+
+
+def test_no_grad_forward_bit_identical_to_taped_at_default_widths():
+    # at the default widths (4 heads of 16) and 17 to 20 rows, a strided view
+    # of the keys gives the scores' matmul other bits than the tape's
+    # contiguous keys; the tiny widths above do not show that
+    cfg = bb.BackboneConfig(n_layers=2)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(11)
+    for prompt_len in (1, 3, 4):
+        x = rand_state(rng, prompt_len, 2, cfg.block_size, mask_frac=0.5)
+        h, logits = bb.forward(x, params)
+        with no_grad():
+            h0, l0 = bb.forward(x, params)
+        assert np.array_equal(h.data, h0.data)
+        assert np.array_equal(logits.data, l0.data)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +260,47 @@ def test_prefix_forward_matches_full_forward(block_size, prompt_len):
             np.testing.assert_allclose(h.data, h0.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(logits.data, l0.data, rtol=0, atol=1e-12)
             assert prefix.h is not None
+
+
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+def test_array_layer_on_a_filled_cache_needs_no_mask(block_size, prompt_len):
+    cfg = tiny_config(block_size=block_size, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    L = prompt_len + 3 * block_size
+    rows = L - block_size
+    stream = rng.normal(size=(L, cfg.d_model))
+    mask = bb.additive_mask(L, block_size, prompt_len)
+    # the last block sees every key: its mask rows are all zero
+    assert not mask[rows:].any()
+    for layer in params.layers:
+        cache = bb.LayerKV.empty(cfg.n_heads, L, cfg.d_model // cfg.n_heads)
+        full = bb.transformer_layer(stream, layer, mask, cfg.n_heads, cfg.norm_eps, cache)
+        masked = bb.transformer_layer(stream[rows:], layer, mask[rows:], cfg.n_heads,
+                                      cfg.norm_eps, cache)
+        unmasked = bb.transformer_layer(stream[rows:], layer, None, cfg.n_heads,
+                                        cfg.norm_eps, cache)
+        assert np.array_equal(masked, unmasked)
+        np.testing.assert_allclose(unmasked, full[rows:], rtol=0, atol=1e-12)
+        stream = full
+
+
+def test_prefix_forward_returns_new_arrays():
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = rand_state(np.random.default_rng(9), 3, 2, cfg.block_size, mask_frac=1.0)
+    window = x.window_end(1)
+    prefix = bb.PrefixKV(3 + cfg.block_size)
+    with no_grad():
+        outs = [bb.forward(x, params, window=window, prefix=prefix) for _ in range(3)]
+    kept = [a.data.copy() for pair in outs for a in pair]
+    cached = [prefix.h, prefix.logits] + [b for kv in prefix.layers for b in (kv.k_t, kv.v)]
+    arrays = [a.data for pair in outs for a in pair]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in cached)
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
 
 
 def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
@@ -288,6 +363,26 @@ def test_perturbation_norm_two_rows_frobenius():
 # ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_heads", 0), ("block_size", 0), ("d_model", 0), ("mlp_mult", 0), ("max_len", 0),
+    ("norm_eps", 0.0), ("norm_eps", -1e-6),
+])
+def test_backbone_config_rejects_sizes_below_one_and_nonpositive_eps(field, value):
+    with pytest.raises(InvalidConfigError, match=field):
+        tiny_config(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field", ["n_heads", "block_size"])
+def test_checkpoint_config_record_of_zero_raises_typed_error(tmp_path, field):
+    path = str(tmp_path / "model.mrpc")
+    bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
+    blob = checkpoint.load_tensors(path)
+    blob[f"backbone.config.{field}"] = np.zeros(1)
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match=field):
+        bb.load_backbone(path)
 
 
 def test_checkpoint_layout_and_roundtrip(tmp_path):

@@ -75,6 +75,27 @@ def test_baseline_decode_keeps_state_valid_and_traces_round_trip(
             assert (b.drafts, b.accepted, b.rejected) == ([], [], [])
 
 
+def test_step_records_keep_their_outputs_after_later_steps(monkeypatch):
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=8, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(8), std=0.3)
+    x = diffusion.state_from_example(corpus.make_example(45, 12, "+", 8), 8)
+    trace = diffusion.DecodeTrace(block_size=8, prompt_len=x.prompt_len)
+    seen = []
+    reveal = diffusion.reveal
+
+    def snapshot_reveal(x, positions, tokens):
+        record = trace.records[-1]
+        seen.append((record.h.copy(), record.logits.copy()))
+        return reveal(x, positions, tokens)
+
+    monkeypatch.setattr(diffusion, "reveal", snapshot_reveal)
+    diffusion.denoise_block_baseline(params, x, Policy("static", r=1), trace=trace)
+    # one forward per step: the first fills the prefix, the later ones reuse it
+    assert len(trace.records) == 8
+    for record, (h, logits) in zip(trace.records, seen, strict=True):
+        assert np.array_equal(record.h, h) and np.array_equal(record.logits, logits)
+
+
 # ---------------------------------------------------------------------------
 # reveal / remask contracts, block grid, backfill, corruption
 # ---------------------------------------------------------------------------

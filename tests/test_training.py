@@ -49,6 +49,51 @@ def test_train_mrp_checks_step_weights_before_training():
     assert all(_flags(params))
 
 
+@pytest.mark.parametrize("field, value", [("log_every", 0), ("max_steps", 0),
+                                          ("max_steps", -1)])
+def test_train_config_rejects_steps_below_one(field, value):
+    cfg = training.TrainConfig(batch_size=2, **{field: value})
+    with pytest.raises(InvalidConfigError, match=field):
+        cfg.validate()
+    # both training loops check before any step (log_every=0 used to divide by
+    # zero at step 0, max_steps=0 to return an untrained model)
+    with pytest.raises(InvalidConfigError, match=field):
+        training.train_backbone(gen_arithmetic(0, 4, block_size=4), cfg, BB_CFG, log_rows=[])
+    params = bb.init_backbone(BB_CFG, np.random.default_rng(0))
+    with pytest.raises(InvalidConfigError, match=field):
+        training.train_mrp(gen_arithmetic(0, 4, block_size=4), params, cfg, MrpConfig(depth=1),
+                           log_rows=[])
+
+
+def test_residual_and_direct_objectives_consume_the_same_random_stream(monkeypatch):
+    params = bb.init_backbone(BB_CFG, np.random.default_rng(0), std=0.3)
+    examples = gen_arithmetic(1, 12, block_size=4)
+    cfg = training.TrainConfig(batch_size=3, max_steps=3, seed=7)
+    corrupt, reveal = training.corrupt, training.reveal_ground_truth
+    seen = {}
+    for objective in ("residual", "direct"):
+        states = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                states.append((fn.__name__, out.ids.copy(), out.masked.copy()))
+                return out
+            return call
+
+        monkeypatch.setattr(training, "corrupt", recorded(corrupt))
+        monkeypatch.setattr(training, "reveal_ground_truth", recorded(reveal))
+        training.train_mrp(examples, params, cfg, MrpConfig(depth=1, objective=objective))
+        seen[objective] = states
+    residual, direct = seen["residual"], seen["direct"]
+    # 3 steps x 3 sequences: one corruption and 2 unroll reveals each
+    assert [name for name, _, _ in residual] == ["corrupt", *["reveal_ground_truth"] * 2] * 9
+    assert len(residual) == len(direct)
+    for (name, ids, masked), (name2, ids2, masked2) in zip(residual, direct):
+        assert name == name2 and np.array_equal(ids, ids2) and np.array_equal(masked, masked2)
+    assert len({ids.tobytes() for name, ids, _ in residual if name == "corrupt"}) > 1
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradients through the model forwards
 # ---------------------------------------------------------------------------
