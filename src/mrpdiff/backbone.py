@@ -251,27 +251,37 @@ class PrefixKV:
         return np.concatenate([self.h, h]), np.concatenate([self.logits, logits])
 
 
+# Axis orders for an (L, d) stream and a (B, L, d) one, keyed by the
+# number of leading axes: the split of the fused projection into
+# (3, [B,] heads, L, dh), the keys' transpose, and the merge of the heads.
+_AXES = {0: ((1, 2, 0, 3), (0, 2, 1), (1, 0, 2)),
+         1: ((2, 0, 3, 1, 4), (0, 1, 3, 2), (0, 2, 1, 3))}
+
+
 def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
                       addmask: np.ndarray | None, n_heads: int, eps: float,
                       cache: LayerKV | None = None) -> Tensor | np.ndarray:
     """One pre-norm block: masked self-attention + MLP, both residual.
     Computes with `T` on a Tensor stream and with `A` on an ndarray.
     `addmask` holds the stream's rows of the window's additive mask; None
-    adds nothing, for rows that see every key. On an ndarray the keys and
-    values are written into `cache`, or into a new window-sized `LayerKV`,
-    and attention reads the whole window's from it; with a filled cache
-    the stream holds only the window's last rows."""
+    adds nothing, for rows that see every key. A Tensor stream may carry a
+    leading batch axis, (B, L, d): B sequences of one length under one
+    mask. On an ndarray, (L, d), the keys and values are written into
+    `cache`, or into a new window-sized `LayerKV`, and attention reads the
+    whole window's from it; with a filled cache the stream holds only the
+    window's last rows."""
     ops = T if isinstance(stream, Tensor) else A
     attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = operands(
         ops, layer.attn_norm, layer.w_qkv, layer.w_attn_out, layer.mlp_norm,
         layer.w_up, layer.w_down)
-    L, d = stream.shape
+    *lead, L, d = stream.shape
+    split, keys, merge = _AXES[len(lead)]
     dh = d // n_heads
     a = ops.rmsnorm(stream, attn_norm, eps)
-    qkv = ops.transpose(ops.reshape(ops.matmul(a, w_qkv), (L, 3, n_heads, dh)), (1, 2, 0, 3))
+    qkv = ops.transpose(ops.reshape(ops.matmul(a, w_qkv), (*lead, L, 3, n_heads, dh)), split)
     q, k, v = ops.unstack(qkv)
     if ops is T:
-        k_t = T.transpose(k, (0, 2, 1))
+        k_t = T.transpose(k, keys)
     else:
         # keys in a contiguous (heads, dh, L) buffer, the layout the tensor
         # transpose leaves: on a strided view the scores' matmul gives other bits
@@ -280,27 +290,27 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     if addmask is not None:
         scores = ops.add(scores, addmask)
     probs = ops.softmax_rows(scores)
-    ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), (1, 0, 2)), (L, d))
+    ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), merge), (*lead, L, d))
     stream = ops.add(stream, ops.matmul(ctx, w_attn_out))
     m = ops.rmsnorm(stream, mlp_norm, eps)
     return ops.add(stream, ops.matmul(ops.silu(ops.matmul(m, w_up)), w_down))
 
 
 def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> Tensor | np.ndarray:
-    """Token embedding plus learned absolute position rows for ids at
-    positions start, start + 1, ...: a Tensor while the tape records, an
-    ndarray under `no_grad`."""
+    """Token embedding plus learned absolute position rows for ids, (L,) or
+    (B, L), at positions start, start + 1, ...: a Tensor while the tape
+    records, an ndarray under `no_grad`."""
     ops = active_ops()
     embed, pos = operands(ops, params.embed, params.pos)
-    return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, start + len(ids), start))
+    return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, start + ids.shape[-1], start))
 
 
 def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
-    """Raise InvalidShapeError unless there is at least one id and every id
-    indexes the embedding table (a negative id would silently wrap to the
-    last row)."""
+    """Raise InvalidShapeError unless there is at least one id and every id,
+    of an (L,) or (B, L) array, indexes the embedding table (a negative id
+    would silently wrap to the last row)."""
     # a plain list: cheaper than two numpy reductions at a window's few ids
-    values = ids.tolist()
+    values = ids.ravel().tolist()
     if not values or min(values) < 0 or max(values) >= cfg.vocab_size:
         raise InvalidShapeError("token ids must be non-empty and within the vocabulary")
 
@@ -319,12 +329,23 @@ def forward(x, params: BackboneParams, window: int | None = None,
     an empty one is filled by this forward, a filled one limits the work to
     the last block's rows. Either way h and logits are new arrays over the
     whole window.
+
+    `x.ids` of shape (B, L) is a batch of B sequences that share
+    prompt_len and so one mask: h and logits get a leading B axis. A batch
+    runs on the tape over the full window only.
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
+    if ids.ndim == 2:
+        if window is not None or prefix is not None or not T.grad_enabled():
+            raise ContractViolationError(
+                "a batch of sequences runs only on the tape, without window or prefix"
+            )
+    elif ids.ndim != 1:
+        raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")
     if window is not None:
         ids = ids[:window]
-    L = len(ids)
+    L = ids.shape[-1]
     if L > cfg.max_len:
         raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")
     check_ids(ids, cfg)

@@ -12,6 +12,7 @@ deterministic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,16 +150,20 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
     """Max softmax probability and argmax token for each masked position of
     the current block. Empty when the block is clean."""
     data = _logits_data(logits)
-    block = x.current_block
-    if block >= x.n_blocks:
+    masked = np.flatnonzero(x.masked)
+    # a plain list: cheaper than numpy scalars and searchsorted at a few positions
+    where = masked.tolist()
+    if not where:
         return Confidence(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
-    positions = x.masked_in_block(block)
-    if len(positions) == 0 or len(data) <= positions[-1]:
+    # the current block holds the first masked position and ends at `hi`
+    hi = x.prompt_len + ((where[0] - x.prompt_len) // x.block_size + 1) * x.block_size
+    positions = masked[:bisect.bisect_left(where, hi)]
+    if len(data) <= positions[-1]:
         raise ContractViolationError("logits rows do not cover the current block")
     p = _softmax_data(data[positions])
-    tokens = p.argmax(axis=-1)
-    probs = p[np.arange(len(positions)), tokens]
-    return Confidence(positions=positions, probs=probs, tokens=tokens.astype(np.int64))
+    # a row's largest probability is the one at its argmax
+    return Confidence(positions=positions, probs=np.maximum.reduce(p, axis=-1),
+                      tokens=p.argmax(axis=-1))
 
 
 def select_static(conf: Confidence, r: int) -> np.ndarray:

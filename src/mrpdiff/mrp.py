@@ -15,6 +15,7 @@ target itself is a small correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,8 @@ class MrpConfig:
     def validate(self) -> None:
         if self.depth < 1:
             raise InvalidConfigError("mrp depth must be >= 1")
-        if self.sigma_init <= 0:
-            raise InvalidConfigError("sigma_init must be > 0")
+        if not (math.isfinite(self.sigma_init) and self.sigma_init > 0):
+            raise InvalidConfigError("sigma_init must be finite and > 0")
         if self.reveal_k < 1 or self.unroll < 1:
             raise InvalidConfigError("reveal_k and unroll must be >= 1")
         if self.objective not in OBJECTIVES:

@@ -315,7 +315,12 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g, table):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if a.data.ndim > 2 and b.data.ndim == 2:
+            # a stack of rows times one matrix: one product over all rows
+            # instead of one per stack entry and a sum
+            gb = np.matmul(a.data.reshape(-1, a.data.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+        else:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         _push(table, a, _unbroadcast(ga, a.data.shape))
         _push(table, b, _unbroadcast(gb, b.data.shape))
 

@@ -1,6 +1,12 @@
 """Training loops: backbone pretraining on the toy task, correction-head
 distillation with K-step unrolling, and the direct-distillation ablation.
 
+Pretraining runs a batch as a few taped graphs, not one per sequence: the
+corrupted sequences that share length and prompt_len share one attention
+mask, so up to four of them go through one (B, L, d) forward and backward.
+Its gradients and losses match a per-sequence loop to rounding (~1e-15).
+Distillation still builds one graph per sequence.
+
 The distillation teacher is always the frozen backbone run without
 gradients; only the correction head's parameters ever receive updates.
 Residual and direct variants consume identical random streams for a given
@@ -9,6 +15,7 @@ seed, so their comparison is noise-paired.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -18,7 +25,7 @@ from . import backbone as bb
 from . import mrp as mrp_mod
 from .corpus import Example
 from .diffusion import SequenceState, corrupt, state_from_example
-from .errors import DivergenceError, InvalidConfigError
+from .errors import DivergenceError, InvalidConfigError, InvalidShapeError
 from .numerics import tensor as T
 from .numerics.optim import OptimizerState, adamw_step, cosine_lr
 from .numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -38,9 +45,17 @@ class TrainConfig:
     log_every: int = 50
 
     def validate(self) -> None:
-        if self.t_kd <= 0:
-            raise InvalidConfigError("t_kd must be > 0")
+        # a NaN fails every comparison, so each check is written to pass
+        # only finite values in range
+        if not (math.isfinite(self.t_kd) and self.t_kd > 0):
+            raise InvalidConfigError("t_kd must be finite and > 0")
+        for name in ("peak_lr", "min_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidConfigError(f"{name} must be finite and >= 0")
         if self.step_weights is not None:
+            if not all(math.isfinite(w) and w >= 0 for w in self.step_weights):
+                raise InvalidConfigError("step_weights must be finite and >= 0")
             if abs(sum(self.step_weights) - 1.0) > 1e-9:
                 raise InvalidConfigError("step_weights must sum to 1")
         if self.batch_size < 1 or self.epochs < 1:
@@ -86,13 +101,64 @@ def _batches(n: int, cfg: TrainConfig, rng: np.random.Generator, steps: int):
 
 
 def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) -> Tensor | None:
-    """Mean CE over masked response positions (None when nothing is masked)."""
-    rows = np.flatnonzero(x.masked)
+    """Mean CE over masked response positions (None when nothing is masked).
+
+    On a batch, logits (B, L, V) with `x.masked` and `targets` (B, L), each
+    sequence's masked rows weigh 1 / (its masked count): the loss is the sum
+    over the B sequences of each one's mean CE. A target array of another
+    shape than the state's, or a target id outside [0, V), raises
+    InvalidShapeError.
+    """
+    masked = x.masked
+    rows = np.flatnonzero(masked)
     if len(rows) == 0:
         return None
-    logp = T.log_softmax_rows(T.select_rows(logits, rows))
-    picked = T.take_per_row(logp, targets[rows])
-    return T.scale(T.sum_all(picked), -1.0 / len(rows))
+    vocab = logits.shape[-1]
+    targets = np.asarray(targets)
+    if targets.shape != masked.shape:
+        raise InvalidShapeError(
+            f"targets of shape {targets.shape} for a state of shape {masked.shape}"
+        )
+    picked_ids = targets.ravel()[rows]
+    if picked_ids.min() < 0 or picked_ids.max() >= vocab:
+        raise InvalidShapeError(f"target ids must lie in [0, {vocab})")
+    flat = logits if logits.ndim == 2 else T.reshape(logits, (-1, vocab))
+    logp = T.log_softmax_rows(T.select_rows(flat, rows))
+    picked = T.take_per_row(logp, picked_ids)
+    if masked.ndim == 1:
+        return T.scale(T.sum_all(picked), -1.0 / len(rows))
+    weights = -1.0 / masked.sum(axis=1)
+    return T.sum_all(T.mul(picked, weights[rows // masked.shape[1]]))
+
+
+def _stack(states: list[SequenceState]) -> SequenceState:
+    """One state whose ids and mask flags are (B, L): sequences of one
+    length and prompt_len, which share one attention mask. Only
+    `backbone.forward` and `masked_cross_entropy` read such a state."""
+    first = states[0]
+    return SequenceState(ids=np.stack([x.ids for x in states]),
+                         masked=np.stack([x.masked for x in states]),
+                         prompt_len=first.prompt_len, block_size=first.block_size)
+
+
+# Sequences per taped graph. Every intermediate of a graph is live until its
+# backward: a graph of 4 takes ~0.7x the time of 4 single-sequence graphs and
+# raises pretraining's peak memory by ~7%; 8 or 16 are a little faster but
+# raise it by ~20%.
+_CHUNK = 4
+
+
+def _backbone_chunk_loss(chunk: list[tuple[SequenceState, SequenceState]],
+                         params: bb.BackboneParams, batch_size: int) -> float:
+    """One taped forward, masked CE and backward over a chunk of
+    (clean, corrupted) pairs that share length and prompt_len; adds the
+    gradient of the chunk's loss over `batch_size` and returns the loss.
+    The graph is freed on return, before the next chunk builds its own."""
+    xt = _stack([xt for _, xt in chunk])
+    _, logits = bb.forward(xt, params)
+    loss = masked_cross_entropy(logits, xt, np.stack([x0.ids for x0, _ in chunk]))
+    backward(T.scale(loss, 1.0 / batch_size))
+    return loss.item()
 
 
 def train_backbone(
@@ -101,7 +167,14 @@ def train_backbone(
     bb_cfg: bb.BackboneConfig,
     log_rows: list | None = None,
 ) -> bb.BackboneParams:
-    """Pretrain the denoiser with masked cross-entropy on corrupted inputs."""
+    """Pretrain the denoiser with masked cross-entropy on corrupted inputs.
+
+    A step corrupts its batch in order, then groups the sequences with a
+    masked position by (length, prompt_len) and runs each group in chunks
+    of at most `_CHUNK` sequences, one taped graph per chunk. The gradient
+    and the logged loss are the mean over those sequences of each one's
+    mean CE, as a loop over single sequences would give them.
+    """
     cfg.validate()
     bb_cfg.validate()
     if not examples:
@@ -116,21 +189,20 @@ def train_backbone(
     t0 = time.perf_counter()
     for step, batch in enumerate(_batches(len(examples), cfg, rng, steps)):
         zero_grads(tensors)
-        loss_sum = 0.0
-        used = 0
+        buckets: dict[tuple[int, int], list] = {}
         for idx in batch:
             x0 = state_from_example(examples[idx], bb_cfg.block_size, all_masked=False)
             xt = corrupt(x0, rng)
-            if not xt.masked.any():
-                continue
-            _, logits = bb.forward(xt, params)
-            loss = masked_cross_entropy(logits, xt, x0.ids)
-            backward(T.scale(loss, 1.0 / len(batch)))
-            loss_sum += loss.item()
-            used += 1
+            if xt.masked.any():
+                buckets.setdefault((xt.length, xt.prompt_len), []).append((x0, xt))
+        used = sum(len(group) for group in buckets.values())
         if used == 0:
             opt.step_count += 1
             continue
+        loss_sum = 0.0
+        for group in buckets.values():
+            for lo in range(0, len(group), _CHUNK):
+                loss_sum += _backbone_chunk_loss(group[lo:lo + _CHUNK], params, len(batch))
         mean_loss = loss_sum / used
         if not np.isfinite(mean_loss):
             raise DivergenceError(f"backbone loss became {mean_loss} at step {step}")

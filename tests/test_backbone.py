@@ -222,6 +222,58 @@ def test_no_grad_forward_bit_identical_to_taped_at_default_widths():
 
 
 # ---------------------------------------------------------------------------
+# a batch of sequences on the tape
+# ---------------------------------------------------------------------------
+
+
+def stack_states(states):
+    return SequenceState(ids=np.stack([x.ids for x in states]),
+                         masked=np.stack([x.masked for x in states]),
+                         prompt_len=states[0].prompt_len, block_size=states[0].block_size)
+
+
+@pytest.mark.parametrize("widths", [dict(d_model=16, n_heads=2, max_len=64), {}],
+                         ids=["tiny", "default-widths"])
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+def test_batched_forward_matches_per_sequence_forwards(widths, block_size, prompt_len):
+    cfg = bb.BackboneConfig(n_layers=2, block_size=block_size, **widths)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    for batch in (1, 2, 3, 4):
+        states = [rand_state(rng, prompt_len, 2, block_size, mask_frac=0.5)
+                  for _ in range(batch)]
+        h, logits = bb.forward(stack_states(states), params)
+        assert logits._parents and logits.shape == (batch, prompt_len + 2 * block_size, 44)
+        for b, x in enumerate(states):
+            h1, l1 = bb.forward(x, params)
+            if batch == 1:
+                assert np.array_equal(h.data[0], h1.data)
+                assert np.array_equal(logits.data[0], l1.data)
+            assert np.abs(h.data[b] - h1.data).max() <= 1e-12
+            assert np.abs(logits.data[b] - l1.data).max() <= 1e-12
+
+
+def test_batched_forward_runs_only_on_the_tape_over_the_full_window():
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(3)
+    x = stack_states([rand_state(rng, 3, 2, cfg.block_size, mask_frac=1.0) for _ in range(2)])
+    with pytest.raises(ContractViolationError, match="batch"):
+        bb.forward(x, params, window=3 + cfg.block_size)
+    with pytest.raises(ContractViolationError, match="batch"), no_grad():
+        bb.forward(x, params)
+    with pytest.raises(ContractViolationError, match="batch"), no_grad():
+        bb.forward(x, params, window=x.ids.shape[1], prefix=bb.PrefixKV(3 + cfg.block_size))
+    x.ids[1, -1] = cfg.vocab_size
+    with pytest.raises(InvalidShapeError, match="token ids"):
+        bb.forward(x, params)
+    x.ids = x.ids[None]
+    with pytest.raises(InvalidShapeError, match="shape"):
+        bb.forward(x, params)
+
+
+# ---------------------------------------------------------------------------
 # prefix K/V reuse
 # ---------------------------------------------------------------------------
 

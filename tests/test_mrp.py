@@ -135,3 +135,9 @@ def test_load_rejects_missing_or_misshapen_record(tmp_path, name):
     checkpoint.save_tensors(path, list(blob.items()))
     with pytest.raises(InvalidConfigError, match=name):
         mrp.load_mrp(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.2])
+def test_config_rejects_non_finite_and_nonpositive_sigma_init(value):
+    with pytest.raises(InvalidConfigError, match="sigma_init"):
+        mrp.MrpConfig(sigma_init=value).validate()

@@ -12,6 +12,7 @@ from mrpdiff.corpus import gen_arithmetic, make_example
 from mrpdiff.diffusion import corrupt, state_from_example
 from mrpdiff.errors import InvalidConfigError, InvalidShapeError
 from mrpdiff.mrp import MrpConfig, init_mrp
+from mrpdiff.numerics import tensor as T
 
 from util import check_grads
 
@@ -128,3 +129,165 @@ def test_fd_kd_sequence_loss_wrt_head_parameters(objective):
 
     assert loss() is not None
     check_grads(loss, [t for _, t in head.named_tensors()], max_coords=8)
+
+
+# ---------------------------------------------------------------------------
+# bucketed pretraining step
+# ---------------------------------------------------------------------------
+
+STEP_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=2, max_len=32)
+
+
+def _step_examples():
+    # 2- and 3-digit prompts: several (length, prompt_len) buckets, one of
+    # more than four sequences, and two of length 13 with prompts of 7 and 9
+    return (gen_arithmetic(1, 8, 99, block_size=2) + gen_arithmetic(2, 8, 999, block_size=2)
+            + [make_example(999, 9, "+", 2), make_example(123, 456, "+", 2)])
+
+
+def _record(monkeypatch, module, name, seen):
+    fn = getattr(module, name)
+
+    def call(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, call)
+
+
+def test_bucketed_step_matches_a_per_sequence_loop(monkeypatch):
+    examples = _step_examples()
+    cfg = training.TrainConfig(batch_size=len(examples), max_steps=1, seed=6)
+    corrupted, grads = [], {}
+
+    def capture(named, opt):
+        grads.update({name: t.grad.copy() for name, t in named})
+        return 0.0
+
+    _record(monkeypatch, training, "corrupt", corrupted)
+    monkeypatch.setattr(training, "adamw_step", capture)
+    log = []
+    training.train_backbone(examples, cfg, STEP_CFG, log_rows=log)
+
+    # the reference: one graph per sequence, in batch order, at the initial weights
+    params = bb.init_backbone(STEP_CFG, np.random.default_rng(cfg.seed))
+    losses = []
+    shapes = [(xt.length, xt.prompt_len) for _, xt in corrupted if xt.masked.any()]
+    assert shapes.count((13, 9)) > 4 and (13, 7) in shapes and len(shapes) < len(corrupted)
+    for (x0, _), xt in corrupted:
+        if xt.masked.any():
+            loss = training.masked_cross_entropy(bb.forward(xt, params)[1], xt, x0.ids)
+            training.backward(T.scale(loss, 1.0 / len(corrupted)))
+            losses.append(loss.item())
+    assert abs(log[0]["loss"] - np.mean(losses)) <= 1e-12
+    for name, t in params.named_tensors():
+        assert np.abs(grads[name] - t.grad).max() <= 1e-12, name
+
+
+def test_bucketed_step_keeps_the_corruption_draw_order(monkeypatch):
+    examples = _step_examples()
+    cfg = training.TrainConfig(batch_size=8, max_steps=2, seed=5)
+    corrupted = []
+    _record(monkeypatch, training, "corrupt", corrupted)
+    training.train_backbone(examples, cfg, STEP_CFG)
+    # the draws a loop over single sequences makes: init, then per batch a
+    # permutation slice and one corruption per sequence in batch order
+    rng = np.random.default_rng(cfg.seed)
+    bb.init_backbone(STEP_CFG, rng)
+    want = [corrupt(state_from_example(examples[i], 2, all_masked=False), rng)
+            for batch in training._batches(len(examples), cfg, rng, 2) for i in batch]
+    assert len(corrupted) == len(want) == 16
+    for (_, got), ref in zip(corrupted, want):
+        assert np.array_equal(got.ids, ref.ids) and np.array_equal(got.masked, ref.masked)
+
+
+def test_no_graph_holds_more_than_four_sequences(monkeypatch):
+    sizes = []
+    forward = bb.forward
+
+    def counted(x, params, *args, **kwargs):
+        sizes.append(x.ids.shape[0] if x.ids.ndim == 2 else 1)
+        return forward(x, params, *args, **kwargs)
+
+    corrupted = []
+    _record(monkeypatch, training, "corrupt", corrupted)
+    monkeypatch.setattr(bb, "forward", counted)
+    cfg = training.TrainConfig(batch_size=18, max_steps=2, seed=6)
+    training.train_backbone(_step_examples(), cfg, STEP_CFG)
+    assert max(sizes) == 4
+    assert sum(sizes) == sum(bool(xt.masked.any()) for _, xt in corrupted)
+
+
+def test_step_with_nothing_masked_only_advances_the_step_count(monkeypatch):
+    cfg = training.TrainConfig(batch_size=4, max_steps=3, seed=1, log_every=1)
+    drawn, updates = [], []
+
+    def first_batch_clean(x0, rng):
+        drawn.append(corrupt(x0, rng))  # the usual draws, so later batches are unchanged
+        return x0.clone() if len(drawn) <= cfg.batch_size else drawn[-1]
+
+    monkeypatch.setattr(training, "corrupt", first_batch_clean)
+    _record(monkeypatch, training, "adamw_step", updates)
+    log = []
+    training.train_backbone(_step_examples(), cfg, STEP_CFG, log_rows=log)
+    # step 0 made no update and no log row; step 1 ran at the schedule's step 1
+    opt = training.OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=3)
+    assert len(updates) == 2 and [row["step"] for row in log] == [1, 2]
+    assert log[0]["lr"] == training.cosine_lr(1, opt)
+
+
+def test_fd_batched_masked_cross_entropy_through_backbone_forward():
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
+    rng = np.random.default_rng(2)
+    x0s = [state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+           for a, b in [(12, 34), (21, 30), (40, 15)]]
+    assert len({(x.length, x.prompt_len) for x in x0s}) == 1
+    xts = [corrupt(x0, rng, rate=0.6) for x0 in x0s]
+    # unequal masked counts, so the per-sequence weights differ
+    assert len({x.mask_count() for x in xts}) > 1
+    xt = training._stack(xts)
+    targets = np.stack([x0.ids for x0 in x0s])
+    tensors = [t for _, t in params.named_tensors()]
+    check_grads(lambda: training.masked_cross_entropy(bb.forward(xt, params)[1], xt, targets),
+                tensors, max_coords=8)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("bad", ["short", "negative", "vocab_size"])
+def test_masked_cross_entropy_rejects_bad_targets(batched, bad):
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1))
+    x0 = state_from_example(make_example(99, 7, "+", 4), 4, all_masked=False)
+    xt = corrupt(x0, np.random.default_rng(2), rate=1.0)
+    targets = x0.ids.copy()
+    if batched:
+        xt, targets = training._stack([xt, xt]), np.stack([targets, targets])
+    if bad == "short":
+        targets = targets[..., :-1]
+    else:
+        targets[..., -1] = -1 if bad == "negative" else cfg.vocab_size
+    _, logits = bb.forward(xt, params)
+    with pytest.raises(InvalidShapeError, match="target"):
+        training.masked_cross_entropy(logits, xt, targets)
+
+
+# ---------------------------------------------------------------------------
+# config values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_kd", float("nan")), ("t_kd", float("inf")), ("t_kd", 0.0),
+    ("peak_lr", -1.0), ("peak_lr", float("nan")),
+    ("min_lr", -1e-5), ("min_lr", float("nan")),
+    ("weight_decay", -0.01), ("weight_decay", float("nan")),
+    ("step_weights", [float("nan"), 1.0]), ("step_weights", [-0.5, 1.5]),
+])
+def test_train_config_rejects_non_finite_and_negative_values(field, value):
+    cfg = training.TrainConfig(batch_size=2, max_steps=1, **{field: value})
+    with pytest.raises(InvalidConfigError, match=field):
+        cfg.validate()
+    with pytest.raises(InvalidConfigError, match=field):
+        training.train_backbone(gen_arithmetic(0, 4, block_size=4), cfg, BB_CFG)
