@@ -180,22 +180,24 @@ def operands(ops, *tensors) -> tuple | list:
 
 @dataclass
 class LayerKV:
-    """One layer's keys, stored transposed as (heads, dh, L), and values,
-    (heads, L, dh), over the L rows of a window."""
+    """One layer's keys, stored transposed as ([B,] heads, dh, L), and
+    values, ([B,] heads, L, dh), over the L rows of a window; the leading
+    axis holds a batch of B sequences."""
 
     k_t: np.ndarray
     v: np.ndarray
 
     @classmethod
-    def empty(cls, n_heads: int, rows: int, dh: int) -> LayerKV:
-        return cls(np.empty((n_heads, dh, rows)), np.empty((n_heads, rows, dh)))
+    def empty(cls, n_heads: int, rows: int, dh: int, lead: tuple = ()) -> LayerKV:
+        return cls(np.empty((*lead, n_heads, dh, rows)), np.empty((*lead, n_heads, rows, dh)))
 
     def write(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store the keys and values, each (heads, n, dh), of the window's
-        last n rows in place and return the whole window's (k_t, v)."""
-        lo = self.v.shape[1] - k.shape[1]
-        self.k_t[:, :, lo:] = k.transpose(0, 2, 1)
-        self.v[:, lo:] = v
+        """Store the keys and values, each ([B,] heads, n, dh), of the
+        window's last n rows in place and return the whole window's
+        (k_t, v)."""
+        lo = self.v.shape[-2] - k.shape[-2]
+        self.k_t[..., lo:] = k.swapaxes(-1, -2)
+        self.v[..., lo:, :] = v
         return self.k_t, self.v
 
 
@@ -266,10 +268,10 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     `addmask` holds the stream's rows of the window's additive mask; None
     adds nothing, for rows that see every key. A Tensor stream may carry a
     leading batch axis, (B, L, d): B sequences of one length under one
-    mask. On an ndarray, (L, d), the keys and values are written into
-    `cache`, or into a new window-sized `LayerKV`, and attention reads the
-    whole window's from it; with a filled cache the stream holds only the
-    window's last rows."""
+    mask. On an ndarray the keys and values are written into `cache`, or
+    into a new window-sized `LayerKV` with the stream's leading axes, and
+    attention reads the whole window's from it; with a filled cache the
+    stream, (L, d), holds only the window's last rows."""
     ops = T if isinstance(stream, Tensor) else A
     attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = operands(
         ops, layer.attn_norm, layer.w_qkv, layer.w_attn_out, layer.mlp_norm,
@@ -285,7 +287,7 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     else:
         # keys in a contiguous (heads, dh, L) buffer, the layout the tensor
         # transpose leaves: on a strided view the scores' matmul gives other bits
-        k_t, v = (LayerKV.empty(n_heads, L, dh) if cache is None else cache).write(k, v)
+        k_t, v = (LayerKV.empty(n_heads, L, dh, lead) if cache is None else cache).write(k, v)
     scores = ops.scale(ops.matmul(q, k_t), 1.0 / math.sqrt(dh))
     if addmask is not None:
         scores = ops.add(scores, addmask)
@@ -332,14 +334,14 @@ def forward(x, params: BackboneParams, window: int | None = None,
 
     `x.ids` of shape (B, L) is a batch of B sequences that share
     prompt_len and so one mask: h and logits get a leading B axis. A batch
-    runs on the tape over the full window only.
+    runs over the full window only, on the tape or under `no_grad`.
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
     if ids.ndim == 2:
-        if window is not None or prefix is not None or not T.grad_enabled():
+        if window is not None or prefix is not None:
             raise ContractViolationError(
-                "a batch of sequences runs only on the tape, without window or prefix"
+                "a batch of sequences runs over the full window, without window or prefix"
             )
     elif ids.ndim != 1:
         raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")

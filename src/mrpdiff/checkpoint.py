@@ -132,6 +132,8 @@ def read_config(blob: dict[str, np.ndarray], prefix: str, cls):
             # config scalars are stored as f32 records; snap floats to 6
             # significant digits so values like 1e-6 round-trip exactly
             kwargs[f.name] = float(f"{value:.6g}")
+        elif value != int(value):
+            raise InvalidConfigError(f"checkpoint record {name!r} holds non-integral value {value}")
         else:
             kwargs[f.name] = int(value)
     cfg = cls(**kwargs)

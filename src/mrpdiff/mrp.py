@@ -96,7 +96,8 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
     truncated window). The trunk reuses the backbone's token/positional
     embeddings and LM head; only the fusion, trunk layers, output norm and
     output projection are its own. Under `no_grad` it computes on plain
-    ndarrays, as `backbone.forward` does.
+    ndarrays, as `backbone.forward` does. A batch, `h` of shape (B, L, d)
+    with `x.ids` of shape (B, L), runs as one stack, as in `backbone.forward`.
     """
     cfg = bb_params.config
     d = cfg.d_model
@@ -105,9 +106,9 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
             f"correction head of width {params.w_fuse.shape[1]} does not fit a "
             f"backbone of width {d}"
         )
-    L = h.shape[0]
-    ids = np.asarray(x.ids, dtype=np.int64)[:L]
-    if len(ids) != L or h.shape[1] != d:
+    L = h.shape[-2]
+    ids = np.asarray(x.ids, dtype=np.int64)[..., :L]
+    if ids.shape != h.shape[:-1] or h.shape[-1] != d or ids.ndim > 2:
         raise InvalidShapeError(
             f"hidden state shape {h.shape} does not align with sequence"
         )

@@ -443,13 +443,14 @@ def kl_rows(p, q) -> Tensor:
 
 
 def _push(table: dict, t: Tensor, g: np.ndarray) -> None:
+    """Add g to t's gradient in the table. The first g is stored as it is,
+    possibly a view or an array another node's entry also holds; later ones
+    add out of place, so no stored gradient is ever changed in place."""
     if not t._tracked():
         return
     tid = id(t)
-    if tid in table:
-        table[tid] += g
-    else:
-        table[tid] = np.array(g, dtype=np.float64, copy=True)
+    prev = table.get(tid)
+    table[tid] = g if prev is None else prev + g
 
 
 def backward(loss: Tensor) -> None:

@@ -1,11 +1,13 @@
 """Training loops: backbone pretraining on the toy task, correction-head
 distillation with K-step unrolling, and the direct-distillation ablation.
 
-Pretraining runs a batch as a few taped graphs, not one per sequence: the
-corrupted sequences that share length and prompt_len share one attention
-mask, so up to four of them go through one (B, L, d) forward and backward.
-Its gradients and losses match a per-sequence loop to rounding (~1e-15).
-Distillation still builds one graph per sequence.
+Both loops run a batch as a few graphs, not one per sequence: sequences
+that share length and prompt_len share one attention mask, so they go
+through one (B, L, d) forward together. Pretraining stacks up to four
+corrupted sequences per taped graph. Distillation stacks up to two clean
+sequences: one no-grad teacher forward per unroll state over the stack,
+and one taped head graph over those that have a loss. Gradients and
+losses match a per-sequence loop to rounding (~1e-15).
 
 The distillation teacher is always the frozen backbone run without
 gradients; only the correction head's parameters ever receive updates.
@@ -235,57 +237,113 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 # ---------------------------------------------------------------------------
 
 
+def _unstack(x: SequenceState) -> list[SequenceState]:
+    """The sequences of a state: itself for (L,) ids, one state per row
+    for a (B, L) stack."""
+    if x.ids.ndim == 1:
+        return [x]
+    return [SequenceState(ids=ids, masked=masked, prompt_len=x.prompt_len,
+                          block_size=x.block_size) for ids, masked in zip(x.ids, x.masked)]
+
+
 def kd_sequence_loss(
     x0: SequenceState,
     bb_params: bb.BackboneParams,
     g_params: mrp_mod.MrpParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    head_override=None,
-) -> tuple[Tensor | None, list[float]]:
-    """Unrolled distillation loss for one sequence.
+) -> tuple[Tensor | None, list]:
+    """Unrolled distillation loss for one sequence, or for a (B, L) stack
+    of clean sequences that share length and prompt_len.
 
-    Corrupt x0 to x_t, run the frozen backbone once for hidden states and
-    base logits, then for each of `unroll` steps: reveal ground-truth
-    tokens per block, fetch the gradient-free teacher logits, run the head
-    on the revealed sequence and accumulated hiddens, and take the KL from
+    Each sequence in stack order is corrupted to x_t and then revealed
+    `unroll` times (ground-truth tokens per block), so a stack draws from
+    `rng` what a loop over its sequences would. The frozen backbone then
+    runs once, without gradients, over the stack at each of those states:
+    x_t gives the hidden states and base logits, each revealed state the
+    teacher logits of one step. For each step the head runs on the
+    revealed sequences and accumulated hiddens, and the loss is the KL from
     the teacher to the corrected (residual) or standalone (direct) student
-    distribution over still-masked positions. Returns (total, per-step).
+    distribution over each sequence's still-masked positions, a mean per
+    sequence. A sequence with nothing masked after the first reveal has no
+    loss at any step and takes no part in the head's graph.
+
+    Returns (total, per-step) for one sequence, per-step all 0.0 when it
+    has no loss; for a stack, the total over its sequences and one per-step
+    list per sequence, None for a sequence with no loss. The total is None
+    when no sequence has a loss.
     """
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
     weights = _weights(cfg, k_steps)
-    head = head_override or (lambda x, h: mrp_mod.mrp_forward(x, h, g_params, bb_params))
+    single = x0.ids.ndim == 1
 
-    xt = corrupt(x0, rng)
+    # paths[b][j]: sequence b corrupted (j = 0) and after j reveals
+    paths = []
+    for x in _unstack(x0):
+        path = [corrupt(x, rng)]
+        for _ in range(k_steps):
+            path.append(reveal_ground_truth(path[-1], x, g_cfg.reveal_k))
+        paths.append(path)
     with no_grad():
-        h_t, l_t = bb.forward(xt, bb_params)
-    h_acc = T.tensor(h_t.data)
-    corrected = T.tensor(l_t.data)
-    x_cur = xt
+        outs = [bb.forward(_stack([path[j] for path in paths]), bb_params)
+                for j in range(k_steps + 1)]
+    active = [b for b, path in enumerate(paths) if path[1].masked.any()]
+    per_seq = [None] * len(paths)
+    if not active:
+        return None, [0.0] * k_steps if single else per_seq
+
+    # the head's stack: the sequences that have a loss
+    h_t, l_t = outs[0]
+    h_acc = T.tensor(h_t.data[active])
+    corrected = T.tensor(l_t.data[active])
+    L, vocab = x0.ids.shape[-1], l_t.shape[-1]
     total = None
-    per_step = []
+    for b in active:
+        per_seq[b] = []
     for j in range(k_steps):
-        x_cur = reveal_ground_truth(x_cur, x0, g_cfg.reveal_k)
-        with no_grad():
-            _, l_teacher = bb.forward(x_cur, bb_params)
-        delta_h, delta_l = head(x_cur, h_acc)
+        x_cur = _stack([paths[b][j + 1] for b in active])
+        delta_h, delta_l = mrp_mod.mrp_forward(x_cur, h_acc, g_params, bb_params)
         h_acc = T.add(h_acc, delta_h)
         if g_cfg.objective == "residual":
             corrected = T.add(corrected, delta_l)
             student_logits = corrected
         else:
             student_logits = delta_l
-        rows = np.flatnonzero(x_cur.masked)
-        if len(rows) == 0:
-            per_step.append(0.0)
-            continue
-        teacher = T.softmax_rows(T.tensor(l_teacher.data[rows] / cfg.t_kd))
-        student = T.softmax_rows(T.scale(T.select_rows(student_logits, rows), 1.0 / cfg.t_kd))
-        step_loss = T.scale(T.kl_rows(teacher, student), weights[j])
-        per_step.append(step_loss.item() / weights[j])
-        total = step_loss if total is None else T.add(total, step_loss)
-    return total, per_step
+        flat = T.reshape(student_logits, (-1, vocab))
+        teacher_logits = outs[j + 1][1].data
+        for i, b in enumerate(active):
+            rows = np.flatnonzero(paths[b][j + 1].masked)
+            if len(rows) == 0:
+                per_seq[b].append(0.0)
+                continue
+            teacher = T.softmax_rows(T.tensor(teacher_logits[b][rows] / cfg.t_kd))
+            student = T.softmax_rows(T.scale(T.select_rows(flat, rows + i * L), 1.0 / cfg.t_kd))
+            step_loss = T.scale(T.kl_rows(teacher, student), weights[j])
+            per_seq[b].append(step_loss.item() / weights[j])
+            total = step_loss if total is None else T.add(total, step_loss)
+    return total, per_seq[0] if single else per_seq
+
+
+# Sequences per distillation stack. The head's graph over a stack is live
+# until its backward. On the train benchmark, stacks of 2 make a step ~0.7x
+# as long as single sequences and raise peak RSS from 56.8 to 57.1 MB;
+# stacks of 3 reach 59.0 MB (+4%) and 4 reach 61.4 MB (+8%).
+_KD_CHUNK = 2
+
+
+def _kd_chunk_loss(chunk: list[SequenceState], bb_params: bb.BackboneParams,
+                   g_params: mrp_mod.MrpParams, cfg: TrainConfig, rng: np.random.Generator,
+                   batch_size: int) -> tuple[float, list]:
+    """`kd_sequence_loss` over a stack of clean sequences that share length
+    and prompt_len; adds the gradient of its total over `batch_size` and
+    returns the total and the per-sequence per-step losses. The graph is
+    freed on return, before the next stack builds its own."""
+    total, per_seq = kd_sequence_loss(_stack(chunk), bb_params, g_params, cfg, rng)
+    if total is None:
+        return 0.0, per_seq
+    backward(T.scale(total, 1.0 / batch_size))
+    return total.item(), per_seq
 
 
 def mrp_train_step(
@@ -297,23 +355,31 @@ def mrp_train_step(
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """One optimizer step of residual (or direct) distillation over a batch;
-    returns (mean loss, mean per-unroll-step losses).
+    returns (mean loss, mean per-unroll-step losses) over the sequences
+    that have a loss.
 
-    Gradients flow only into the head: backbone forwards run without the
-    tape, and the hidden state enters the head's graph as a constant leaf.
+    The batch is grouped by (length, prompt_len), and each group runs in
+    stacks of at most `_KD_CHUNK` sequences, one `kd_sequence_loss` and one
+    backward per stack; the corruption draws follow that order. Gradients
+    flow only into the head: backbone forwards run without the tape, and
+    the hidden state enters the head's graph as a constant leaf.
     """
     named = g_params.named_tensors()
     zero_grads([t for _, t in named])
+    buckets: dict[tuple[int, int], list] = {}
+    for x0 in batch:
+        buckets.setdefault((x0.length, x0.prompt_len), []).append(x0)
     loss_sum, used = 0.0, 0
     step_sums = np.zeros(g_params.config.unroll)
-    for x0 in batch:
-        loss, per_step = kd_sequence_loss(x0, bb_params, g_params, cfg, rng)
-        if loss is None:
-            continue
-        backward(T.scale(loss, 1.0 / len(batch)))
-        loss_sum += loss.item()
-        step_sums += np.asarray(per_step)
-        used += 1
+    for group in buckets.values():
+        for lo in range(0, len(group), _KD_CHUNK):
+            loss, per_seq = _kd_chunk_loss(group[lo:lo + _KD_CHUNK], bb_params, g_params,
+                                           cfg, rng, len(batch))
+            loss_sum += loss
+            for per_step in per_seq:
+                if per_step is not None:
+                    step_sums += np.asarray(per_step)
+                    used += 1
     if used == 0:
         opt.step_count += 1
         return 0.0, step_sums

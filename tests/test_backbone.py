@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ def test_no_grad_forward_bit_identical_to_taped_at_default_widths():
 
 
 # ---------------------------------------------------------------------------
-# a batch of sequences on the tape
+# a batch of sequences
 # ---------------------------------------------------------------------------
 
 
@@ -232,37 +234,55 @@ def stack_states(states):
                          prompt_len=states[0].prompt_len, block_size=states[0].block_size)
 
 
+def check_batched_forward(widths, block_size, prompt_len, taped):
+    """Batches of 1-4 sequences against per-sequence forwards on the same
+    path: ≤1e-12, and bit-equal for a batch of one."""
+    cfg = bb.BackboneConfig(n_layers=2, block_size=block_size, **widths)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    with contextlib.nullcontext() if taped else no_grad():
+        for batch in (1, 2, 3, 4):
+            states = [rand_state(rng, prompt_len, 2, block_size, mask_frac=0.5)
+                      for _ in range(batch)]
+            h, logits = bb.forward(stack_states(states), params)
+            assert bool(logits._parents) == taped
+            assert logits.shape == (batch, prompt_len + 2 * block_size, 44)
+            for b, x in enumerate(states):
+                h1, l1 = bb.forward(x, params)
+                if batch == 1:
+                    assert np.array_equal(h.data[0], h1.data)
+                    assert np.array_equal(logits.data[0], l1.data)
+                assert np.abs(h.data[b] - h1.data).max() <= 1e-12
+                assert np.abs(logits.data[b] - l1.data).max() <= 1e-12
+
+
 @pytest.mark.parametrize("widths", [dict(d_model=16, n_heads=2, max_len=64), {}],
                          ids=["tiny", "default-widths"])
 @pytest.mark.parametrize("block_size", [4, 8])
 @pytest.mark.parametrize("prompt_len", [1, 5, 8])
 def test_batched_forward_matches_per_sequence_forwards(widths, block_size, prompt_len):
-    cfg = bb.BackboneConfig(n_layers=2, block_size=block_size, **widths)
-    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
-    rng = np.random.default_rng(prompt_len)
-    for batch in (1, 2, 3, 4):
-        states = [rand_state(rng, prompt_len, 2, block_size, mask_frac=0.5)
-                  for _ in range(batch)]
-        h, logits = bb.forward(stack_states(states), params)
-        assert logits._parents and logits.shape == (batch, prompt_len + 2 * block_size, 44)
-        for b, x in enumerate(states):
-            h1, l1 = bb.forward(x, params)
-            if batch == 1:
-                assert np.array_equal(h.data[0], h1.data)
-                assert np.array_equal(logits.data[0], l1.data)
-            assert np.abs(h.data[b] - h1.data).max() <= 1e-12
-            assert np.abs(logits.data[b] - l1.data).max() <= 1e-12
+    check_batched_forward(widths, block_size, prompt_len, taped=True)
 
 
-def test_batched_forward_runs_only_on_the_tape_over_the_full_window():
+@pytest.mark.parametrize("widths", [dict(d_model=16, n_heads=2, max_len=64), {}],
+                         ids=["tiny", "default-widths"])
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+def test_batched_no_grad_forward_matches_per_sequence_forwards(widths, block_size, prompt_len):
+    check_batched_forward(widths, block_size, prompt_len, taped=False)
+
+
+def test_batched_forward_runs_over_the_full_window_only():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(3)
     x = stack_states([rand_state(rng, 3, 2, cfg.block_size, mask_frac=1.0) for _ in range(2)])
     with pytest.raises(ContractViolationError, match="batch"):
         bb.forward(x, params, window=3 + cfg.block_size)
-    with pytest.raises(ContractViolationError, match="batch"), no_grad():
-        bb.forward(x, params)
+    with no_grad():
+        h, logits = bb.forward(x, params)
+    taped_h, taped_logits = bb.forward(x, params)
+    assert np.array_equal(h.data, taped_h.data) and np.array_equal(logits.data, taped_logits.data)
     with pytest.raises(ContractViolationError, match="batch"), no_grad():
         bb.forward(x, params, window=x.ids.shape[1], prefix=bb.PrefixKV(3 + cfg.block_size))
     x.ids[1, -1] = cfg.vocab_size

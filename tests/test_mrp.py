@@ -141,3 +141,42 @@ def test_load_rejects_missing_or_misshapen_record(tmp_path, name):
 def test_config_rejects_non_finite_and_nonpositive_sigma_init(value):
     with pytest.raises(InvalidConfigError, match="sigma_init"):
         mrp.MrpConfig(sigma_init=value).validate()
+
+
+@pytest.mark.parametrize("field, value", [("depth", 2.5), ("unroll", 2.9)])
+def test_load_rejects_a_non_integral_int_record(tmp_path, field, value):
+    _, head, _, _ = _setup(depth=2)
+    path = str(tmp_path / "head.mrpc")
+    mrp.save_mrp(path, head)
+    blob = checkpoint.load_tensors(path)
+    # a float record for an int field used to load truncated (2.5 as 2)
+    blob[f"mrp.config.{field}"] = np.array([value])
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match=field):
+        mrp.load_mrp(path)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_batched_mrp_forward_matches_per_sequence_calls(taped):
+    bb_params, head, _, _ = _setup(depth=2)
+    head.w_out.data = np.random.default_rng(3).normal(0.0, 0.3, head.w_out.shape)
+    rng = np.random.default_rng(4)
+    states = []
+    for _ in range(3):
+        ids = rng.integers(4, BB_CFG.vocab_size, size=3 + 2 * BB_CFG.block_size)
+        ids[3 + rng.choice(2 * BB_CFG.block_size, 3, replace=False)] = MASK_ID
+        states.append(SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=3,
+                                    block_size=BB_CFG.block_size))
+    stack = training._stack(states)
+    h = rng.normal(0.0, 1.0, (3, stack.ids.shape[1], BB_CFG.d_model))
+    with contextlib.nullcontext() if taped else no_grad():
+        delta_h, delta_l = mrp.mrp_forward(stack, T.tensor(h), head, bb_params)
+        assert bool(delta_l._parents) == taped and delta_l.shape == (3, 11, BB_CFG.vocab_size)
+        for b, x in enumerate(states):
+            dh, dl = mrp.mrp_forward(x, T.tensor(h[b]), head, bb_params)
+            assert np.abs(delta_h.data[b] - dh.data).max() <= 1e-12
+            assert np.abs(delta_l.data[b] - dl.data).max() <= 1e-12
+        with pytest.raises(InvalidShapeError, match="align"):
+            mrp.mrp_forward(states[0], T.tensor(h), head, bb_params)
+        with pytest.raises(InvalidShapeError, match="align"):
+            mrp.mrp_forward(stack, T.tensor(h[:2]), head, bb_params)

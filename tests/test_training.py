@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mrpdiff import backbone as bb
+from mrpdiff import mrp as mrp_mod
 from mrpdiff import training
-from mrpdiff.corpus import gen_arithmetic, make_example
+from mrpdiff.corpus import MASK_ID, gen_arithmetic, make_example
 from mrpdiff.diffusion import corrupt, state_from_example
 from mrpdiff.errors import InvalidConfigError, InvalidShapeError
 from mrpdiff.mrp import MrpConfig, init_mrp
@@ -271,6 +272,133 @@ def test_masked_cross_entropy_rejects_bad_targets(batched, bad):
     _, logits = bb.forward(xt, params)
     with pytest.raises(InvalidShapeError, match="target"):
         training.masked_cross_entropy(logits, xt, targets)
+
+
+@pytest.mark.parametrize("objective", ["residual", "direct"])
+def test_fd_stacked_kd_sequence_loss_wrt_head_parameters(objective):
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
+    params.set_requires_grad(False)
+    head = init_mrp(MrpConfig(depth=1, objective=objective), cfg, np.random.default_rng(3))
+    head.w_out.data[:] = np.random.default_rng(4).normal(0.0, 0.3, head.w_out.shape)
+    x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+                          for a, b in [(999, 99), (987, 65)]])
+    train_cfg = training.TrainConfig()
+
+    def loss():
+        total, per_seq = training.kd_sequence_loss(x0, params, head, train_cfg,
+                                                   np.random.default_rng(6))
+        assert None not in per_seq  # both sequences have a loss
+        return total
+
+    check_grads(loss, [t for _, t in head.named_tensors()], max_coords=8)
+
+
+# ---------------------------------------------------------------------------
+# bucketed distillation step
+# ---------------------------------------------------------------------------
+
+
+DISTILL_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=32)
+
+
+def _distill_setup(monkeypatch, objective="residual"):
+    """A frozen backbone, a head with a non-zero output projection, 18
+    clean states in five (length, prompt_len) buckets, and
+    `training.corrupt` replaced by a table of fixed corrupted states. In
+    the (13, 9) bucket of seven the first sequence keeps one masked
+    position and the third none, so neither has a loss after the first
+    reveal; some others have a loss at the first unroll step only.
+    Returns the states and the number of sequences with a loss as well."""
+    params = bb.init_backbone(DISTILL_CFG, np.random.default_rng(0), std=0.3)
+    params.set_requires_grad(False)
+    head = init_mrp(MrpConfig(depth=1, objective=objective), DISTILL_CFG,
+                    np.random.default_rng(1))
+    head.w_out.data[:] = np.random.default_rng(2).normal(0.0, 0.3, head.w_out.shape)
+    examples = (gen_arithmetic(1, 8, 99, block_size=4) + gen_arithmetic(2, 8, 999, block_size=4)
+                + [make_example(999, 9, "+", 4), make_example(123, 456, "+", 4)])
+    batch = [state_from_example(ex, 4, all_masked=False) for ex in examples]
+    rng = np.random.default_rng(3)
+    table = {x0.ids.tobytes(): corrupt(x0, rng, rate=0.8) for x0 in batch}
+    bucket = [x0 for x0 in batch if (x0.length, x0.prompt_len) == (13, 9)]
+    single = bucket[0].clone()
+    single.ids[single.prompt_len], single.masked[single.prompt_len] = MASK_ID, True
+    table[bucket[0].ids.tobytes()] = single
+    table[bucket[2].ids.tobytes()] = bucket[2].clone()
+    monkeypatch.setattr(training, "corrupt", lambda x0, rng: table[x0.ids.tobytes()].clone())
+    with_loss = sum(training.reveal_ground_truth(table[x0.ids.tobytes()], x0, 1).masked.any()
+                    for x0 in batch)
+    assert len({(x0.length, x0.prompt_len) for x0 in batch}) >= 2
+    assert with_loss <= len(batch) - 2
+    return params, head, batch, with_loss
+
+
+def _distill_step(params, head, batch):
+    cfg = training.TrainConfig(batch_size=len(batch))
+    opt = training.OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=1)
+    return training.mrp_train_step(batch, params, head, opt, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("objective", ["residual", "direct"])
+def test_bucketed_distillation_step_matches_a_per_sequence_loop(monkeypatch, objective):
+    params, head, batch, with_loss = _distill_setup(monkeypatch, objective)
+    grads = {}
+
+    def capture(named, opt):
+        grads.update({name: t.grad.copy() for name, t in named})
+        return 0.0
+
+    monkeypatch.setattr(training, "adamw_step", capture)
+    loss, per_step = _distill_step(params, head, batch)
+
+    # the reference: one kd_sequence_loss and one backward per sequence
+    named = head.named_tensors()
+    T.zero_grads([t for _, t in named])
+    losses, steps = [], []
+    for x0 in batch:
+        total, seq_steps = training.kd_sequence_loss(x0, params, head, training.TrainConfig(),
+                                                     np.random.default_rng(0))
+        if total is not None:
+            training.backward(T.scale(total, 1.0 / len(batch)))
+            losses.append(total.item())
+            steps.append(seq_steps)
+    assert len(losses) == with_loss
+    assert abs(loss - np.mean(losses)) <= 1e-12
+    assert np.abs(per_step - np.mean(steps, axis=0)).max() <= 1e-12
+    for name, t in named:
+        assert np.abs(grads[name] - t.grad).max() <= 1e-12, name
+
+
+def _record_head_stacks(monkeypatch):
+    sizes = []
+    forward = mrp_mod.mrp_forward
+
+    def counted(x, h, *args):
+        sizes.append(x.ids.shape[0] if x.ids.ndim == 2 else 1)
+        return forward(x, h, *args)
+
+    monkeypatch.setattr(mrp_mod, "mrp_forward", counted)
+    return sizes
+
+
+def test_no_head_graph_holds_more_than_two_sequences(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
+    sizes = _record_head_stacks(monkeypatch)
+    _distill_step(params, head, batch)
+    assert max(sizes) == 2
+
+
+def test_a_sequence_with_no_loss_runs_no_head_forward(monkeypatch):
+    params, head, batch, with_loss = _distill_setup(monkeypatch)
+    sizes = _record_head_stacks(monkeypatch)
+    _distill_step(params, head, batch)
+    assert sum(sizes) == head.config.unroll * with_loss
+    # alone, a sequence without a loss runs no head and has zero step losses
+    sizes.clear()
+    clean = [x for x in batch if (x.length, x.prompt_len) == (13, 9)][2]
+    total, per_step = training.kd_sequence_loss(clean, params, head, training.TrainConfig(),
+                                                np.random.default_rng(0))
+    assert total is None and per_step == [0.0] * head.config.unroll and sizes == []
 
 
 # ---------------------------------------------------------------------------
