@@ -18,7 +18,17 @@ from . import checkpoint
 from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError
 from .numerics import arrays as A
 from .numerics import tensor as T
-from .numerics.tensor import Tensor
+from .numerics.tensor import (
+    Tensor,
+    _rmsnorm_data,
+    _rmsnorm_grad,
+    _silu_data,
+    _silu_grad,
+    _softmax_data,
+    _softmax_grad,
+    _unbroadcast,
+    _weight_grad,
+)
 
 
 @dataclass
@@ -203,19 +213,22 @@ class LayerKV:
 
 class PrefixKV:
     """Every layer's keys and values over a window, plus the h and logits
-    of its rows [0, rows).
+    of its rows [0, rows), for one sequence or a (B, L) stack.
 
-    `rows` is where the window's last block starts. Block-causal attention
-    keeps the rows before it from seeing that block, so while the block is
-    denoised their keys, values, h and logits do not change: the first
-    forward given the prefix computes the full window and fills it, later
-    ones compute only the last block's rows and overwrite that block's
-    keys and values. No-grad only.
+    `rows` is a row of the block grid at or after the prompt and before the
+    window's end: the prompt's end, or the start of a response block.
+    Block-causal attention keeps the rows before it from seeing any row
+    after it, so while only the rows from `rows` on change (a block being
+    denoised, or the unroll states of one clean stack in distillation),
+    the earlier rows' keys, values, h and logits do not change. The first
+    forward given the prefix computes the full window and fills it; later
+    ones compute only the rows from `rows` on and overwrite their keys and
+    values. No-grad only.
     """
 
     def __init__(self, rows: int):
         self.rows = rows
-        self.ids: bytes | None = None
+        self.ids: tuple | None = None
         self.layers: list[LayerKV] = []
         self.h: np.ndarray | None = None
         self.logits: np.ndarray | None = None
@@ -227,75 +240,140 @@ class PrefixKV:
             raise ContractViolationError(
                 "a prefix cache holds no tape: run the forward under no_grad"
             )
-        last = len(ids) - x.block_size
-        if last < x.prompt_len or self.rows != last or (last - x.prompt_len) % x.block_size:
+        L = ids.shape[-1]
+        if not x.prompt_len <= self.rows < L or (self.rows - x.prompt_len) % x.block_size:
             raise ContractViolationError(
-                f"prefix of {self.rows} rows does not end where the window's "
-                f"last block starts ({last})"
+                f"prefix of {self.rows} rows does not end on the block grid "
+                f"between the prompt ({x.prompt_len}) and the window's end ({L})"
             )
-        # the prefix ids as bytes: one compare instead of numpy's array_equal
-        prefix_ids = ids[:self.rows].tobytes()
+        # the window's shape and the prefix ids as bytes: one compare
+        # instead of numpy's array_equal
+        key = (ids.shape, ids[..., :self.rows].tobytes())
         if self.h is None:
-            self.ids = prefix_ids
+            self.ids = key
             dh = cfg.d_model // cfg.n_heads
-            self.layers = [LayerKV.empty(cfg.n_heads, len(ids), dh) for _ in range(cfg.n_layers)]
+            self.layers = [LayerKV.empty(cfg.n_heads, L, dh, ids.shape[:-1])
+                           for _ in range(cfg.n_layers)]
             return 0
-        if prefix_ids != self.ids:
-            raise ContractViolationError("prefix tokens changed since the cache was filled")
+        if key != self.ids:
+            raise ContractViolationError(
+                "prefix tokens or window shape changed since the cache was filled"
+            )
         return self.rows
 
     def complete(self, h: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full window's h and logits, new arrays, from the rows this
         forward computed; an empty prefix keeps a copy of its rows."""
         if self.h is None:
-            self.h, self.logits = h[:self.rows].copy(), logits[:self.rows].copy()
+            self.h = h[..., :self.rows, :].copy()
+            self.logits = logits[..., :self.rows, :].copy()
             return h, logits
-        return np.concatenate([self.h, h]), np.concatenate([self.logits, logits])
+        return (np.concatenate([self.h, h], axis=-2),
+                np.concatenate([self.logits, logits], axis=-2))
 
 
 # Axis orders for an (L, d) stream and a (B, L, d) one, keyed by the
 # number of leading axes: the split of the fused projection into
-# (3, [B,] heads, L, dh), the keys' transpose, and the merge of the heads.
-_AXES = {0: ((1, 2, 0, 3), (0, 2, 1), (1, 0, 2)),
-         1: ((2, 0, 3, 1, 4), (0, 1, 3, 2), (0, 2, 1, 3))}
+# (3, [B,] heads, L, dh), and the merge of the heads (its own inverse).
+_AXES = {0: ((1, 2, 0, 3), (1, 0, 2)),
+         1: ((2, 0, 3, 1, 4), (0, 2, 1, 3))}
 
 
 def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
                       addmask: np.ndarray | None, n_heads: int, eps: float,
                       cache: LayerKV | None = None) -> Tensor | np.ndarray:
     """One pre-norm block: masked self-attention + MLP, both residual.
-    Computes with `T` on a Tensor stream and with `A` on an ndarray.
-    `addmask` holds the stream's rows of the window's additive mask; None
-    adds nothing, for rows that see every key. A Tensor stream may carry a
-    leading batch axis, (B, L, d): B sequences of one length under one
-    mask. On an ndarray the keys and values are written into `cache`, or
-    into a new window-sized `LayerKV` with the stream's leading axes, and
-    attention reads the whole window's from it; with a filled cache the
-    stream, (L, d), holds only the window's last rows."""
-    ops = T if isinstance(stream, Tensor) else A
-    attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = operands(
-        ops, layer.attn_norm, layer.w_qkv, layer.w_attn_out, layer.mlp_norm,
-        layer.w_up, layer.w_down)
-    *lead, L, d = stream.shape
-    split, keys, merge = _AXES[len(lead)]
+
+    The forward computes on plain arrays. An ndarray stream gets an ndarray
+    back. A Tensor stream gets a Tensor that is one tape node, whose parents
+    are the stream and the six `LayerParams` tensors, and whose backward
+    (`_layer_backward`) gives the gradients of the same layer composed from
+    tensor ops, bit for bit. The stream may carry a leading batch axis,
+    (B, L, d): B sequences of one length under one mask. `addmask` holds
+    the stream's rows of the window's additive mask; None adds nothing, for
+    rows that see every key.
+
+    The keys and values are written into `cache`, or into a new window-sized
+    `LayerKV` with the stream's leading axes, and attention reads the whole
+    window's from it; with a filled cache (no-grad only) the stream holds
+    only the window's last rows.
+    """
+    taped = isinstance(stream, Tensor)
+    if taped and cache is not None:
+        raise ContractViolationError("a taped layer computes its own keys and values")
+    params = (layer.attn_norm, layer.w_qkv, layer.w_attn_out, layer.mlp_norm, layer.w_up,
+              layer.w_down)
+    attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = [t.data for t in params]
+    x = stream.data if taped else stream
+    *lead, L, d = x.shape
+    split, merge = _AXES[len(lead)]
     dh = d // n_heads
-    a = ops.rmsnorm(stream, attn_norm, eps)
-    qkv = ops.transpose(ops.reshape(ops.matmul(a, w_qkv), (*lead, L, 3, n_heads, dh)), split)
-    q, k, v = ops.unstack(qkv)
-    if ops is T:
-        k_t = T.transpose(k, keys)
-    else:
-        # keys in a contiguous (heads, dh, L) buffer, the layout the tensor
-        # transpose leaves: on a strided view the scores' matmul gives other bits
-        k_t, v = (LayerKV.empty(n_heads, L, dh, lead) if cache is None else cache).write(k, v)
-    scores = ops.scale(ops.matmul(q, k_t), 1.0 / math.sqrt(dh))
+    scale = 1.0 / math.sqrt(dh)
+    a, inv1, normed1 = _rmsnorm_data(x, attn_norm, eps)
+    q, k, v = np.matmul(a, w_qkv).reshape(*lead, L, 3, n_heads, dh).transpose(split)
+    # keys in a contiguous ([B,] heads, dh, L) buffer, as a prefix cache
+    # holds them: on a strided view the scores' matmul can give other bits
+    k_t, v = (LayerKV.empty(n_heads, L, dh, lead) if cache is None else cache).write(k, v)
+    scores = np.matmul(q, k_t) * scale
     if addmask is not None:
-        scores = ops.add(scores, addmask)
-    probs = ops.softmax_rows(scores)
-    ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), merge), (*lead, L, d))
-    stream = ops.add(stream, ops.matmul(ctx, w_attn_out))
-    m = ops.rmsnorm(stream, mlp_norm, eps)
-    return ops.add(stream, ops.matmul(ops.silu(ops.matmul(m, w_up)), w_down))
+        scores = scores + addmask
+    probs = _softmax_data(scores)
+    ctx = np.matmul(probs, v).transpose(merge).reshape(*lead, L, d)
+    x1 = x + np.matmul(ctx, w_attn_out)
+    m, inv2, normed2 = _rmsnorm_data(x1, mlp_norm, eps)
+    u = np.matmul(m, w_up)
+    su, sig = _silu_data(u)
+    out = x1 + np.matmul(su, w_down)
+    if not taped:
+        return out
+    saved = (x, a, inv1, normed1, q, k_t, v, probs, ctx, x1, inv2, normed2, m, u, sig, su)
+    return T._make(out, (stream, *params), _layer_backward(stream, params, saved, scale))
+
+
+def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
+    """The backward of one taped `transformer_layer`, over the arrays its
+    forward saved. It runs the chain rule in the order the composed tensor
+    ops' backwards would, so every gradient has their bits: a stacked
+    operand's weight gradient is one product over all rows (as in
+    `tensor.matmul`), gain gradients are summed as `_unbroadcast` sums
+    them, and the residual's gradient comes before the norm's."""
+    x, a, inv1, normed1, q, k_t, v, probs, ctx, x1, inv2, normed2, m, u, sig, su = saved
+    attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = [t.data for t in params]
+    *lead, L, d = x.shape
+    split, merge = _AXES[len(lead)]
+    n_heads, dh = q.shape[-3], q.shape[-1]
+
+    def bwd(g, table):
+        # out = x1 + silu(m @ w_up) @ w_down
+        g_w_down = _weight_grad(su, g)
+        g_u = _silu_grad(np.matmul(g, w_down.T), u, sig)
+        g_w_up = _weight_grad(m, g_u)
+        g_m = np.matmul(g_u, w_up.T)
+        g_mlp_norm = _unbroadcast(g_m * normed2, mlp_norm.shape)
+        g_x1 = g + _rmsnorm_grad(g_m, x1, mlp_norm, inv2)
+        # x1 = x + merge(softmax(q k^T * scale + mask) v) @ w_attn_out
+        g_w_attn_out = _weight_grad(ctx, g_x1)
+        g_ctx = np.matmul(g_x1, w_attn_out.T).reshape(*lead, L, n_heads, dh).transpose(merge)
+        g_probs = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        g_v = np.matmul(probs.swapaxes(-1, -2), g_ctx)
+        g_scores = _softmax_grad(g_probs, probs) * scale
+        g_q = np.matmul(g_scores, k_t.swapaxes(-1, -2))
+        g_k = np.matmul(q.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
+        # the three heads' gradients written through the split into one
+        # contiguous (..., L, 3d) array
+        g_qkv = np.empty((*lead, L, 3, n_heads, dh))
+        g_split = g_qkv.transpose(split)
+        g_split[0], g_split[1], g_split[2] = g_q, g_k, g_v
+        g_qkv = g_qkv.reshape(*lead, L, 3 * d)
+        g_w_qkv = _weight_grad(a, g_qkv)
+        g_a = np.matmul(g_qkv, w_qkv.T)
+        g_attn_norm = _unbroadcast(g_a * normed1, attn_norm.shape)
+        T._push(table, stream, g_x1 + _rmsnorm_grad(g_a, x, attn_norm, inv1))
+        grads = (g_attn_norm, g_w_qkv, g_w_attn_out, g_mlp_norm, g_w_up, g_w_down)
+        for t, grad in zip(params, grads):
+            T._push(table, t, grad)
+
+    return bwd
 
 
 def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> Tensor | np.ndarray:
@@ -327,22 +405,21 @@ def forward(x, params: BackboneParams, window: int | None = None,
     retained rows bit-identical to a full-length forward. Under `no_grad`
     every intermediate is a plain ndarray and only h and logits are wrapped.
 
-    `prefix` (no-grad only) caches the rows before the window's last block:
+    `prefix` (no-grad only) caches the rows before its end, see `PrefixKV`:
     an empty one is filled by this forward, a filled one limits the work to
-    the last block's rows. Either way h and logits are new arrays over the
-    whole window.
+    the rows from its end on. Either way h and logits are new arrays over
+    the whole window.
 
     `x.ids` of shape (B, L) is a batch of B sequences that share
     prompt_len and so one mask: h and logits get a leading B axis. A batch
-    runs over the full window only, on the tape or under `no_grad`.
+    runs over the full window, on the tape or under `no_grad`, and may
+    take a prefix.
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
     if ids.ndim == 2:
-        if window is not None or prefix is not None:
-            raise ContractViolationError(
-                "a batch of sequences runs over the full window, without window or prefix"
-            )
+        if window is not None:
+            raise ContractViolationError("a batch of sequences runs over the full window")
     elif ids.ndim != 1:
         raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")
     if window is not None:
@@ -355,13 +432,17 @@ def forward(x, params: BackboneParams, window: int | None = None,
     if prefix is not None:
         start = prefix.begin(ids, x, cfg)
         caches = prefix.layers
-    # the rows of the window's last block see every key: their mask rows
-    # are all zero, so a filled prefix adds no mask
-    addmask = None if start else additive_mask(L, x.block_size, x.prompt_len)
+    # the rows from `start` on take their rows of the mask; the last
+    # block's rows see every key, so a filled prefix whose tail is that
+    # block adds no mask
+    if start and L - start == x.block_size:
+        addmask = None
+    else:
+        addmask = additive_mask(L, x.block_size, x.prompt_len)[start:]
 
     ops = active_ops()
     final_norm, w_lm = operands(ops, params.final_norm, params.w_lm)
-    stream = input_embedding(params, ids[start:], start)
+    stream = input_embedding(params, ids[..., start:], start)
     for layer, cache in zip(params.layers, caches):
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps, cache)
     h = ops.rmsnorm(stream, final_norm, cfg.norm_eps)

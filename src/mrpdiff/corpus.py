@@ -85,8 +85,8 @@ def gen_arithmetic(
     Operands are sampled uniformly from [10, max_operand] (two digits and
     up); subtraction operands are ordered so results stay non-negative.
     """
-    if max_operand > 999:
-        raise InvalidConfigError("max_operand must be <= 999")
+    if not 0 <= max_operand <= 999:
+        raise InvalidConfigError("max_operand must lie in [0, 999]")
     if count < 0:
         raise InvalidConfigError("count must be >= 0")
     lo = 10 if max_operand >= 10 else 0

@@ -57,15 +57,22 @@ def adamw_step(params: list[tuple[str, Tensor]], opt: OptimizerState) -> float:
         m = opt.first_moment.get(name)
         v = opt.second_moment.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
-        opt.first_moment[name] = m
-        opt.second_moment[name] = v
-        m_hat = m / bc1
-        v_hat = v / bc2
+            m = opt.first_moment[name] = np.zeros_like(p.data)
+            v = opt.second_moment[name] = np.zeros_like(p.data)
+        # the moments and the step's temporaries are updated in place, one
+        # operation at a time in the textbook update's order, which keeps
+        # its bits
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += opt.eps
+        step /= denom
         if opt.weight_decay:
             p.data -= lr * opt.weight_decay * p.data
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        p.data -= step
     return lr

@@ -15,10 +15,16 @@ no tape behind them. The model forwards (``backbone.forward``,
 ``mrp.mrp_forward``) go further: under ``no_grad`` they hand each
 parameter's ``.data`` to the ndarray-only twins in ``numerics.arrays`` and
 wrap only their outputs in Tensors. The twins share the value helpers
-(``_rmsnorm_data``, ``_silu_data``, ``_softmax_data``) and the numpy calls of
-the ops here, and return views where these copy. The one operand whose
-layout changes a matmul's bits, the attention keys, stays contiguous (see
-``backbone.transformer_layer``), so a forward gives the same bits with and
+(``_rmsnorm_data``, ``_softmax_data``) and the numpy calls of the ops here,
+and return views where these copy.
+
+``backbone.transformer_layer`` computes on plain arrays with and without
+the tape. On the tape it records one node per layer, not one per op, and
+its backward is the chain rule written out with the gradient helpers that
+the ops' own backwards call (``_rmsnorm_grad``, ``_softmax_grad``,
+``_silu_grad``, ``_weight_grad``), in the order the ops' backwards would
+run. So a layer's output and gradients have the bits of the same layer
+composed from the ops here, and a forward gives the same bits with and
 without the tape.
 """
 
@@ -171,12 +177,17 @@ def _silu_data(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * sig, sig
 
 
+def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """The gradient through silu at x, given sigmoid(x)."""
+    return g * sig * (1.0 + x * (1.0 - sig))
+
+
 def silu(a) -> Tensor:
     a = _as_tensor(a)
     out, sig = _silu_data(a.data)
 
     def bwd(g, table):
-        _push(table, a, g * sig * (1.0 + a.data * (1.0 - sig)))
+        _push(table, a, _silu_grad(g, a.data, sig))
 
     return _make(out, (a,), bwd)
 
@@ -244,21 +255,6 @@ def slice_rows(a, stop: int, start: int = 0) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def unstack(a) -> tuple[Tensor, ...]:
-    """Split along the leading axis: (a[0], a[1], ...), each a view of a."""
-    a = _as_tensor(a)
-
-    def part(i: int) -> Tensor:
-        def bwd(g, table):
-            full = np.zeros_like(a.data)
-            full[i] = g
-            _push(table, a, full)
-
-        return _make(a.data[i], (a,), bwd)
-
-    return tuple(part(i) for i in range(a.data.shape[0]))
-
-
 def select_rows(a, idx) -> Tensor:
     """Gather rows of a 2-D tensor by integer index (loss-row selection)."""
     a = _as_tensor(a)
@@ -315,16 +311,21 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g, table):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if a.data.ndim > 2 and b.data.ndim == 2:
-            # a stack of rows times one matrix: one product over all rows
-            # instead of one per stack entry and a sum
-            gb = np.matmul(a.data.reshape(-1, a.data.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+        if b.data.ndim == 2:
+            gb = _weight_grad(a.data, g)
         else:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         _push(table, a, _unbroadcast(ga, a.data.shape))
         _push(table, b, _unbroadcast(gb, b.data.shape))
 
     return _make(out, (a, b), bwd)
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a matrix w in a @ w, given g = d(a @ w): for a stack
+    of rows, one product over all rows instead of one per stack entry and a
+    sum."""
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
 
 
 def _rmsnorm_data(x: np.ndarray, gain: np.ndarray, eps: float):
@@ -337,17 +338,20 @@ def _rmsnorm_data(x: np.ndarray, gain: np.ndarray, eps: float):
     return normed * gain, inv, normed
 
 
+def _rmsnorm_grad(g: np.ndarray, x: np.ndarray, gain: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient through rmsnorm at x, given 1 / rms from _rmsnorm_data."""
+    gg = g * gain
+    dot = np.sum(gg * x, axis=-1, keepdims=True)
+    return inv * gg - (inv ** 3 / x.shape[-1]) * x * dot
+
+
 def rmsnorm(a, gain, eps: float = 1e-6) -> Tensor:
     """y = x / sqrt(mean(x^2, last) + eps) * gain, gain shaped (d,)."""
     a, gain = _as_tensor(a), _as_tensor(gain)
-    d = a.data.shape[-1]
     out, inv, normed = _rmsnorm_data(a.data, gain.data, eps)
 
     def bwd(g, table):
-        gg = g * gain.data
-        dot = np.sum(gg * a.data, axis=-1, keepdims=True)
-        ga = inv * gg - (inv ** 3 / d) * a.data * dot
-        _push(table, a, ga)
+        _push(table, a, _rmsnorm_grad(g, a.data, gain.data, inv))
         _push(table, gain, _unbroadcast(g * normed, gain.data.shape))
 
     return _make(out, (a, gain), bwd)
@@ -363,6 +367,11 @@ def _softmax_data(z: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The gradient through softmax_rows, given its output p."""
+    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
+
+
 def softmax_rows(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim == 0 or a.data.shape[-1] < 1:
@@ -370,8 +379,7 @@ def softmax_rows(a) -> Tensor:
     p = _softmax_data(a.data)
 
     def bwd(g, table):
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        _push(table, a, p * (g - dot))
+        _push(table, a, _softmax_grad(g, p))
 
     return _make(p, (a,), bwd)
 

@@ -6,8 +6,11 @@ that share length and prompt_len share one attention mask, so they go
 through one (B, L, d) forward together. Pretraining stacks up to four
 corrupted sequences per taped graph. Distillation stacks up to two clean
 sequences: one no-grad teacher forward per unroll state over the stack,
-and one taped head graph over those that have a loss. Gradients and
-losses match a per-sequence loop to rounding (~1e-15).
+and one taped head graph over those that have a loss. The unroll states
+of a stack differ only in the response, so the teacher computes the
+prompt's rows once per stack and reuses their keys and values
+(`backbone.PrefixKV`). Gradients and losses match a per-sequence loop to
+rounding (~1e-15).
 
 The distillation teacher is always the frozen backbone run without
 gradients; only the correction head's parameters ever receive updates.
@@ -261,17 +264,21 @@ def kd_sequence_loss(
     `rng` what a loop over its sequences would. The frozen backbone then
     runs once, without gradients, over the stack at each of those states:
     x_t gives the hidden states and base logits, each revealed state the
-    teacher logits of one step. For each step the head runs on the
-    revealed sequences and accumulated hiddens, and the loss is the KL from
-    the teacher to the corrected (residual) or standalone (direct) student
-    distribution over each sequence's still-masked positions, a mean per
-    sequence. A sequence with nothing masked after the first reveal has no
-    loss at any step and takes no part in the head's graph.
+    teacher logits of one step; the first of those forwards fills a
+    prefix cache of the prompt's rows, which the later ones reuse. For each
+    step the head runs on the revealed sequences and accumulated hiddens,
+    and the loss is the KL from the teacher to the corrected (residual) or
+    standalone (direct) student distribution over each sequence's
+    still-masked positions, a mean per sequence. A sequence with nothing
+    masked after the first reveal has no loss at any step and takes no part
+    in the head's graph.
 
     Returns (total, per-step) for one sequence, per-step all 0.0 when it
     has no loss; for a stack, the total over its sequences and one per-step
-    list per sequence, None for a sequence with no loss. The total is None
-    when no sequence has a loss.
+    list per sequence, None for a sequence with no loss. The total weighs
+    each step's KL by its step weight; the per-step losses are the
+    unweighted KLs, also for a step of weight 0. The total is None when no
+    sequence has a loss.
     """
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
@@ -285,8 +292,11 @@ def kd_sequence_loss(
         for _ in range(k_steps):
             path.append(reveal_ground_truth(path[-1], x, g_cfg.reveal_k))
         paths.append(path)
+    # the states differ only in the response, so the first forward caches
+    # the prompt's rows and the later ones compute only the response's
+    prefix = bb.PrefixKV(x0.prompt_len)
     with no_grad():
-        outs = [bb.forward(_stack([path[j] for path in paths]), bb_params)
+        outs = [bb.forward(_stack([path[j] for path in paths]), bb_params, prefix=prefix)
                 for j in range(k_steps + 1)]
     active = [b for b, path in enumerate(paths) if path[1].masked.any()]
     per_seq = [None] * len(paths)
@@ -319,8 +329,9 @@ def kd_sequence_loss(
                 continue
             teacher = T.softmax_rows(T.tensor(teacher_logits[b][rows] / cfg.t_kd))
             student = T.softmax_rows(T.scale(T.select_rows(flat, rows + i * L), 1.0 / cfg.t_kd))
-            step_loss = T.scale(T.kl_rows(teacher, student), weights[j])
-            per_seq[b].append(step_loss.item() / weights[j])
+            kl = T.kl_rows(teacher, student)
+            per_seq[b].append(kl.item())
+            step_loss = T.scale(kl, weights[j])
             total = step_loss if total is None else T.add(total, step_loss)
     return total, per_seq[0] if single else per_seq
 

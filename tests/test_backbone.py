@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from mrpdiff import checkpoint
 from mrpdiff.corpus import MASK_ID
 from mrpdiff.diffusion import SequenceState
 from mrpdiff.errors import ContractViolationError, InvalidConfigError, InvalidShapeError
+from mrpdiff.numerics import tensor as T
 from mrpdiff.numerics.tensor import no_grad
+
+from util import check_grads
 
 
 def tiny_config(**kw):
@@ -283,14 +287,119 @@ def test_batched_forward_runs_over_the_full_window_only():
         h, logits = bb.forward(x, params)
     taped_h, taped_logits = bb.forward(x, params)
     assert np.array_equal(h.data, taped_h.data) and np.array_equal(logits.data, taped_logits.data)
-    with pytest.raises(ContractViolationError, match="batch"), no_grad():
-        bb.forward(x, params, window=x.ids.shape[1], prefix=bb.PrefixKV(3 + cfg.block_size))
+    # a prefix is allowed, a window with it still is not
+    with no_grad():
+        prefix_h, prefix_logits = bb.forward(x, params, prefix=bb.PrefixKV(3))
+        with pytest.raises(ContractViolationError, match="batch"):
+            bb.forward(x, params, window=x.ids.shape[1], prefix=bb.PrefixKV(3 + cfg.block_size))
+    assert np.array_equal(prefix_h.data, h.data)
+    assert np.array_equal(prefix_logits.data, logits.data)
     x.ids[1, -1] = cfg.vocab_size
     with pytest.raises(InvalidShapeError, match="token ids"):
         bb.forward(x, params)
     x.ids = x.ids[None]
     with pytest.raises(InvalidShapeError, match="shape"):
         bb.forward(x, params)
+
+
+# ---------------------------------------------------------------------------
+# one tape node per transformer layer
+# ---------------------------------------------------------------------------
+
+
+def reference_layer(stream, layer, addmask, n_heads, eps):
+    """The layer composed from `numerics.tensor` ops, one tape node per op."""
+    *lead, L, d = stream.shape
+    dh = d // n_heads
+    n = len(lead)
+    merge = (*range(n), n + 1, n, n + 2)  # (..., L, heads, dh) <-> (..., heads, L, dh)
+    keys = (*range(n + 1), n + 2, n + 1)
+
+    def heads(t):
+        return T.transpose(T.reshape(t, (*lead, L, n_heads, dh)), merge)
+
+    a = T.rmsnorm(stream, layer.attn_norm, eps)
+    qkv = T.matmul(a, layer.w_qkv)
+    q, k, v = (heads(T.slice_last(qkv, i * d, (i + 1) * d)) for i in range(3))
+    scores = T.scale(T.matmul(q, T.transpose(k, keys)), 1.0 / math.sqrt(dh))
+    if addmask is not None:
+        scores = T.add(scores, addmask)
+    ctx = T.reshape(T.transpose(T.matmul(T.softmax_rows(scores), v), merge), (*lead, L, d))
+    stream = T.add(stream, T.matmul(ctx, layer.w_attn_out))
+    m = T.rmsnorm(stream, layer.mlp_norm, eps)
+    return T.add(stream, T.matmul(T.silu(T.matmul(m, layer.w_up)), layer.w_down))
+
+
+def _layer_case(lead, block_size, prompt_len, d=16, n_heads=2, seed=0):
+    rng = np.random.default_rng(seed)
+    L = prompt_len + 2 * block_size
+    layer = bb.LayerParams.init(d, 4 * d, rng, 0.3)
+    for gain in (layer.attn_norm, layer.mlp_norm):
+        gain.data += rng.normal(0.0, 0.3, d)
+    stream = T.param(rng.normal(size=(*lead, L, d)))
+    weights = rng.normal(size=(*lead, L, d))
+    return layer, stream, weights, bb.additive_mask(L, block_size, prompt_len)
+
+
+def _layer_grads(layer_fn, layer, stream, weights, addmask):
+    params = [stream] + [t for _, t in layer.named("layer")]
+    T.zero_grads(params)
+    out = layer_fn(stream, layer, addmask, 2, 1e-6)
+    T.backward(T.sum_all(T.mul(out, weights)))
+    return out.data, [t.grad for t in params]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["L-d", "B-L-d"])
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+@pytest.mark.parametrize("masked", [True, False], ids=["addmask", "no-mask"])
+def test_fused_layer_matches_the_composed_tensor_ops_bit_for_bit(lead, block_size, prompt_len,
+                                                                   masked):
+    layer, stream, weights, addmask = _layer_case(lead, block_size, prompt_len)
+    addmask = addmask if masked else None
+    out, grads = _layer_grads(bb.transformer_layer, layer, stream, weights, addmask)
+    ref_out, ref_grads = _layer_grads(reference_layer, layer, stream, weights, addmask)
+    assert np.array_equal(out, ref_out)
+    assert len(grads) == 7
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape and np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["L-d", "B-L-d"])
+def test_fd_through_the_fused_layer(lead):
+    layer, stream, weights, addmask = _layer_case(lead, 4, 3, d=8, seed=1)
+    params = [stream] + [t for _, t in layer.named("layer")]
+    check_grads(lambda: T.sum_all(T.mul(
+        bb.transformer_layer(stream, layer, addmask, 2, 1e-6), weights)), params, max_coords=8)
+
+
+def test_taped_forward_records_one_node_per_layer(monkeypatch):
+    cfg = tiny_config(n_layers=3)
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = rand_state(np.random.default_rng(1), 3, 2, cfg.block_size, mask_frac=0.5)
+    nodes = []
+    make = T._make
+
+    def record(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        nodes.append(out)
+        return out
+
+    monkeypatch.setattr(T, "_make", record)
+    bb.forward(x, params)
+    for layer in params.layers:
+        owned = [t for _, t in layer.named("layer")]
+        users = [n for n in nodes if any(p is t for p in n._parents for t in owned)]
+        assert len(users) == 1 and users[0]._parents[1:] == tuple(owned)
+    # embedding (lookup, positions, sum), the layers, final norm and LM head
+    assert len(nodes) == 3 + cfg.n_layers + 2
+
+
+def test_taped_layer_refuses_a_cache():
+    layer, stream, _, addmask = _layer_case((), 4, 3)
+    cache = bb.LayerKV.empty(2, stream.shape[0], 8)
+    with pytest.raises(ContractViolationError, match="taped"):
+        bb.transformer_layer(stream, layer, addmask, 2, 1e-6, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +441,44 @@ def test_prefix_forward_matches_full_forward(block_size, prompt_len):
             np.testing.assert_allclose(h.data, h0.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(logits.data, l0.data, rtol=0, atol=1e-12)
             assert prefix.h is not None
+
+
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 8])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batched_prefix_forward_matches_full_forward(monkeypatch, block_size, prompt_len, batch):
+    cfg = tiny_config(block_size=block_size, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    embedded = []
+    embedding = bb.input_embedding
+    monkeypatch.setattr(bb, "input_embedding",
+                        lambda p, ids, start=0: embedded.append(ids.shape) or embedding(p, ids, start))
+    n_blocks = 3
+    L = prompt_len + n_blocks * block_size
+    # a prefix at the prompt's end (a tail of three blocks, which adds its
+    # mask rows), at the first block's end, and at the last block's start
+    for rows in (prompt_len, prompt_len + block_size, L - block_size):
+        x = stack_states([rand_state(rng, prompt_len, n_blocks, block_size, mask_frac=1.0)
+                          for _ in range(batch)])
+        prefix = bb.PrefixKV(rows)
+        for step in range(3):
+            if step:  # reveal some tail rows; the prefix rows stay
+                hit = rows + rng.choice(L - rows, size=2, replace=False)
+                x.ids[:, hit] = rng.integers(4, cfg.vocab_size, size=(batch, 2))
+            embedded.clear()
+            with no_grad():
+                h, logits = bb.forward(x, params, prefix=prefix)
+                h0, l0 = bb.forward(x, params)
+            assert embedded[0] == (batch, L - rows if step else L)
+            assert h.shape == h0.shape == (batch, L, cfg.d_model)
+            np.testing.assert_allclose(h.data, h0.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits.data, l0.data, rtol=0, atol=1e-12)
+    # the same prefix ids in a longer window
+    longer = stack_states([make_state(np.concatenate([ids, ids[-block_size:]]), prompt_len,
+                                      block_size) for ids in x.ids])
+    with no_grad(), pytest.raises(ContractViolationError, match="changed"):
+        bb.forward(longer, params, prefix=prefix)
 
 
 @pytest.mark.parametrize("block_size", [4, 8])
@@ -382,8 +529,9 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
     window = x.window_end(1)
     with pytest.raises(ContractViolationError, match="no_grad"):
         bb.forward(x, params, window=window, prefix=bb.PrefixKV(3 + cfg.block_size))
-    for rows in (3, 3 + 2 * cfg.block_size, window):
-        with pytest.raises(ContractViolationError, match="last block"):
+    # inside the prompt, off the block grid, and at the window's end
+    for rows in (2, 4, window):
+        with pytest.raises(ContractViolationError, match="block grid"):
             with no_grad():
                 bb.forward(x, params, window=window, prefix=bb.PrefixKV(rows))
     prefix = bb.PrefixKV(3 + cfg.block_size)

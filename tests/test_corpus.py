@@ -71,6 +71,12 @@ def test_example_block_padding_and_single_eos():
         assert all(i == PAD_ID for i in tail)
 
 
+@pytest.mark.parametrize("max_operand", [-1, -50, 1000])
+def test_gen_rejects_max_operand_out_of_range(max_operand):
+    with pytest.raises(InvalidConfigError, match="max_operand"):
+        gen_arithmetic(0, 3, max_operand=max_operand)
+
+
 def test_gen_deterministic():
     a = gen_arithmetic(seed=7, count=50)
     b = gen_arithmetic(seed=7, count=50)

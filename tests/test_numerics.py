@@ -208,20 +208,8 @@ def test_fd_shape_ops():
     check_grads(lambda: T.sum_all(T.mul(T.slice_rows(x, 2), T.slice_rows(x, 2))), [x])
 
 
-def test_fd_unstack_writes_each_slot():
-    rng = np.random.default_rng(7)
-    x = _rand(rng, 3, 2, 4)
-    check_grads(lambda: T.sum_all(T.mul(T.unstack(x)[1], T.unstack(x)[2])), [x])
-    zero_grads([x])
-    backward(T.sum_all(T.unstack(x)[1]))
-    assert np.array_equal(x.grad, np.eye(3)[1][:, None, None] * np.ones((3, 2, 4)))
-
-
-def test_array_twins_of_unstack_and_slice_rows_match_tensor_ops():
+def test_array_twin_of_slice_rows_matches_tensor_op():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 2, 4))
-    for a, t in zip(A.unstack(x), T.unstack(T.tensor(x)), strict=True):
-        assert np.array_equal(a, t.data) and a.flags.c_contiguous
     y = rng.normal(size=(6, 3))
     assert np.array_equal(A.slice_rows(y, 5, 2), T.slice_rows(T.tensor(y), 5, 2).data)
     z = _rand(rng, 6, 3)
@@ -307,6 +295,33 @@ def test_adamw_decoupled_decay_exact():
     opt = _opt(peak_lr=1e-3, min_lr=1e-3, weight_decay=0.1)
     adamw_step([("p", p), ("q", q)], opt)
     assert abs(p.data[0] - (2.0 - 1e-3 * 0.1 * 2.0)) < 1e-15
+
+
+def test_adamw_matches_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(3)
+    p = T.param(rng.normal(size=(4, 5)))
+    q = T.param(rng.normal(size=(3,)))
+    ref = {"p": p.data.copy(), "q": q.data.copy()}
+    moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in ref.items()}
+    opt = _opt(peak_lr=1e-2, min_lr=1e-4, weight_decay=0.1)
+    b1, b2 = opt.beta1, opt.beta2
+    for step in range(1, 6):
+        lr = cosine_lr(opt.step_count, opt)
+        for t in (p, q):
+            t.grad = rng.normal(size=t.shape)
+        grads = {"p": p.grad, "q": q.grad}
+        adamw_step([("p", p), ("q", q)], opt)
+        for name, a in ref.items():
+            m, v = moments[name]
+            g = grads[name]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            moments[name] = (m, v)
+            a -= lr * opt.weight_decay * a
+            a -= lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + opt.eps)
+        assert np.array_equal(p.data, ref["p"]) and np.array_equal(q.data, ref["q"])
+        assert np.array_equal(opt.first_moment["p"], moments["p"][0])
+        assert np.array_equal(opt.second_moment["q"], moments["q"][1])
 
 
 def test_adamw_before_backward_raises():

@@ -401,6 +401,64 @@ def test_a_sequence_with_no_loss_runs_no_head_forward(monkeypatch):
     assert total is None and per_step == [0.0] * head.config.unroll and sizes == []
 
 
+@pytest.mark.parametrize("objective", ["residual", "direct"])
+def test_kd_teacher_prefix_matches_full_teacher_forwards(monkeypatch, objective):
+    params, head, batch, _ = _distill_setup(monkeypatch, objective)
+    stack = training._stack([x for x in batch if (x.length, x.prompt_len) == (13, 9)][3:5])
+    named = head.named_tensors()
+
+    def run():
+        T.zero_grads([t for _, t in named])
+        total, per_seq = training.kd_sequence_loss(stack, params, head, training.TrainConfig(),
+                                                   np.random.default_rng(0))
+        training.backward(total)
+        return total.item(), per_seq, [t.grad.copy() for _, t in named]
+
+    rows = []
+    forward = bb.forward
+
+    def counted(x, p, window=None, prefix=None):
+        h, logits = forward(x, p, window, prefix)
+        rows.append(x.ids.shape[-1] - (prefix.rows if prefix.h is not None and rows else 0))
+        return h, logits
+
+    monkeypatch.setattr(bb, "forward", counted)
+    total, per_seq, grads = run()
+    # the first teacher forward fills the prompt's rows, the later ones
+    # compute the response's only
+    L, prompt_len = stack.ids.shape[1], stack.prompt_len
+    assert rows == [L] + [L - prompt_len] * head.config.unroll
+    monkeypatch.setattr(bb, "forward", lambda x, p, window=None, prefix=None: forward(x, p, window))
+    ref_total, ref_per_seq, ref_grads = run()
+    assert abs(total - ref_total) <= 1e-12
+    assert np.abs(np.subtract(per_seq, ref_per_seq)).max() <= 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert np.abs(g - ref).max() <= 1e-12
+
+
+def test_a_zero_step_weight_logs_the_unweighted_kl(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
+    stack = training._stack([x for x in batch if (x.length, x.prompt_len) == (13, 9)][3:5])
+    out = {}
+    for weights in (None, [1.0, 0.0]):
+        out[weights is None] = training.kd_sequence_loss(
+            stack, params, head, training.TrainConfig(step_weights=weights),
+            np.random.default_rng(0))
+    (total, per_seq), (uniform_total, uniform_per_seq) = out[False], out[True]
+    # the zero-weight step still logs its KL
+    assert per_seq == uniform_per_seq and np.asarray(per_seq)[:, 1].max() > 0
+    # the total keeps only the first step's KL, summed over the stack
+    assert abs(total.item() - sum(steps[0] for steps in per_seq)) <= 1e-12
+    assert abs(uniform_total.item() - 0.5 * np.sum(per_seq)) <= 1e-12
+    # and a whole run trains, on real corruption draws
+    monkeypatch.undo()
+    cfg = training.TrainConfig(batch_size=4, max_steps=2, step_weights=[1.0, 0.0])
+    rows = []
+    training.train_mrp(gen_arithmetic(0, 8, 999, block_size=4), params, cfg,
+                       MrpConfig(depth=1), log_rows=rows)
+    assert all(np.isfinite(row["loss_step_2"]) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # config values
 # ---------------------------------------------------------------------------
