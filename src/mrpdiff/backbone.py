@@ -309,7 +309,7 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     split, merge = _AXES[len(lead)]
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    a, inv1, normed1 = _rmsnorm_data(x, attn_norm, eps)
+    a, inv1, _ = _rmsnorm_data(x, attn_norm, eps)
     q, k, v = np.matmul(a, w_qkv).reshape(*lead, L, 3, n_heads, dh).transpose(split)
     # keys in a contiguous ([B,] heads, dh, L) buffer, as a prefix cache
     # holds them: on a strided view the scores' matmul can give other bits
@@ -320,24 +320,29 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     probs = _softmax_data(scores)
     ctx = np.matmul(probs, v).transpose(merge).reshape(*lead, L, d)
     x1 = x + np.matmul(ctx, w_attn_out)
-    m, inv2, normed2 = _rmsnorm_data(x1, mlp_norm, eps)
+    m, inv2, _ = _rmsnorm_data(x1, mlp_norm, eps)
     u = np.matmul(m, w_up)
     su, sig = _silu_data(u)
     out = x1 + np.matmul(su, w_down)
     if not taped:
         return out
-    saved = (x, a, inv1, normed1, q, k_t, v, probs, ctx, x1, inv2, normed2, m, u, sig, su)
+    # a, m, su and the normed rows are each one multiply from arrays kept
+    # here: the backward redoes those multiplies, so the graph does not
+    # hold them until it runs
+    saved = (x, inv1, q, k_t, v, probs, ctx, x1, inv2, u, sig)
     return T._make(out, (stream, *params), _layer_backward(stream, params, saved, scale))
 
 
 def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
     """The backward of one taped `transformer_layer`, over the arrays its
-    forward saved. It runs the chain rule in the order the composed tensor
+    forward saved. The norms' outputs and silu's are recomputed here with
+    the forward's own multiplies (`_rmsnorm_data`, `_silu_data`), so they
+    have its bits. It runs the chain rule in the order the composed tensor
     ops' backwards would, so every gradient has their bits: a stacked
     operand's weight gradient is one product over all rows (as in
     `tensor.matmul`), gain gradients are summed as `_unbroadcast` sums
     them, and the residual's gradient comes before the norm's."""
-    x, a, inv1, normed1, q, k_t, v, probs, ctx, x1, inv2, normed2, m, u, sig, su = saved
+    x, inv1, q, k_t, v, probs, ctx, x1, inv2, u, sig = saved
     attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = [t.data for t in params]
     *lead, L, d = x.shape
     split, merge = _AXES[len(lead)]
@@ -345,7 +350,9 @@ def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
 
     def bwd(g, table):
         # out = x1 + silu(m @ w_up) @ w_down
-        g_w_down = _weight_grad(su, g)
+        normed2 = x1 * inv2
+        m = normed2 * mlp_norm
+        g_w_down = _weight_grad(u * sig, g)
         g_u = _silu_grad(np.matmul(g, w_down.T), u, sig)
         g_w_up = _weight_grad(m, g_u)
         g_m = np.matmul(g_u, w_up.T)
@@ -365,7 +372,8 @@ def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
         g_split = g_qkv.transpose(split)
         g_split[0], g_split[1], g_split[2] = g_q, g_k, g_v
         g_qkv = g_qkv.reshape(*lead, L, 3 * d)
-        g_w_qkv = _weight_grad(a, g_qkv)
+        normed1 = x * inv1
+        g_w_qkv = _weight_grad(normed1 * attn_norm, g_qkv)
         g_a = np.matmul(g_qkv, w_qkv.T)
         g_attn_norm = _unbroadcast(g_a * normed1, attn_norm.shape)
         T._push(table, stream, g_x1 + _rmsnorm_grad(g_a, x, attn_norm, inv1))
@@ -479,4 +487,9 @@ def save_backbone(path: str, params: BackboneParams) -> None:
 def load_backbone(path: str) -> BackboneParams:
     blob = checkpoint.load_tensors(path)
     cfg = checkpoint.read_config(blob, BackboneParams.PREFIX, BackboneConfig)
+    d = cfg.d_model
+    checkpoint.check_shapes(blob, {"backbone.embed": (cfg.vocab_size, d),
+                                   "backbone.pos": (cfg.max_len, d),
+                                   "backbone.layers.0.w_up": (d, cfg.mlp_mult * d)})
+    checkpoint.check_layer_count(blob, "backbone.layers", cfg.n_layers)
     return checkpoint.fill(init_backbone(cfg, checkpoint.UNFILLED), blob)

@@ -141,6 +141,28 @@ def read_config(blob: dict[str, np.ndarray], prefix: str, cls):
     return cfg
 
 
+def check_shapes(blob: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """Raise InvalidConfigError unless each named record exists with its
+    shape. A loader checks the sizes its config asks the skeleton to
+    allocate this way before building it: a corrupt config record could
+    otherwise ask for any amount of memory."""
+    for name, shape in shapes.items():
+        _record(blob, name, shape)
+
+
+def check_layer_count(blob: dict[str, np.ndarray], prefix: str, n: int) -> None:
+    """Raise InvalidConfigError unless the records under `<prefix>.<i>.`
+    belong to exactly n layers i (the config's layer count, checked before
+    a skeleton of that many layers is built)."""
+    head = prefix + "."
+    found = {name[len(head):].split(".", 1)[0] for name in blob if name.startswith(head)}
+    if len(found) != n:
+        raise InvalidConfigError(
+            f"checkpoint config asks for {n} layers, but it holds records of "
+            f"{len(found)} under {prefix!r}"
+        )
+
+
 class _Unfilled:
     """Stands in for a Generator when building a skeleton to load into:
     nothing is drawn, since `fill` replaces every tensor."""

@@ -128,12 +128,6 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
     return T._as_tensor(delta_h), T._as_tensor(delta_logits)
 
 
-def accumulate(run_h: Tensor, run_logits: Tensor, out: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """Element-wise accumulation of one correction into the running state."""
-    delta_h, delta_logits = out
-    return T.add(run_h, delta_h), T.add(run_logits, delta_logits)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 # ---------------------------------------------------------------------------
@@ -154,5 +148,6 @@ def load_mrp(path: str) -> MrpParams:
             "checkpoint record 'mrp.layers.0.w_up' is missing or not a matrix"
         )
     d, hidden = w_up.shape
+    checkpoint.check_layer_count(blob, "mrp.layers", cfg.depth)
     widths = BackboneConfig(d_model=d, mlp_mult=hidden // d)
     return checkpoint.fill(init_mrp(cfg, widths, checkpoint.UNFILLED), blob)

@@ -25,7 +25,8 @@ the ops' own backwards call (``_rmsnorm_grad``, ``_softmax_grad``,
 ``_silu_grad``, ``_weight_grad``), in the order the ops' backwards would
 run. So a layer's output and gradients have the bits of the same layer
 composed from the ops here, and a forward gives the same bits with and
-without the tape.
+without the tape. The node keeps only the arrays that are more than one
+multiply from others it keeps; the backward redoes those multiplies.
 """
 
 from __future__ import annotations
@@ -81,9 +82,12 @@ class Tensor:
         return self.requires_grad or self._parents != ()
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # the table's entry may be a view or shared with another entry, so
+        # the first gradient is a copy that this tensor owns
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -414,33 +418,31 @@ def sum_all(a) -> Tensor:
 _KL_EPS = 1e-12
 
 
-def kl_rows(p, q) -> Tensor:
-    """Mean over rows of sum_v p_v (log p_v - log q_v).
+def kl_per_row(p, q) -> Tensor:
+    """sum_v p_v (log p_v - log q_v) for each row: shape p.shape[:-1].
 
     p and q hold probability rows on the last axis. Terms with p_v = 0
     contribute exactly 0; q is clamped at 1e-12 so numerically one-hot
-    teacher rows never raise.
+    teacher rows never raise. A loss over rows of several sequences weighs
+    the result per row (`mul`, `sum_all`).
     """
     p, q = _as_tensor(p), _as_tensor(q)
     if p.data.shape != q.data.shape:
         raise InvalidShapeError(
-            f"kl_rows shape mismatch: {p.data.shape} vs {q.data.shape}"
+            f"kl_per_row shape mismatch: {p.data.shape} vs {q.data.shape}"
         )
     if p.ndim < 1 or p.data.shape[-1] < 1:
-        raise InvalidShapeError("kl_rows requires a non-empty last extent")
-    n_rows = int(np.prod(p.data.shape[:-1])) if p.ndim > 1 else 1
-    pc = np.maximum(p.data, _KL_EPS)
+        raise InvalidShapeError("kl_per_row requires a non-empty last extent")
     qc = np.maximum(q.data, _KL_EPS)
     active = p.data > 0.0
-    terms = np.where(active, p.data * (np.log(pc) - np.log(qc)), 0.0)
-    out = np.asarray(terms.sum() / n_rows)
+    log_ratio = np.log(np.maximum(p.data, _KL_EPS)) - np.log(qc)
+    out = np.add.reduce(np.where(active, p.data * log_ratio, 0.0), axis=-1)
 
     def bwd(g, table):
-        gs = float(g) / n_rows
-        gp = np.where(active, (np.log(pc) - np.log(qc)) + 1.0, 0.0) * gs
-        gq = np.where(active & (q.data >= _KL_EPS), -p.data / qc, 0.0) * gs
-        _push(table, p, gp)
-        _push(table, q, gq)
+        g = np.expand_dims(g, -1)
+        if p._tracked():  # a distillation teacher's rows are constants
+            _push(table, p, np.where(active, log_ratio + 1.0, 0.0) * g)
+        _push(table, q, np.where(active & (q.data >= _KL_EPS), -p.data / qc, 0.0) * g)
 
     return _make(out, (p, q), bwd)
 

@@ -4,11 +4,12 @@ distillation with K-step unrolling, and the direct-distillation ablation.
 Both loops run a batch as a few graphs, not one per sequence: sequences
 that share length and prompt_len share one attention mask, so they go
 through one (B, L, d) forward together. Pretraining stacks up to four
-corrupted sequences per taped graph. Distillation stacks up to two clean
+corrupted sequences per taped graph. Distillation stacks up to four clean
 sequences: one no-grad teacher forward per unroll state over the stack,
-and one taped head graph over those that have a loss. The unroll states
-of a stack differ only in the response, so the teacher computes the
-prompt's rows once per stack and reuses their keys and values
+and one taped head graph over those that have a loss, with one KL node
+per unroll step over all their still-masked rows. The unroll states of a
+stack differ only in the response, so the teacher computes the prompt's
+rows once per stack and reuses their keys and values
 (`backbone.PrefixKV`). Gradients and losses match a per-sequence loop to
 rounding (~1e-15).
 
@@ -215,6 +216,7 @@ def train_backbone(
         if log_rows is not None and (step % cfg.log_every == 0 or step == steps - 1):
             log_rows.append({"step": step, "lr": lr, "loss": mean_loss,
                              "wall_seconds": time.perf_counter() - t0})
+    zero_grads(tensors)  # the last step's gradients would outlive it
     return params
 
 
@@ -308,6 +310,9 @@ def kd_sequence_loss(
     h_acc = T.tensor(h_t.data[active])
     corrected = T.tensor(l_t.data[active])
     L, vocab = x0.ids.shape[-1], l_t.shape[-1]
+    # row r of the head's flattened stack is row r + shift[r // L] of the
+    # teacher's
+    shift = (np.asarray(active) - np.arange(len(active))) * L
     total = None
     for b in active:
         per_seq[b] = []
@@ -320,27 +325,35 @@ def kd_sequence_loss(
             student_logits = corrected
         else:
             student_logits = delta_l
-        flat = T.reshape(student_logits, (-1, vocab))
-        teacher_logits = outs[j + 1][1].data
-        for i, b in enumerate(active):
-            rows = np.flatnonzero(paths[b][j + 1].masked)
-            if len(rows) == 0:
-                per_seq[b].append(0.0)
-                continue
-            teacher = T.softmax_rows(T.tensor(teacher_logits[b][rows] / cfg.t_kd))
-            student = T.softmax_rows(T.scale(T.select_rows(flat, rows + i * L), 1.0 / cfg.t_kd))
-            kl = T.kl_rows(teacher, student)
-            per_seq[b].append(kl.item())
-            step_loss = T.scale(kl, weights[j])
+        # one KL over the still-masked rows of every sequence; a row weighs
+        # the step weight over its sequence's masked count
+        rows = np.flatnonzero(x_cur.masked)
+        counts = x_cur.masked.sum(axis=1)
+        seq = rows // L
+        kl_seq = np.zeros(len(active))
+        if len(rows):
+            teacher_logits = outs[j + 1][1].data.reshape(-1, vocab)[rows + shift[seq]]
+            teacher = T.softmax_rows(T.tensor(teacher_logits / cfg.t_kd))
+            flat = T.reshape(student_logits, (-1, vocab))
+            student = T.softmax_rows(T.scale(T.select_rows(flat, rows), 1.0 / cfg.t_kd))
+            kl = T.kl_per_row(teacher, student)
+            step_loss = T.sum_all(T.mul(kl, weights[j] / counts[seq]))
             total = step_loss if total is None else T.add(total, step_loss)
+            kl_sum = np.bincount(seq, weights=kl.data, minlength=len(active))
+            kl_seq = kl_sum / np.maximum(counts, 1)
+        for b, value in zip(active, kl_seq.tolist()):
+            per_seq[b].append(value)
     return total, per_seq[0] if single else per_seq
 
 
 # Sequences per distillation stack. The head's graph over a stack is live
-# until its backward. On the train benchmark, stacks of 2 make a step ~0.7x
-# as long as single sequences and raise peak RSS from 56.8 to 57.1 MB;
-# stacks of 3 reach 59.0 MB (+4%) and 4 reach 61.4 MB (+8%).
-_KD_CHUNK = 2
+# until its backward and sets the train benchmark's peak RSS. With a layer
+# tape of 11 arrays (see `backbone.transformer_layer`), stacks of 4 peak at
+# ~55.9 MB, within 0.2% of stacks of 2 on a tape of 16 arrays. Stacks of 6
+# and 8 peak at 59.2 and 61.3 MB and were no faster (one run: 86 and 92
+# ref per distillation step at the 90th percentile, against 84), so more
+# than 4 needs a smaller graph.
+_KD_CHUNK = 4
 
 
 def _kd_chunk_loss(chunk: list[SequenceState], bb_params: bb.BackboneParams,
@@ -439,4 +452,5 @@ def train_mrp(
     finally:
         for (_, t), flag in zip(bb_params.named_tensors(), flags):
             t.requires_grad = flag
+    zero_grads([t for _, t in g_params.named_tensors()])
     return g_params

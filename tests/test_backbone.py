@@ -605,6 +605,19 @@ def test_checkpoint_config_record_of_zero_raises_typed_error(tmp_path, field):
         bb.load_backbone(path)
 
 
+@pytest.mark.parametrize("field", ["max_len", "n_layers", "d_model", "vocab_size", "mlp_mult"])
+def test_checkpoint_config_larger_than_its_records_raises_typed_error(tmp_path, field):
+    # 2**30 rows of positions would be a 128 GiB skeleton, and 2**30
+    # layers a loop of 2**30 inits: the sizes are checked before either
+    path = str(tmp_path / "model.mrpc")
+    bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
+    blob = checkpoint.load_tensors(path)
+    blob[f"backbone.config.{field}"] = np.array([2.0 ** 30])
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match="backbone"):
+        bb.load_backbone(path)
+
+
 def test_checkpoint_layout_and_roundtrip(tmp_path):
     path = str(tmp_path / "model.mrpc")
     cfg = tiny_config()

@@ -137,6 +137,18 @@ def test_load_rejects_missing_or_misshapen_record(tmp_path, name):
         mrp.load_mrp(path)
 
 
+@pytest.mark.parametrize("depth", [1, 3, 2 ** 30])
+def test_load_rejects_a_depth_other_than_its_layer_records(tmp_path, depth):
+    _, head, _, _ = _setup(depth=2)
+    path = str(tmp_path / "head.mrpc")
+    mrp.save_mrp(path, head)
+    blob = checkpoint.load_tensors(path)
+    blob["mrp.config.depth"] = np.array([float(depth)])
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match="mrp.layers"):
+        mrp.load_mrp(path)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.2])
 def test_config_rejects_non_finite_and_nonpositive_sigma_init(value):
     with pytest.raises(InvalidConfigError, match="sigma_init"):

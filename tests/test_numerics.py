@@ -65,19 +65,19 @@ def test_softmax_empty_last_extent_raises():
 
 
 # ---------------------------------------------------------------------------
-# kl_rows
+# kl_per_row
 # ---------------------------------------------------------------------------
 
 
 def test_kl_identical_is_zero():
     p = T.tensor([0.3, 0.7])
-    assert abs(T.kl_rows(p, p).item()) < 1e-15
+    assert abs(T.kl_per_row(p, p).item()) < 1e-15
 
 
 def test_kl_closed_form():
     p = T.tensor([1.0, 0.0])
     q = T.tensor([0.5, 0.5])
-    assert abs(T.kl_rows(p, q).item() - math.log(2.0)) < 1e-12
+    assert abs(T.kl_per_row(p, q).item() - math.log(2.0)) < 1e-12
 
 
 def test_kl_nonnegative_on_random_pairs():
@@ -85,20 +85,22 @@ def test_kl_nonnegative_on_random_pairs():
     for _ in range(1000):
         p = T.softmax_rows(T.tensor(rng.normal(size=8))).data
         q = T.softmax_rows(T.tensor(rng.normal(size=8))).data
-        assert T.kl_rows(T.tensor(p), T.tensor(q)).item() >= -1e-15
+        assert T.kl_per_row(T.tensor(p), T.tensor(q)).item() >= -1e-15
 
 
 def test_kl_zero_q_is_clamped_not_raised():
     p = T.tensor([0.5, 0.5])
     q = T.tensor([1.0, 0.0])
-    val = T.kl_rows(p, q).item()
+    val = T.kl_per_row(p, q).item()
     assert np.isfinite(val) and val > 0
 
 
-def test_kl_mean_over_rows():
+def test_kl_one_value_per_row():
     p = T.tensor([[1.0, 0.0], [0.5, 0.5]])
     q = T.tensor([[0.5, 0.5], [0.5, 0.5]])
-    assert abs(T.kl_rows(p, q).item() - math.log(2.0) / 2) < 1e-12
+    kl = T.kl_per_row(p, q).data
+    assert kl.shape == (2,)
+    assert abs(kl[0] - math.log(2.0)) < 1e-12 and abs(kl[1]) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,15 @@ def test_backward_accumulates_on_repeat():
     backward(loss)
     backward(loss)
     assert abs(x.grad[0] - 12.0) < 1e-12
+
+
+def test_leaf_gradients_never_share_memory():
+    # add's backward hands both leaves the same gradient array; a later
+    # backward adds into one of them only
+    a, b = T.param(np.ones(3)), T.param(np.ones(3))
+    backward(T.sum_all(T.add(a, b)))
+    backward(T.sum_all(T.scale(a, 2.0)))
+    assert np.array_equal(a.grad, [3.0, 3.0, 3.0]) and np.array_equal(b.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_disconnected_param_gets_no_grad():
@@ -228,11 +239,23 @@ def test_fd_gather_ops():
     check_grads(lambda: T.sum_all(T.mul(T.take_per_row(x, cols), T.take_per_row(x, cols))), [x])
 
 
-def test_fd_kl_rows_student_side():
+def test_fd_kl_per_row_student_side():
     rng = np.random.default_rng(6)
     p = T.tensor(T.softmax_rows(T.tensor(rng.normal(size=(4, 6)))).data)
     z = _rand(rng, 4, 6)
-    check_grads(lambda: T.kl_rows(p, T.softmax_rows(z)), [z])
+    check_grads(lambda: T.sum_all(T.kl_per_row(p, T.softmax_rows(z))), [z])
+
+
+def test_fd_weighted_kl_per_row_both_sides():
+    # a distillation step's loss: each row weighs step weight / its
+    # sequence's masked count, here rows of sequences of 1, 2 and 3 rows.
+    # p is a free positive leaf, so its gradient's +1 term shows (through
+    # a softmax it would cancel)
+    rng = np.random.default_rng(7)
+    p = T.param(rng.uniform(0.1, 1.0, size=(6, 5)))
+    zq = _rand(rng, 6, 5)
+    weights = 0.5 / np.array([1, 2, 2, 3, 3, 3])
+    check_grads(lambda: T.sum_all(T.mul(T.kl_per_row(p, T.softmax_rows(zq)), weights)), [p, zq])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ def test_train_mrp_keeps_a_frozen_backbone_frozen():
     assert not any(_flags(params))
 
 
+def test_trained_parameters_hold_no_gradients():
+    examples = gen_arithmetic(0, 4, block_size=4)
+    backbone = training.train_backbone(examples, TRAIN, BB_CFG)
+    head = training.train_mrp(examples, backbone, TRAIN, MrpConfig(depth=1))
+    for params in (backbone, head):
+        assert all(t.grad is None for _, t in params.named_tensors())
+
+
 def test_train_mrp_restores_flags_when_a_step_raises():
     params = bb.init_backbone(BB_CFG, np.random.default_rng(0))
     params.layers[0].w_up.requires_grad = False
@@ -381,11 +389,32 @@ def _record_head_stacks(monkeypatch):
     return sizes
 
 
-def test_no_head_graph_holds_more_than_two_sequences(monkeypatch):
+def test_no_head_graph_holds_more_than_four_sequences(monkeypatch):
     params, head, batch, _ = _distill_setup(monkeypatch)
     sizes = _record_head_stacks(monkeypatch)
     _distill_step(params, head, batch)
-    assert max(sizes) == 2
+    assert max(sizes) == 4
+
+
+def test_every_stack_runs_unroll_plus_one_teacher_forwards(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
+    calls = []
+    kd_loss, forward = training.kd_sequence_loss, bb.forward
+
+    def kd_counted(*args):
+        calls.append(0)
+        return kd_loss(*args)
+
+    def forward_counted(*args, **kwargs):
+        calls[-1] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "kd_sequence_loss", kd_counted)
+    monkeypatch.setattr(bb, "forward", forward_counted)
+    _distill_step(params, head, batch)
+    # five buckets of 2-7 sequences, in stacks of at most four
+    assert len(calls) == 7
+    assert calls == [head.config.unroll + 1] * len(calls)
 
 
 def test_a_sequence_with_no_loss_runs_no_head_forward(monkeypatch):
