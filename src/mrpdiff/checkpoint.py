@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -44,11 +45,19 @@ def save_tensors(path: str, named: list[tuple[str, np.ndarray]]) -> None:
         payloads.append(arr32.tobytes())
         offset += arr32.nbytes
     header = json.dumps(records, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
-        f.write(header)
-        for chunk in payloads:
-            f.write(chunk)
+    # written beside the target and moved over it, so a write that fails
+    # midway leaves an existing checkpoint as it was
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
+            f.write(header)
+            for chunk in payloads:
+                f.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failed write
+            os.remove(tmp)
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:

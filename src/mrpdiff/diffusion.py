@@ -113,9 +113,12 @@ def state_from_example(ex, block_size: int, all_masked: bool = True) -> Sequence
 def corrupt(x0: SequenceState, rng: np.random.Generator, rate: float | None = None) -> SequenceState:
     """Mask response tokens independently with one shared rate u ~ U(0,1)
     per sequence (rate can be forced for tests). Prompt and PAD positions
-    are never masked."""
+    are never masked. A forced rate outside [0, 1], or NaN, raises
+    InvalidConfigError."""
     if x0.masked.any():
         raise ContractViolationError("corrupt expects a fully clean sequence")
+    if rate is not None and not 0.0 <= float(rate) <= 1.0:  # NaN fails too
+        raise InvalidConfigError(f"corruption rate must lie in [0, 1], got {rate}")
     u = float(rng.random()) if rate is None else float(rate)
     out = x0.clone()
     eligible = np.zeros(out.length, dtype=bool)

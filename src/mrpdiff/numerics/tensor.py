@@ -142,17 +142,6 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def bwd(g, table):
-        _push(table, a, _unbroadcast(g, a.data.shape))
-        _push(table, b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data

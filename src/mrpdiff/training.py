@@ -1,17 +1,19 @@
 """Training loops: backbone pretraining on the toy task, correction-head
 distillation with K-step unrolling, and the direct-distillation ablation.
 
-Both loops run a batch as a few graphs, not one per sequence: sequences
-that share length and prompt_len share one attention mask, so they go
-through one (B, L, d) forward together. Pretraining stacks up to four
-corrupted sequences per taped graph. Distillation stacks up to four clean
-sequences: one no-grad teacher forward per unroll state over the stack,
-and one taped head graph over those that have a loss, with one KL node
-per unroll step over all their still-masked rows. The unroll states of a
-stack differ only in the response, so the teacher computes the prompt's
-rows once per stack and reuses their keys and values
-(`backbone.PrefixKV`). Gradients and losses match a per-sequence loop to
-rounding (~1e-15).
+Both trainers share one step and one loop (`_train_step`, `_fit`). A step
+runs its batch as a few graphs, not one per sequence: sequences that share
+length and prompt_len share one attention mask, so they go through one
+(B, L, d) forward together, in chunks of at most `_CHUNK`, each graph freed
+after its backward. Pretraining's chunk is a stack of corrupted sequences.
+Distillation's is a stack of clean sequences: one no-grad teacher forward
+per unroll state over the stack, and one taped head graph over those that
+have a loss, with one KL node per unroll step over all their still-masked
+rows. The unroll states of a stack differ only in the response, so the
+teacher computes the prompt's rows once per stack and reuses their keys
+and values (`backbone.PrefixKV`). Gradients and losses match a
+per-sequence loop to rounding (~1e-15). A step where no sequence has a
+loss logs a loss of 0.0 and makes no update.
 
 The distillation teacher is always the frozen backbone run without
 gradients; only the correction head's parameters ever receive updates.
@@ -101,6 +103,84 @@ def _batches(n: int, cfg: TrainConfig, rng: np.random.Generator, steps: int):
             emitted += 1
 
 
+def _stack(states: list[SequenceState]) -> SequenceState:
+    """One state whose ids and mask flags are (B, L): sequences of one
+    length and prompt_len, which share one attention mask."""
+    first = states[0]
+    return SequenceState(ids=np.stack([x.ids for x in states]),
+                         masked=np.stack([x.masked for x in states]),
+                         prompt_len=first.prompt_len, block_size=first.block_size)
+
+
+# Sequences per taped graph, in both trainers. Every intermediate of a graph
+# is live until its backward. Pretraining: a graph of 4 takes ~0.7x the time
+# of 4 single-sequence graphs and raises peak memory by ~7%; 8 or 16 are a
+# little faster but raise it by ~20%. Distillation: the head's graph over a
+# stack sets the train benchmark's peak RSS; with a layer tape of 11 arrays
+# (see `backbone.transformer_layer`) stacks of 4 peak at ~55.9 MB, and stacks
+# of 6 and 8 peak at 59.2 and 61.3 MB and were no faster.
+_CHUNK = 4
+
+
+def _train_step(named: list, opt: OptimizerState, items: list, key, chunk_loss,
+                batch_size: int) -> tuple[float, list]:
+    """One optimizer step over a batch, shared by both trainers.
+
+    Groups `items` by `key(item)` in first-seen order and calls
+    `chunk_loss` on runs of at most `_CHUNK` items of a group. It returns
+    (total, per_seq): the chunk's loss Tensor, or None when nothing in it
+    has a loss, and one entry per item, None for an item with no loss.
+    Each total's gradient is added over `batch_size`, and its graph is
+    freed before the next chunk builds its own. Returns the mean loss over
+    the items with a loss and their entries. A non-finite mean raises
+    DivergenceError; a step where no item has a loss makes no update and
+    only advances the step count.
+    """
+    zero_grads([t for _, t in named])
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    loss_sum, used = 0.0, []
+    for group in groups.values():
+        for lo in range(0, len(group), _CHUNK):
+            total, per_seq = chunk_loss(group[lo:lo + _CHUNK])
+            used += [entry for entry in per_seq if entry is not None]
+            if total is not None:
+                backward(T.scale(total, 1.0 / batch_size))
+                loss_sum += total.item()
+            del total  # frees the chunk's graph before the next one is built
+    if not used:
+        opt.step_count += 1
+        return 0.0, used
+    mean_loss = loss_sum / len(used)
+    if not np.isfinite(mean_loss):
+        raise DivergenceError(f"loss became {mean_loss} at step {opt.step_count}")
+    adamw_step(named, opt)
+    return mean_loss, used
+
+
+def _fit(examples: list[Example], cfg: TrainConfig, params, rng: np.random.Generator,
+         step, log_rows: list | None) -> None:
+    """The loop both trainers share. Runs `step(batch, opt)` on each
+    shuffled batch of examples; it returns (mean loss, mean per-unroll-step
+    losses). Every `log_every` steps and at the last one a row logs the
+    step, its learning rate, the losses and the wall time so far. The
+    parameters hold no gradients on return."""
+    steps = _plan_steps(len(examples), cfg)
+    opt = OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=steps,
+                         weight_decay=cfg.weight_decay)
+    t0 = time.perf_counter()
+    for i, batch in enumerate(_batches(len(examples), cfg, rng, steps)):
+        lr = cosine_lr(opt.step_count, opt)
+        loss, per_step = step([examples[j] for j in batch], opt)
+        if log_rows is not None and (i % cfg.log_every == 0 or i == steps - 1):
+            row = {"step": i, "lr": lr, "loss": loss, "wall_seconds": time.perf_counter() - t0}
+            for j, v in enumerate(per_step):
+                row[f"loss_step_{j + 1}"] = float(v)
+            log_rows.append(row)
+    zero_grads([t for _, t in params.named_tensors()])  # the last step's would outlive it
+
+
 # ---------------------------------------------------------------------------
 # backbone pretraining
 # ---------------------------------------------------------------------------
@@ -111,19 +191,18 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
 
     On a batch, logits (B, L, V) with `x.masked` and `targets` (B, L), each
     sequence's masked rows weigh 1 / (its masked count): the loss is the sum
-    over the B sequences of each one's mean CE. A target array of another
-    shape than the state's, or a target id outside [0, V), raises
-    InvalidShapeError.
+    over the B sequences of each one's mean CE; a single sequence is a
+    batch of one. A target array of another shape than the state's, or a
+    target id outside [0, V), raises InvalidShapeError.
     """
-    masked = x.masked
-    rows = np.flatnonzero(masked)
+    rows = np.flatnonzero(x.masked)
     if len(rows) == 0:
         return None
     vocab = logits.shape[-1]
     targets = np.asarray(targets)
-    if targets.shape != masked.shape:
+    if targets.shape != x.masked.shape:
         raise InvalidShapeError(
-            f"targets of shape {targets.shape} for a state of shape {masked.shape}"
+            f"targets of shape {targets.shape} for a state of shape {x.masked.shape}"
         )
     picked_ids = targets.ravel()[rows]
     if picked_ids.min() < 0 or picked_ids.max() >= vocab:
@@ -131,40 +210,9 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
     flat = logits if logits.ndim == 2 else T.reshape(logits, (-1, vocab))
     logp = T.log_softmax_rows(T.select_rows(flat, rows))
     picked = T.take_per_row(logp, picked_ids)
-    if masked.ndim == 1:
-        return T.scale(T.sum_all(picked), -1.0 / len(rows))
+    masked = x.masked.reshape(-1, x.masked.shape[-1])
     weights = -1.0 / masked.sum(axis=1)
     return T.sum_all(T.mul(picked, weights[rows // masked.shape[1]]))
-
-
-def _stack(states: list[SequenceState]) -> SequenceState:
-    """One state whose ids and mask flags are (B, L): sequences of one
-    length and prompt_len, which share one attention mask. Only
-    `backbone.forward` and `masked_cross_entropy` read such a state."""
-    first = states[0]
-    return SequenceState(ids=np.stack([x.ids for x in states]),
-                         masked=np.stack([x.masked for x in states]),
-                         prompt_len=first.prompt_len, block_size=first.block_size)
-
-
-# Sequences per taped graph. Every intermediate of a graph is live until its
-# backward: a graph of 4 takes ~0.7x the time of 4 single-sequence graphs and
-# raises pretraining's peak memory by ~7%; 8 or 16 are a little faster but
-# raise it by ~20%.
-_CHUNK = 4
-
-
-def _backbone_chunk_loss(chunk: list[tuple[SequenceState, SequenceState]],
-                         params: bb.BackboneParams, batch_size: int) -> float:
-    """One taped forward, masked CE and backward over a chunk of
-    (clean, corrupted) pairs that share length and prompt_len; adds the
-    gradient of the chunk's loss over `batch_size` and returns the loss.
-    The graph is freed on return, before the next chunk builds its own."""
-    xt = _stack([xt for _, xt in chunk])
-    _, logits = bb.forward(xt, params)
-    loss = masked_cross_entropy(logits, xt, np.stack([x0.ids for x0, _ in chunk]))
-    backward(T.scale(loss, 1.0 / batch_size))
-    return loss.item()
 
 
 def train_backbone(
@@ -188,35 +236,26 @@ def train_backbone(
     rng = np.random.default_rng(cfg.seed)
     params = bb.init_backbone(bb_cfg, rng)
     named = params.named_tensors()
-    tensors = [t for _, t in named]
-    steps = _plan_steps(len(examples), cfg)
-    opt = OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=steps,
-                         weight_decay=cfg.weight_decay)
-    t0 = time.perf_counter()
-    for step, batch in enumerate(_batches(len(examples), cfg, rng, steps)):
-        zero_grads(tensors)
-        buckets: dict[tuple[int, int], list] = {}
-        for idx in batch:
-            x0 = state_from_example(examples[idx], bb_cfg.block_size, all_masked=False)
+
+    def chunk_loss(chunk):
+        xt = _stack([xt for _, xt in chunk])
+        _, logits = bb.forward(xt, params)
+        targets = np.stack([x0.ids for x0, _ in chunk])
+        # every pair has a loss, and pretraining logs no per-step losses
+        return masked_cross_entropy(logits, xt, targets), [()] * len(chunk)
+
+    def step(batch, opt):
+        pairs = []
+        for ex in batch:
+            x0 = state_from_example(ex, bb_cfg.block_size, all_masked=False)
             xt = corrupt(x0, rng)
             if xt.masked.any():
-                buckets.setdefault((xt.length, xt.prompt_len), []).append((x0, xt))
-        used = sum(len(group) for group in buckets.values())
-        if used == 0:
-            opt.step_count += 1
-            continue
-        loss_sum = 0.0
-        for group in buckets.values():
-            for lo in range(0, len(group), _CHUNK):
-                loss_sum += _backbone_chunk_loss(group[lo:lo + _CHUNK], params, len(batch))
-        mean_loss = loss_sum / used
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"backbone loss became {mean_loss} at step {step}")
-        lr = adamw_step(named, opt)
-        if log_rows is not None and (step % cfg.log_every == 0 or step == steps - 1):
-            log_rows.append({"step": step, "lr": lr, "loss": mean_loss,
-                             "wall_seconds": time.perf_counter() - t0})
-    zero_grads(tensors)  # the last step's gradients would outlive it
+                pairs.append((x0, xt))
+        loss, _ = _train_step(named, opt, pairs, lambda pair: (pair[1].length, pair[1].prompt_len),
+                              chunk_loss, len(batch))
+        return loss, ()
+
+    _fit(examples, cfg, params, rng, step, log_rows)
     return params
 
 
@@ -242,15 +281,6 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 # ---------------------------------------------------------------------------
 
 
-def _unstack(x: SequenceState) -> list[SequenceState]:
-    """The sequences of a state: itself for (L,) ids, one state per row
-    for a (B, L) stack."""
-    if x.ids.ndim == 1:
-        return [x]
-    return [SequenceState(ids=ids, masked=masked, prompt_len=x.prompt_len,
-                          block_size=x.block_size) for ids, masked in zip(x.ids, x.masked)]
-
-
 def kd_sequence_loss(
     x0: SequenceState,
     bb_params: bb.BackboneParams,
@@ -258,8 +288,8 @@ def kd_sequence_loss(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[Tensor | None, list]:
-    """Unrolled distillation loss for one sequence, or for a (B, L) stack
-    of clean sequences that share length and prompt_len.
+    """Unrolled distillation loss for a (B, L) stack of clean sequences
+    that share length and prompt_len; a single sequence is a stack of one.
 
     Each sequence in stack order is corrupted to x_t and then revealed
     `unroll` times (ground-truth tokens per block), so a stack draws from
@@ -275,9 +305,8 @@ def kd_sequence_loss(
     masked after the first reveal has no loss at any step and takes no part
     in the head's graph.
 
-    Returns (total, per-step) for one sequence, per-step all 0.0 when it
-    has no loss; for a stack, the total over its sequences and one per-step
-    list per sequence, None for a sequence with no loss. The total weighs
+    Returns the total over the stack's sequences and one per-step list per
+    sequence, None for a sequence with no loss. The total weighs
     each step's KL by its step weight; the per-step losses are the
     unweighted KLs, also for a step of weight 0. The total is None when no
     sequence has a loss.
@@ -285,11 +314,13 @@ def kd_sequence_loss(
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
     weights = _weights(cfg, k_steps)
-    single = x0.ids.ndim == 1
+    L = x0.ids.shape[-1]
 
     # paths[b][j]: sequence b corrupted (j = 0) and after j reveals
     paths = []
-    for x in _unstack(x0):
+    for ids, masked in zip(x0.ids.reshape(-1, L), x0.masked.reshape(-1, L)):
+        x = SequenceState(ids=ids, masked=masked, prompt_len=x0.prompt_len,
+                          block_size=x0.block_size)
         path = [corrupt(x, rng)]
         for _ in range(k_steps):
             path.append(reveal_ground_truth(path[-1], x, g_cfg.reveal_k))
@@ -303,13 +334,13 @@ def kd_sequence_loss(
     active = [b for b, path in enumerate(paths) if path[1].masked.any()]
     per_seq = [None] * len(paths)
     if not active:
-        return None, [0.0] * k_steps if single else per_seq
+        return None, per_seq
 
     # the head's stack: the sequences that have a loss
     h_t, l_t = outs[0]
     h_acc = T.tensor(h_t.data[active])
     corrected = T.tensor(l_t.data[active])
-    L, vocab = x0.ids.shape[-1], l_t.shape[-1]
+    vocab = l_t.shape[-1]
     # row r of the head's flattened stack is row r + shift[r // L] of the
     # teacher's
     shift = (np.asarray(active) - np.arange(len(active))) * L
@@ -343,31 +374,7 @@ def kd_sequence_loss(
             kl_seq = kl_sum / np.maximum(counts, 1)
         for b, value in zip(active, kl_seq.tolist()):
             per_seq[b].append(value)
-    return total, per_seq[0] if single else per_seq
-
-
-# Sequences per distillation stack. The head's graph over a stack is live
-# until its backward and sets the train benchmark's peak RSS. With a layer
-# tape of 11 arrays (see `backbone.transformer_layer`), stacks of 4 peak at
-# ~55.9 MB, within 0.2% of stacks of 2 on a tape of 16 arrays. Stacks of 6
-# and 8 peak at 59.2 and 61.3 MB and were no faster (one run: 86 and 92
-# ref per distillation step at the 90th percentile, against 84), so more
-# than 4 needs a smaller graph.
-_KD_CHUNK = 4
-
-
-def _kd_chunk_loss(chunk: list[SequenceState], bb_params: bb.BackboneParams,
-                   g_params: mrp_mod.MrpParams, cfg: TrainConfig, rng: np.random.Generator,
-                   batch_size: int) -> tuple[float, list]:
-    """`kd_sequence_loss` over a stack of clean sequences that share length
-    and prompt_len; adds the gradient of its total over `batch_size` and
-    returns the total and the per-sequence per-step losses. The graph is
-    freed on return, before the next stack builds its own."""
-    total, per_seq = kd_sequence_loss(_stack(chunk), bb_params, g_params, cfg, rng)
-    if total is None:
-        return 0.0, per_seq
-    backward(T.scale(total, 1.0 / batch_size))
-    return total.item(), per_seq
+    return total, per_seq
 
 
 def mrp_train_step(
@@ -383,35 +390,17 @@ def mrp_train_step(
     that have a loss.
 
     The batch is grouped by (length, prompt_len), and each group runs in
-    stacks of at most `_KD_CHUNK` sequences, one `kd_sequence_loss` and one
+    stacks of at most `_CHUNK` sequences, one `kd_sequence_loss` and one
     backward per stack; the corruption draws follow that order. Gradients
     flow only into the head: backbone forwards run without the tape, and
     the hidden state enters the head's graph as a constant leaf.
     """
-    named = g_params.named_tensors()
-    zero_grads([t for _, t in named])
-    buckets: dict[tuple[int, int], list] = {}
-    for x0 in batch:
-        buckets.setdefault((x0.length, x0.prompt_len), []).append(x0)
-    loss_sum, used = 0.0, 0
-    step_sums = np.zeros(g_params.config.unroll)
-    for group in buckets.values():
-        for lo in range(0, len(group), _KD_CHUNK):
-            loss, per_seq = _kd_chunk_loss(group[lo:lo + _KD_CHUNK], bb_params, g_params,
-                                           cfg, rng, len(batch))
-            loss_sum += loss
-            for per_step in per_seq:
-                if per_step is not None:
-                    step_sums += np.asarray(per_step)
-                    used += 1
-    if used == 0:
-        opt.step_count += 1
-        return 0.0, step_sums
-    mean_loss = loss_sum / used
-    if not np.isfinite(mean_loss):
-        raise DivergenceError(f"distillation loss became {mean_loss}")
-    adamw_step(named, opt)
-    return mean_loss, step_sums / used
+    def chunk_loss(chunk):
+        return kd_sequence_loss(_stack(chunk), bb_params, g_params, cfg, rng)
+
+    loss, per_seq = _train_step(g_params.named_tensors(), opt, batch,
+                                lambda x0: (x0.length, x0.prompt_len), chunk_loss, len(batch))
+    return loss, sum(per_seq, np.zeros(g_params.config.unroll)) / max(len(per_seq), 1)
 
 
 def train_mrp(
@@ -431,26 +420,16 @@ def train_mrp(
     block_size = bb_params.config.block_size
     rng = np.random.default_rng(cfg.seed)
     g_params = mrp_mod.init_mrp(g_cfg, bb_params.config, rng)
-    steps = _plan_steps(len(examples), cfg)
-    opt = OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=steps,
-                         weight_decay=cfg.weight_decay)
+
+    def step(batch, opt):
+        batch = [state_from_example(ex, block_size, all_masked=False) for ex in batch]
+        return mrp_train_step(batch, bb_params, g_params, opt, cfg, rng)
+
     flags = [t.requires_grad for _, t in bb_params.named_tensors()]
     bb_params.set_requires_grad(False)
-    t0 = time.perf_counter()
     try:
-        for step, batch_idx in enumerate(_batches(len(examples), cfg, rng, steps)):
-            batch = [state_from_example(examples[i], block_size, all_masked=False)
-                     for i in batch_idx]
-            lr = cosine_lr(opt.step_count, opt)
-            loss, per_step = mrp_train_step(batch, bb_params, g_params, opt, cfg, rng)
-            if log_rows is not None and (step % cfg.log_every == 0 or step == steps - 1):
-                row = {"step": step, "lr": lr, "loss": loss,
-                       "wall_seconds": time.perf_counter() - t0}
-                for j, v in enumerate(per_step):
-                    row[f"loss_step_{j + 1}"] = float(v)
-                log_rows.append(row)
+        _fit(examples, cfg, g_params, rng, step, log_rows)
     finally:
         for (_, t), flag in zip(bb_params.named_tensors(), flags):
             t.requires_grad = flag
-    zero_grads([t for _, t in g_params.named_tensors()])
     return g_params

@@ -653,6 +653,38 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     assert checkpoint.file_sha256(p1) == checkpoint.file_sha256(p2)
 
 
+def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.mrpc")
+    bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
+    before = open(path, "rb").read()
+    real_open = open
+
+    class FailingFile:
+        """A file whose second write raises, as a full disk would."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a: FailingFile(real_open(*a)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(1)))
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.mrpc"]
+
+
 def test_checkpoint_missing_file_raises():
     from mrpdiff.errors import MissingArtifactError
     with pytest.raises(MissingArtifactError):

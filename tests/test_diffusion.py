@@ -180,6 +180,27 @@ def test_corrupt_at_full_rate_masks_exactly_the_non_pad_response():
     xt.validate()
 
 
+@pytest.mark.parametrize("rate", [2.0, 1.0 + 1e-12, -0.5, float("nan")])
+def test_corrupt_rejects_a_rate_outside_zero_to_one(rate):
+    x0 = diffusion.state_from_example(corpus.make_example(12, 3, "+", 8), 8, all_masked=False)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidConfigError, match="rate"):
+        diffusion.corrupt(x0, rng, rate=rate)
+    # refused before any draw: the stream continues as if never called
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_corrupt_at_the_rate_bounds_keeps_its_draws():
+    x0 = diffusion.state_from_example(corpus.make_example(12, 3, "+", 8), 8, all_masked=False)
+    for rate in (0.0, 1.0):
+        rng = np.random.default_rng(0)
+        xt = diffusion.corrupt(x0, rng, rate=rate)
+        assert xt.masked.any() == (rate == 1.0)
+        ref = np.random.default_rng(0)
+        ref.random(x0.length)  # one draw per position, as before the bounds check
+        assert rng.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # tie-breaks
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mrpdiff import mrp as mrp_mod
 from mrpdiff import training
 from mrpdiff.corpus import MASK_ID, gen_arithmetic, make_example
 from mrpdiff.diffusion import corrupt, state_from_example
-from mrpdiff.errors import InvalidConfigError, InvalidShapeError
+from mrpdiff.errors import DivergenceError, InvalidConfigError, InvalidShapeError
 from mrpdiff.mrp import MrpConfig, init_mrp
 from mrpdiff.numerics import tensor as T
 
@@ -228,7 +228,18 @@ def test_no_graph_holds_more_than_four_sequences(monkeypatch):
     assert sum(sizes) == sum(bool(xt.masked.any()) for _, xt in corrupted)
 
 
-def test_step_with_nothing_masked_only_advances_the_step_count(monkeypatch):
+def _train(trainer, examples, cfg, log_rows=None):
+    """Run one of the two trainers; distillation runs against a fixed
+    backbone of the pretraining test's size."""
+    if trainer == "backbone":
+        return training.train_backbone(examples, cfg, STEP_CFG, log_rows=log_rows)
+    params = bb.init_backbone(STEP_CFG, np.random.default_rng(0), std=0.3)
+    return training.train_mrp(examples, params, cfg, MrpConfig(depth=1), log_rows=log_rows)
+
+
+def _first_batch_clean(monkeypatch, trainer):
+    """A run of three steps whose first batch is left clean: it has
+    nothing to learn. Returns the log rows and the updates made."""
     cfg = training.TrainConfig(batch_size=4, max_steps=3, seed=1, log_every=1)
     drawn, updates = [], []
 
@@ -239,11 +250,59 @@ def test_step_with_nothing_masked_only_advances_the_step_count(monkeypatch):
     monkeypatch.setattr(training, "corrupt", first_batch_clean)
     _record(monkeypatch, training, "adamw_step", updates)
     log = []
-    training.train_backbone(_step_examples(), cfg, STEP_CFG, log_rows=log)
-    # step 0 made no update and no log row; step 1 ran at the schedule's step 1
+    _train(trainer, _step_examples(), cfg, log)
+    # step 0 made no update and logged a loss of 0.0; step 1 ran at the
+    # schedule's step 1
     opt = training.OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=3)
-    assert len(updates) == 2 and [row["step"] for row in log] == [1, 2]
-    assert log[0]["lr"] == training.cosine_lr(1, opt)
+    assert len(updates) == 2 and [row["step"] for row in log] == [0, 1, 2]
+    assert log[0]["loss"] == 0.0 and log[1]["loss"] > 0.0
+    assert [row["lr"] for row in log] == [training.cosine_lr(k, opt) for k in range(3)]
+    return log
+
+
+def test_step_with_nothing_masked_only_advances_the_step_count(monkeypatch):
+    _first_batch_clean(monkeypatch, "backbone")
+
+
+def test_distillation_step_with_nothing_masked_only_advances_the_step_count(monkeypatch):
+    log = _first_batch_clean(monkeypatch, "mrp")
+    assert log[0]["loss_step_1"] == log[0]["loss_step_2"] == 0.0
+
+
+@pytest.mark.parametrize("trainer", ["backbone", "mrp"])
+def test_a_non_finite_loss_raises_divergence_error(monkeypatch, trainer):
+    nan, updates = float("nan"), []
+    if trainer == "backbone":
+        ce = training.masked_cross_entropy
+        monkeypatch.setattr(training, "masked_cross_entropy", lambda *a: T.scale(ce(*a), nan))
+    else:
+        kd = training.kd_sequence_loss
+
+        def poisoned(*args):
+            total, per_seq = kd(*args)
+            return None if total is None else T.scale(total, nan), per_seq
+
+        monkeypatch.setattr(training, "kd_sequence_loss", poisoned)
+    _record(monkeypatch, training, "adamw_step", updates)
+    with pytest.raises(DivergenceError, match="nan"):
+        _train(trainer, _step_examples(), training.TrainConfig(batch_size=4, max_steps=2))
+    assert updates == []
+
+
+def test_both_trainers_log_the_same_rows():
+    cfg = training.TrainConfig(epochs=2, batch_size=4, max_steps=6, seed=2, log_every=4)
+    logs = {}
+    for trainer in ("backbone", "mrp"):
+        logs[trainer] = []
+        _train(trainer, _step_examples(), cfg, logs[trainer])
+    pre, dist = logs["backbone"], logs["mrp"]
+    # every log_every steps and at the last one
+    assert [row["step"] for row in pre] == [row["step"] for row in dist] == [0, 4, 5]
+    assert [row["lr"] for row in pre] == [row["lr"] for row in dist]
+    base = {"step", "lr", "loss", "wall_seconds"}
+    assert all(set(row) == base for row in pre)
+    assert all(set(row) == base | {"loss_step_1", "loss_step_2"} for row in dist)
+    assert all(np.isfinite(row["loss"]) and row["loss"] > 0 for row in pre + dist)
 
 
 def test_fd_batched_masked_cross_entropy_through_backbone_forward():
@@ -364,8 +423,8 @@ def test_bucketed_distillation_step_matches_a_per_sequence_loop(monkeypatch, obj
     T.zero_grads([t for _, t in named])
     losses, steps = [], []
     for x0 in batch:
-        total, seq_steps = training.kd_sequence_loss(x0, params, head, training.TrainConfig(),
-                                                     np.random.default_rng(0))
+        total, (seq_steps,) = training.kd_sequence_loss(x0, params, head, training.TrainConfig(),
+                                                        np.random.default_rng(0))
         if total is not None:
             training.backward(T.scale(total, 1.0 / len(batch)))
             losses.append(total.item())
@@ -422,12 +481,12 @@ def test_a_sequence_with_no_loss_runs_no_head_forward(monkeypatch):
     sizes = _record_head_stacks(monkeypatch)
     _distill_step(params, head, batch)
     assert sum(sizes) == head.config.unroll * with_loss
-    # alone, a sequence without a loss runs no head and has zero step losses
+    # alone, a sequence without a loss is a stack of one that runs no head
     sizes.clear()
     clean = [x for x in batch if (x.length, x.prompt_len) == (13, 9)][2]
-    total, per_step = training.kd_sequence_loss(clean, params, head, training.TrainConfig(),
-                                                np.random.default_rng(0))
-    assert total is None and per_step == [0.0] * head.config.unroll and sizes == []
+    total, per_seq = training.kd_sequence_loss(clean, params, head, training.TrainConfig(),
+                                               np.random.default_rng(0))
+    assert total is None and per_seq == [None] and sizes == []
 
 
 @pytest.mark.parametrize("objective", ["residual", "direct"])
