@@ -5,15 +5,17 @@ Both trainers share one step and one loop (`_train_step`, `_fit`). A step
 runs its batch as a few graphs, not one per sequence: sequences that share
 length and prompt_len share one attention mask, so they go through one
 (B, L, d) forward together, in chunks of at most `_CHUNK`, each graph freed
-after its backward. Pretraining's chunk is a stack of corrupted sequences.
-Distillation's is a stack of clean sequences: one no-grad teacher forward
-per unroll state over the stack, and one taped head graph over those that
-have a loss, with one KL node per unroll step over all their still-masked
-rows. The unroll states of a stack differ only in the response, so the
-teacher computes the prompt's rows once per stack and reuses their keys
-and values (`backbone.PrefixKV`). Gradients and losses match a
-per-sequence loop to rounding (~1e-15). A step where no sequence has a
-loss logs a loss of 0.0 and makes no update.
+after its backward. Both trainers corrupt the whole batch first and stack
+only the sequences that have a loss. Pretraining's chunk is a stack of
+corrupted sequences. Distillation's is a stack of clean sequences with
+their corruptions, each of which keeps a masked position after the first
+reveal: one no-grad teacher forward per unroll state over the stack, and
+one taped head graph over the same stack, with one KL node per unroll
+step over all its still-masked rows. The unroll states of a stack differ
+only in the response, so the teacher computes the prompt's rows once per
+stack and reuses their keys and values (`backbone.PrefixKV`). Gradients
+and losses match a per-sequence loop to rounding (~1e-15). A step where
+no sequence has a loss logs a loss of 0.0 and makes no update.
 
 The distillation teacher is always the frozen backbone run without
 gradients; only the correction head's parameters ever receive updates.
@@ -31,9 +33,10 @@ import numpy as np
 
 from . import backbone as bb
 from . import mrp as mrp_mod
-from .corpus import Example
+from .corpus import MASK_ID, PAD_ID, Example
 from .diffusion import SequenceState, corrupt, state_from_example
-from .errors import DivergenceError, InvalidConfigError, InvalidShapeError
+from .errors import (ContractViolationError, DivergenceError, InvalidConfigError,
+                     InvalidShapeError)
 from .numerics import tensor as T
 from .numerics.optim import OptimizerState, adamw_step, cosine_lr
 from .numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -112,13 +115,28 @@ def _stack(states: list[SequenceState]) -> SequenceState:
                          prompt_len=first.prompt_len, block_size=first.block_size)
 
 
+def _shape_key(x: SequenceState) -> tuple[int, int]:
+    """(length, prompt_len): sequences that agree on both can be stacked."""
+    return x.length, x.prompt_len
+
+
+def _groups(items: list, key) -> dict:
+    """`items` grouped by `key(item)`, groups and items in first-seen order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
+
+
 # Sequences per taped graph, in both trainers. Every intermediate of a graph
 # is live until its backward. Pretraining: a graph of 4 takes ~0.7x the time
 # of 4 single-sequence graphs and raises peak memory by ~7%; 8 or 16 are a
 # little faster but raise it by ~20%. Distillation: the head's graph over a
 # stack sets the train benchmark's peak RSS; with a layer tape of 11 arrays
-# (see `backbone.transformer_layer`) stacks of 4 peak at ~55.9 MB, and stacks
-# of 6 and 8 peak at 59.2 and 61.3 MB and were no faster.
+# (see `backbone.transformer_layer`) and only sequences with a loss in a
+# stack, stacks of 4 peak at ~56.3 MB, and stacks of 6 and 8 at ~59.2 and
+# ~61.7 MB (2-vCPU x86 host). Stacks of 8 cut the train op_cost_p90 by a
+# further ~13%, at ~10% more peak memory.
 _CHUNK = 4
 
 
@@ -126,28 +144,23 @@ def _train_step(named: list, opt: OptimizerState, items: list, key, chunk_loss,
                 batch_size: int) -> tuple[float, list]:
     """One optimizer step over a batch, shared by both trainers.
 
-    Groups `items` by `key(item)` in first-seen order and calls
-    `chunk_loss` on runs of at most `_CHUNK` items of a group. It returns
-    (total, per_seq): the chunk's loss Tensor, or None when nothing in it
-    has a loss, and one entry per item, None for an item with no loss.
-    Each total's gradient is added over `batch_size`, and its graph is
-    freed before the next chunk builds its own. Returns the mean loss over
-    the items with a loss and their entries. A non-finite mean raises
-    DivergenceError; a step where no item has a loss makes no update and
-    only advances the step count.
+    `items` are the batch's sequences that have a loss. Groups them by
+    `key(item)` in first-seen order and calls `chunk_loss` on runs of at
+    most `_CHUNK` items of a group. It returns (total, per_seq): the
+    chunk's loss Tensor and one entry per item. Each total's gradient is
+    added over `batch_size`, and its graph is freed before the next chunk
+    builds its own. Returns the mean loss over the items and their
+    entries. A non-finite mean raises DivergenceError; a step with no
+    items makes no update and only advances the step count.
     """
     zero_grads([t for _, t in named])
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
     loss_sum, used = 0.0, []
-    for group in groups.values():
+    for group in _groups(items, key).values():
         for lo in range(0, len(group), _CHUNK):
             total, per_seq = chunk_loss(group[lo:lo + _CHUNK])
-            used += [entry for entry in per_seq if entry is not None]
-            if total is not None:
-                backward(T.scale(total, 1.0 / batch_size))
-                loss_sum += total.item()
+            used += per_seq
+            backward(T.scale(total, 1.0 / batch_size))
+            loss_sum += total.item()
             del total  # frees the chunk's graph before the next one is built
     if not used:
         opt.step_count += 1
@@ -251,8 +264,8 @@ def train_backbone(
             xt = corrupt(x0, rng)
             if xt.masked.any():
                 pairs.append((x0, xt))
-        loss, _ = _train_step(named, opt, pairs, lambda pair: (pair[1].length, pair[1].prompt_len),
-                              chunk_loss, len(batch))
+        loss, _ = _train_step(named, opt, pairs, lambda pair: _shape_key(pair[1]), chunk_loss,
+                              len(batch))
         return loss, ()
 
     _fit(examples, cfg, params, rng, step, log_rows)
@@ -281,72 +294,106 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 # ---------------------------------------------------------------------------
 
 
+def _rows(x: SequenceState) -> list[SequenceState]:
+    """The sequences of an (L,) or (B, L) state, as views of its rows."""
+    L = x.ids.shape[-1]
+    return [SequenceState(ids=ids, masked=masked, prompt_len=x.prompt_len,
+                          block_size=x.block_size)
+            for ids, masked in zip(x.ids.reshape(-1, L), x.masked.reshape(-1, L))]
+
+
+def _check_corruption(x0: SequenceState, xt: SequenceState) -> None:
+    """Raise unless xt could come from `corrupt(x0)`: InvalidShapeError for
+    another shape, ContractViolationError when x0 is not clean, when xt has
+    another prompt_len or block_size, when an unmasked position's id
+    differs from x0 or a masked one's is not MASK_ID, or when a prompt or
+    PAD position is masked."""
+    if xt.ids.shape != x0.ids.shape or xt.masked.shape != x0.ids.shape:
+        raise InvalidShapeError(
+            f"corrupted state of shape {xt.ids.shape} for clean sequences of shape "
+            f"{x0.ids.shape}"
+        )
+    if x0.masked.any():
+        raise ContractViolationError("kd_sequence_loss expects clean sequences")
+    if (xt.prompt_len, xt.block_size) != (x0.prompt_len, x0.block_size):
+        raise ContractViolationError("corrupted state has another prompt_len or block_size")
+    if not np.array_equal(xt.ids, np.where(xt.masked, MASK_ID, x0.ids)):
+        raise ContractViolationError("corrupted state changes an unmasked token")
+    if xt.masked[..., :x0.prompt_len].any() or (xt.masked & (x0.ids == PAD_ID)).any():
+        raise ContractViolationError("corrupted state masks a prompt or PAD position")
+
+
 def kd_sequence_loss(
     x0: SequenceState,
     bb_params: bb.BackboneParams,
     g_params: mrp_mod.MrpParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
+    xt: SequenceState | None = None,
 ) -> tuple[Tensor | None, list]:
     """Unrolled distillation loss for a (B, L) stack of clean sequences
     that share length and prompt_len; a single sequence is a stack of one.
 
-    Each sequence in stack order is corrupted to x_t and then revealed
-    `unroll` times (ground-truth tokens per block), so a stack draws from
-    `rng` what a loop over its sequences would. The frozen backbone then
-    runs once, without gradients, over the stack at each of those states:
-    x_t gives the hidden states and base logits, each revealed state the
-    teacher logits of one step; the first of those forwards fills a
-    prefix cache of the prompt's rows, which the later ones reuse. For each
-    step the head runs on the revealed sequences and accumulated hiddens,
-    and the loss is the KL from the teacher to the corrected (residual) or
+    `xt`, when given, is the stack's corruption and `rng` is not drawn
+    from; when it is None, each sequence in stack order is corrupted with
+    draws from `rng`, as a loop over its sequences would draw them. Each
+    corrupted sequence is then revealed `unroll`
+    times (ground-truth tokens per block). A sequence with nothing masked
+    after the first reveal has no loss at any step and takes no part in
+    what follows; a stack where no sequence has a loss returns before any
+    forward. Over the others the frozen backbone runs once, without
+    gradients, at each of those states: x_t gives the hidden states and
+    base logits, each revealed state the teacher logits of one step; the
+    first of those forwards fills a prefix cache of the prompt's rows,
+    which the later ones reuse. For each step the head runs on the same
+    stack with the revealed sequences and accumulated hiddens, and the
+    loss is the KL from the teacher to the corrected (residual) or
     standalone (direct) student distribution over each sequence's
-    still-masked positions, a mean per sequence. A sequence with nothing
-    masked after the first reveal has no loss at any step and takes no part
-    in the head's graph.
+    still-masked positions, a mean per sequence.
 
     Returns the total over the stack's sequences and one per-step list per
     sequence, None for a sequence with no loss. The total weighs
     each step's KL by its step weight; the per-step losses are the
     unweighted KLs, also for a step of weight 0. The total is None when no
-    sequence has a loss.
+    sequence has a loss. An `xt` of another shape than `x0` raises
+    InvalidShapeError, one that is not a corruption of `x0`
+    ContractViolationError.
     """
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
     weights = _weights(cfg, k_steps)
     L = x0.ids.shape[-1]
+    clean = _rows(x0)
+    if xt is None:
+        corrupted = [corrupt(x, rng) for x in clean]
+    else:
+        _check_corruption(x0, xt)
+        corrupted = _rows(xt)
 
     # paths[b][j]: sequence b corrupted (j = 0) and after j reveals
     paths = []
-    for ids, masked in zip(x0.ids.reshape(-1, L), x0.masked.reshape(-1, L)):
-        x = SequenceState(ids=ids, masked=masked, prompt_len=x0.prompt_len,
-                          block_size=x0.block_size)
-        path = [corrupt(x, rng)]
+    for x, x_t in zip(clean, corrupted):
+        path = [x_t]
         for _ in range(k_steps):
             path.append(reveal_ground_truth(path[-1], x, g_cfg.reveal_k))
         paths.append(path)
-    # the states differ only in the response, so the first forward caches
-    # the prompt's rows and the later ones compute only the response's
-    prefix = bb.PrefixKV(x0.prompt_len)
-    with no_grad():
-        outs = [bb.forward(_stack([path[j] for path in paths]), bb_params, prefix=prefix)
-                for j in range(k_steps + 1)]
+    # the teacher's and the head's stack: the sequences that have a loss
     active = [b for b, path in enumerate(paths) if path[1].masked.any()]
     per_seq = [None] * len(paths)
     if not active:
         return None, per_seq
-
-    # the head's stack: the sequences that have a loss
-    h_t, l_t = outs[0]
-    h_acc = T.tensor(h_t.data[active])
-    corrected = T.tensor(l_t.data[active])
-    vocab = l_t.shape[-1]
-    # row r of the head's flattened stack is row r + shift[r // L] of the
-    # teacher's
-    shift = (np.asarray(active) - np.arange(len(active))) * L
-    total = None
     for b in active:
         per_seq[b] = []
+    # the states differ only in the response, so the first forward caches
+    # the prompt's rows and the later ones compute only the response's
+    prefix = bb.PrefixKV(x0.prompt_len)
+    with no_grad():
+        outs = [bb.forward(_stack([paths[b][j] for b in active]), bb_params, prefix=prefix)
+                for j in range(k_steps + 1)]
+
+    h_acc, corrected = outs[0]
+    vocab = corrected.shape[-1]
+    total = None
     for j in range(k_steps):
         x_cur = _stack([paths[b][j + 1] for b in active])
         delta_h, delta_l = mrp_mod.mrp_forward(x_cur, h_acc, g_params, bb_params)
@@ -363,7 +410,7 @@ def kd_sequence_loss(
         seq = rows // L
         kl_seq = np.zeros(len(active))
         if len(rows):
-            teacher_logits = outs[j + 1][1].data.reshape(-1, vocab)[rows + shift[seq]]
+            teacher_logits = outs[j + 1][1].data.reshape(-1, vocab)[rows]
             teacher = T.softmax_rows(T.tensor(teacher_logits / cfg.t_kd))
             flat = T.reshape(student_logits, (-1, vocab))
             student = T.softmax_rows(T.scale(T.select_rows(flat, rows), 1.0 / cfg.t_kd))
@@ -389,17 +436,28 @@ def mrp_train_step(
     returns (mean loss, mean per-unroll-step losses) over the sequences
     that have a loss.
 
-    The batch is grouped by (length, prompt_len), and each group runs in
-    stacks of at most `_CHUNK` sequences, one `kd_sequence_loss` and one
-    backward per stack; the corruption draws follow that order. Gradients
-    flow only into the head: backbone forwards run without the tape, and
-    the hidden state enters the head's graph as a constant leaf.
+    The batch is grouped by (length, prompt_len) in first-seen order and
+    every sequence is corrupted in that order. The sequences that keep a
+    masked position after the first ground-truth reveal, the only ones
+    with a loss, then run per group in stacks of at most `_CHUNK`, one
+    `kd_sequence_loss` and one backward per stack. Gradients flow only
+    into the head: backbone forwards run without the tape, and the hidden
+    state enters the head's graph as a constant leaf.
     """
-    def chunk_loss(chunk):
-        return kd_sequence_loss(_stack(chunk), bb_params, g_params, cfg, rng)
+    reveal_k = g_params.config.reveal_k
+    pairs = []
+    for group in _groups(batch, _shape_key).values():
+        for x0 in group:
+            xt = corrupt(x0, rng)
+            if reveal_ground_truth(xt, x0, reveal_k).masked.any():
+                pairs.append((x0, xt))
 
-    loss, per_seq = _train_step(g_params.named_tensors(), opt, batch,
-                                lambda x0: (x0.length, x0.prompt_len), chunk_loss, len(batch))
+    def chunk_loss(chunk):
+        return kd_sequence_loss(_stack([x0 for x0, _ in chunk]), bb_params, g_params, cfg, rng,
+                                xt=_stack([xt for _, xt in chunk]))
+
+    loss, per_seq = _train_step(g_params.named_tensors(), opt, pairs,
+                                lambda pair: _shape_key(pair[1]), chunk_loss, len(batch))
     return loss, sum(per_seq, np.zeros(g_params.config.unroll)) / max(len(per_seq), 1)
 
 

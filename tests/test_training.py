@@ -9,9 +9,10 @@ import pytest
 from mrpdiff import backbone as bb
 from mrpdiff import mrp as mrp_mod
 from mrpdiff import training
-from mrpdiff.corpus import MASK_ID, gen_arithmetic, make_example
+from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID, gen_arithmetic, make_example
 from mrpdiff.diffusion import corrupt, state_from_example
-from mrpdiff.errors import DivergenceError, InvalidConfigError, InvalidShapeError
+from mrpdiff.errors import (ContractViolationError, DivergenceError, InvalidConfigError,
+                            InvalidShapeError)
 from mrpdiff.mrp import MrpConfig, init_mrp
 from mrpdiff.numerics import tensor as T
 
@@ -96,8 +97,15 @@ def test_residual_and_direct_objectives_consume_the_same_random_stream(monkeypat
         training.train_mrp(examples, params, cfg, MrpConfig(depth=1, objective=objective))
         seen[objective] = states
     residual, direct = seen["residual"], seen["direct"]
-    # 3 steps x 3 sequences: one corruption and 2 unroll reveals each
-    assert [name for name, _, _ in residual] == ["corrupt", *["reveal_ground_truth"] * 2] * 9
+    # per step of 3 sequences: each is corrupted and revealed once, which
+    # tells whether it has a loss; then each one with a loss is revealed at
+    # the 2 unroll steps
+    want = []
+    for _ in range(3):
+        checks = residual[len(want) + 1:len(want) + 6:2]
+        with_loss = sum(bool(masked.any()) for _, _, masked in checks)
+        want += ["corrupt", "reveal_ground_truth"] * 3 + ["reveal_ground_truth"] * 2 * with_loss
+    assert [name for name, _, _ in residual] == want and len(want) > 3 * 6
     assert len(residual) == len(direct)
     for (name, ids, masked), (name2, ids2, masked2) in zip(residual, direct):
         assert name == name2 and np.array_equal(ids, ids2) and np.array_equal(masked, masked2)
@@ -278,8 +286,8 @@ def test_a_non_finite_loss_raises_divergence_error(monkeypatch, trainer):
     else:
         kd = training.kd_sequence_loss
 
-        def poisoned(*args):
-            total, per_seq = kd(*args)
+        def poisoned(*args, **kwargs):
+            total, per_seq = kd(*args, **kwargs)
             return None if total is None else T.scale(total, nan), per_seq
 
         monkeypatch.setattr(training, "kd_sequence_loss", poisoned)
@@ -393,11 +401,23 @@ def _distill_setup(monkeypatch, objective="residual"):
     table[bucket[0].ids.tobytes()] = single
     table[bucket[2].ids.tobytes()] = bucket[2].clone()
     monkeypatch.setattr(training, "corrupt", lambda x0, rng: table[x0.ids.tobytes()].clone())
-    with_loss = sum(training.reveal_ground_truth(table[x0.ids.tobytes()], x0, 1).masked.any()
-                    for x0 in batch)
+    with_loss = len(_with_loss(batch))
     assert len({(x0.length, x0.prompt_len) for x0 in batch}) >= 2
     assert with_loss <= len(batch) - 2
     return params, head, batch, with_loss
+
+
+def _with_loss(batch):
+    """The clean states of `batch` whose fixed corruption keeps a masked
+    position after the first reveal: the ones with a loss."""
+    return [x0 for x0 in batch
+            if training.reveal_ground_truth(training.corrupt(x0, None), x0, 1).masked.any()]
+
+
+def _group_order(batch):
+    """`batch` grouped by (length, prompt_len), groups in first-seen order."""
+    keys = list(dict.fromkeys((x0.length, x0.prompt_len) for x0 in batch))
+    return [[x0 for x0 in batch if (x0.length, x0.prompt_len) == key] for key in keys]
 
 
 def _distill_step(params, head, batch):
@@ -460,9 +480,9 @@ def test_every_stack_runs_unroll_plus_one_teacher_forwards(monkeypatch):
     calls = []
     kd_loss, forward = training.kd_sequence_loss, bb.forward
 
-    def kd_counted(*args):
+    def kd_counted(*args, **kwargs):
         calls.append(0)
-        return kd_loss(*args)
+        return kd_loss(*args, **kwargs)
 
     def forward_counted(*args, **kwargs):
         calls[-1] += 1
@@ -471,9 +491,101 @@ def test_every_stack_runs_unroll_plus_one_teacher_forwards(monkeypatch):
     monkeypatch.setattr(training, "kd_sequence_loss", kd_counted)
     monkeypatch.setattr(bb, "forward", forward_counted)
     _distill_step(params, head, batch)
-    # five buckets of 2-7 sequences, in stacks of at most four
-    assert len(calls) == 7
+    # each bucket's sequences with a loss, in stacks of at most four
+    stacks = [-(-len(group) // 4) for group in _group_order(_with_loss(batch))]
+    assert len(calls) == sum(stacks) == 7
     assert calls == [head.config.unroll + 1] * len(calls)
+
+
+def test_distillation_step_corrupts_the_batch_in_group_order(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
+    seen = []
+    _record(monkeypatch, training, "corrupt", seen)
+    _distill_step(params, head, batch)
+    # every sequence once, grouped by (length, prompt_len) in first-seen
+    # order: the order in which stacks of all sequences drew them
+    want = [x0.ids.tobytes() for group in _group_order(batch) for x0 in group]
+    assert [x0.ids.tobytes() for (x0, _), _ in seen] == want
+    assert want != [x0.ids.tobytes() for x0 in batch]
+
+
+def test_no_distillation_stack_holds_a_sequence_without_a_loss(monkeypatch):
+    params, head, batch, with_loss = _distill_setup(monkeypatch)
+    seen = []
+    _record(monkeypatch, training, "kd_sequence_loss", seen)
+    _distill_step(params, head, batch)
+    per_seq = [entry for _, (_, entries) in seen for entry in entries]
+    assert len(per_seq) == with_loss and None not in per_seq
+
+
+def test_the_teacher_runs_once_per_state_of_a_sequence_with_a_loss(monkeypatch):
+    params, head, batch, with_loss = _distill_setup(monkeypatch)
+    rows = []
+    forward = bb.forward
+
+    def counted(x, *args, **kwargs):
+        rows.append(x.ids.shape[0])
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(bb, "forward", counted)
+    _distill_step(params, head, batch)
+    states = head.config.unroll + 1
+    assert sum(rows) == states * with_loss < states * len(batch)
+
+
+def test_a_lone_sequence_without_a_loss_runs_no_teacher_forward(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
+    calls = []
+    monkeypatch.setattr(bb, "forward", lambda *args, **kwargs: calls.append(args))
+    clean = [x for x in batch if (x.length, x.prompt_len) == (13, 9)][2]
+    total, per_seq = training.kd_sequence_loss(clean, params, head, training.TrainConfig(),
+                                               np.random.default_rng(0))
+    assert total is None and per_seq == [None] and calls == []
+
+
+def _corruption_case(case):
+    """A stack of two clean sequences whose responses end in PAD, and its
+    corruption with one defect."""
+    x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+                          for a, b in [(999, 99), (987, 65)]])
+    rng = np.random.default_rng(0)
+    xt = training._stack([corrupt(x, rng, rate=0.5) for x in training._rows(x0)])
+    if case == "shape":
+        xt = training._rows(xt)[0]
+    elif case == "changed token":
+        pos = np.flatnonzero(~xt.masked[0])[-1]
+        xt.ids[0, pos] = PAD_ID if xt.ids[0, pos] != PAD_ID else EOS_ID
+    elif case == "flag without MASK_ID":
+        xt.masked[0, np.flatnonzero(~xt.masked[0])[-1]] = True
+    elif case == "other prompt_len":
+        xt.prompt_len -= 1
+    elif case == "x0 not clean":
+        for x in (x0, xt):
+            x.ids[0, x.prompt_len], x.masked[0, x.prompt_len] = MASK_ID, True
+    elif case == "masked prompt":
+        xt.ids[0, xt.prompt_len - 1], xt.masked[0, xt.prompt_len - 1] = MASK_ID, True
+    elif case == "masked pad":
+        pos = np.flatnonzero(x0.ids[0] == PAD_ID)[0]
+        xt.ids[0, pos], xt.masked[0, pos] = MASK_ID, True
+    return x0, xt
+
+
+@pytest.mark.parametrize("case, error", [
+    ("shape", InvalidShapeError), ("changed token", ContractViolationError),
+    ("flag without MASK_ID", ContractViolationError), ("other prompt_len", ContractViolationError),
+    ("x0 not clean", ContractViolationError), ("masked prompt", ContractViolationError),
+    ("masked pad", ContractViolationError),
+])
+def test_kd_sequence_loss_rejects_a_state_that_is_not_a_corruption(monkeypatch, case, error):
+    params, head, _, _ = _distill_setup(monkeypatch)
+    x0, xt = _corruption_case(case)
+    with pytest.raises(error):
+        training.kd_sequence_loss(x0, params, head, training.TrainConfig(),
+                                  np.random.default_rng(0), xt=xt)
+    # the same stack without its defect is accepted
+    x0, xt = _corruption_case(None)
+    training.kd_sequence_loss(x0, params, head, training.TrainConfig(), np.random.default_rng(0),
+                              xt=xt)
 
 
 def test_a_sequence_with_no_loss_runs_no_head_forward(monkeypatch):
