@@ -66,6 +66,8 @@ def make_example(a: int, b: int, op: str, block_size: int) -> Example:
 
 
 def _example(question: str, answer: str, block_size: int) -> Example:
+    if block_size < 1:
+        raise InvalidConfigError(f"block_size must be >= 1, got {block_size}")
     resp = tokenize(answer) + [EOS_ID]
     if len(resp) % block_size:
         resp = resp + [PAD_ID] * (block_size - len(resp) % block_size)

@@ -1,9 +1,10 @@
 """Masking process and unmasking policies.
 
-Holds the chain state (token ids + mask flags on a block grid), the
-training-time corruption, confidence computation over masked positions,
-static top-r / dynamic threshold selection, the baseline one-forward-per-
-step denoising loop, and trace recording.
+Holds the chain state (token ids on a block grid; a position is masked
+exactly when its id is MASK_ID), the training-time corruption, confidence
+computation over masked positions, static top-r / dynamic threshold
+selection, the baseline one-forward-per-step denoising loop, and trace
+recording. Decoding never commits MASK_ID, so every block ends clean.
 
 Threshold comparisons are on max softmax probability. Tie-breaks are fixed
 everywhere (lowest position index, lowest token id) so decoding is fully
@@ -26,15 +27,23 @@ from .numerics.tensor import Tensor, _softmax_data, no_grad
 
 @dataclass
 class SequenceState:
-    ids: np.ndarray        # int64, length L
-    masked: np.ndarray     # bool, length L; masked[i] <=> ids[i] == MASK
+    """A sequence on the block grid, or a (B, L) stack of them. The state is
+    its ids: a position is masked exactly when it holds MASK_ID, so every
+    change of state is a write into `ids`."""
+
+    ids: np.ndarray  # int64, (L,) or (B, L)
     prompt_len: int
     block_size: int
-    finished: bool = False  # EOS committed; later blocks get PAD backfill
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.masked = np.asarray(self.masked, dtype=bool)
+
+    @property
+    def masked(self) -> np.ndarray:
+        """`ids == MASK_ID`, read-only: a write into it raises ValueError."""
+        flags = self.ids == MASK_ID
+        flags.flags.writeable = False
+        return flags
 
     @property
     def length(self) -> int:
@@ -56,11 +65,9 @@ class SequenceState:
         start = self.prompt_len + block * self.block_size
         return start, start + self.block_size
 
-    def window_end(self, block: int | None = None) -> int:
+    def window_end(self, block: int) -> int:
         """End of the computation window: everything up to and including
-        the given (default: current) block."""
-        if block is None:
-            block = min(self.current_block, self.n_blocks - 1)
+        the given block."""
         return self.prompt_len + (block + 1) * self.block_size
 
     def masked_in_block(self, block: int) -> np.ndarray:
@@ -71,19 +78,12 @@ class SequenceState:
         return int(self.masked.sum())
 
     def clone(self) -> "SequenceState":
-        return SequenceState(
-            ids=self.ids.copy(),
-            masked=self.masked.copy(),
-            prompt_len=self.prompt_len,
-            block_size=self.block_size,
-            finished=self.finished,
-        )
+        return SequenceState(ids=self.ids.copy(), prompt_len=self.prompt_len,
+                             block_size=self.block_size)
 
     def validate(self) -> None:
         if (self.length - self.prompt_len) % self.block_size:
             raise InvalidConfigError("response region is not a whole number of blocks")
-        if not np.array_equal(self.masked, self.ids == MASK_ID):
-            raise ContractViolationError("mask flags inconsistent with MASK ids")
         if self.masked[: self.prompt_len].any():
             raise ContractViolationError("prompt positions must never be masked")
 
@@ -98,11 +98,7 @@ def state_from_example(ex, block_size: int, all_masked: bool = True) -> Sequence
             f"block_size {block_size} does not divide the response length {len(resp)}"
         )
     ids = np.concatenate([prompt, np.full_like(resp, MASK_ID) if all_masked else resp])
-    masked = np.zeros(len(ids), dtype=bool)
-    if all_masked:
-        masked[len(prompt):] = True
-    return SequenceState(ids=ids, masked=masked, prompt_len=len(prompt),
-                         block_size=block_size)
+    return SequenceState(ids=ids, prompt_len=len(prompt), block_size=block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +120,7 @@ def corrupt(x0: SequenceState, rng: np.random.Generator, rate: float | None = No
     eligible = np.zeros(out.length, dtype=bool)
     eligible[out.prompt_len:] = out.ids[out.prompt_len:] != PAD_ID
     draw = rng.random(out.length) < u
-    hit = eligible & draw
-    out.ids[hit] = MASK_ID
-    out.masked[hit] = True
+    out.ids[eligible & draw] = MASK_ID
     return out
 
 
@@ -151,7 +145,8 @@ def _logits_data(logits) -> np.ndarray:
 
 def confidence_of(logits, x: SequenceState) -> Confidence:
     """Max softmax probability and argmax token for each masked position of
-    the current block. Empty when the block is clean."""
+    the current block. Empty when the block is clean. MASK_ID is never the
+    token: its column is set below every probability first."""
     data = _logits_data(logits)
     masked = np.flatnonzero(x.masked)
     # a plain list: cheaper than numpy scalars and searchsorted at a few positions
@@ -164,6 +159,8 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
     if len(data) <= positions[-1]:
         raise ContractViolationError("logits rows do not cover the current block")
     p = _softmax_data(data[positions])
+    # -1, not 0: MASK must also lose to a row whose other entries underflow to 0
+    p[:, MASK_ID] = -1.0
     # a row's largest probability is the one at its argmax
     return Confidence(positions=positions, probs=np.maximum.reduce(p, axis=-1),
                       tokens=p.argmax(axis=-1))
@@ -223,8 +220,8 @@ def _check_positions(x: SequenceState, positions: np.ndarray, op: str) -> None:
 
 
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
-    """Set ids and clear mask flags at `positions` (distinct response
-    positions, all currently masked), one token per position."""
+    """Set ids at `positions` (distinct response positions, all currently
+    masked), one token per position; no token may be MASK_ID."""
     positions = np.asarray(positions, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.shape != positions.shape:
@@ -234,15 +231,17 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     if positions.size == 0:
         return x
     _check_positions(x, positions, "reveal")
-    if not x.masked[positions].all():
+    if (x.ids[positions] != MASK_ID).any():
         raise ContractViolationError("reveal of a position that is not masked")
+    if MASK_ID in tokens.tolist():
+        raise ContractViolationError("reveal of the MASK token")
     x.ids[positions] = tokens
-    x.masked[positions] = False
     return x
 
 
 def remask(x: SequenceState, positions) -> SequenceState:
-    """Mask `positions` again (distinct response positions, none masked)."""
+    """Mask `positions` again (distinct response positions, none masked) by
+    writing MASK_ID there."""
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size == 0:
         return x
@@ -250,22 +249,17 @@ def remask(x: SequenceState, positions) -> SequenceState:
     if x.masked[positions].any():
         raise ContractViolationError("remask of a position that is already masked")
     x.ids[positions] = MASK_ID
-    x.masked[positions] = True
     return x
 
 
 def finalize_block(x: SequenceState) -> int:
-    """After a block completes: if an EOS is committed in the response, mark
-    the sequence finished and backfill all remaining masked positions with
-    PAD (no further forwards). Returns the number of backfilled positions."""
-    resp = x.ids[x.prompt_len:]
-    resp_masked = x.masked[x.prompt_len:]
-    if not np.any((resp == EOS_ID) & ~resp_masked):
+    """After a block completes: if an EOS is committed in the response,
+    write PAD into every masked position, so the sequence is clean and
+    needs no further forwards. Returns the number of backfilled positions."""
+    if EOS_ID not in x.ids[x.prompt_len:]:
         return 0
-    x.finished = True
     rest = np.flatnonzero(x.masked)
     x.ids[rest] = PAD_ID
-    x.masked[rest] = False
     return len(rest)
 
 
@@ -288,14 +282,14 @@ class StepRecord:
 
     kind "backbone": h/logits are the model outputs over the window
     (verify=True when this forward verified drafts). kind "mrp": h/logits
-    hold the correction head's hidden and logit residuals.
+    hold the correction head's hidden and logit residuals. `ids` is the
+    state the forward ran on; its MASK_ID positions are the masked ones.
     """
 
     kind: str
     block: int
     window: int
     ids: np.ndarray
-    masked: np.ndarray
     h: np.ndarray
     logits: np.ndarray
     revealed_positions: np.ndarray
@@ -326,7 +320,6 @@ def save_trace(path: str, trace: DecodeTrace) -> None:
                 float(r.block), float(r.window), 1.0 if r.verify else 0.0,
             ])),
             (f"{p}.ids", r.ids.astype(np.float64)),
-            (f"{p}.masked", r.masked.astype(np.float64)),
             (f"{p}.h", r.h),
             (f"{p}.logits", r.logits),
             (f"{p}.revealed_positions", r.revealed_positions.astype(np.float64)),
@@ -339,31 +332,38 @@ def save_trace(path: str, trace: DecodeTrace) -> None:
 
 
 def load_trace(path: str) -> DecodeTrace:
+    """Read a trace written by `save_trace`. A file that is not a trace, or
+    that lacks a step record, raises InvalidConfigError."""
     blob = checkpoint.load_tensors(path)
-    n, block_size, prompt_len = (int(v) for v in blob["trace.meta"])
+
+    def get(name: str) -> np.ndarray:
+        if name not in blob:
+            raise InvalidConfigError(f"{path}: not a decode trace, no tensor {name!r}")
+        return blob[name]
+
+    n, block_size, prompt_len = (int(v) for v in get("trace.meta"))
     trace = DecodeTrace(block_size=block_size, prompt_len=prompt_len)
     for i in range(n):
         p = f"step.{i:05d}"
-        kind_code, block, window, verify = blob[f"{p}.meta"]
+        kind_code, block, window, verify = get(f"{p}.meta")
         drafts = [
             DraftRecord(int(row[0]), int(row[1]), int(row[2]), float(row[3]))
-            for row in blob[f"{p}.drafts"].reshape(-1, 4)
+            for row in get(f"{p}.drafts").reshape(-1, 4)
         ]
         trace.records.append(
             StepRecord(
                 kind="backbone" if kind_code == 0.0 else "mrp",
                 block=int(block),
                 window=int(window),
-                ids=blob[f"{p}.ids"].astype(np.int64),
-                masked=blob[f"{p}.masked"].astype(bool),
-                h=blob[f"{p}.h"],
-                logits=blob[f"{p}.logits"],
-                revealed_positions=blob[f"{p}.revealed_positions"].astype(np.int64),
-                revealed_tokens=blob[f"{p}.revealed_tokens"].astype(np.int64),
+                ids=get(f"{p}.ids").astype(np.int64),
+                h=get(f"{p}.h"),
+                logits=get(f"{p}.logits"),
+                revealed_positions=get(f"{p}.revealed_positions").astype(np.int64),
+                revealed_tokens=get(f"{p}.revealed_tokens").astype(np.int64),
                 verify=bool(verify),
                 drafts=drafts,
-                accepted=[int(v) for v in blob[f"{p}.accepted"]],
-                rejected=[int(v) for v in blob[f"{p}.rejected"]],
+                accepted=[int(v) for v in get(f"{p}.accepted")],
+                rejected=[int(v) for v in get(f"{p}.rejected")],
             )
         )
     return trace
@@ -392,7 +392,8 @@ def denoise_block_baseline(
         raise ContractViolationError("baseline denoise expects a fully masked block")
     window = x.window_end(block)
     prefix = bb.PrefixKV(lo)
-    while x.masked[lo:hi].any():
+    # a plain list: cheaper than the `masked` array at each step
+    while MASK_ID in x.ids[lo:hi].tolist():
         with no_grad():
             h, logits = bb.forward(x, params, window=window, prefix=prefix)
         conf = confidence_of(logits, x)
@@ -402,7 +403,7 @@ def denoise_block_baseline(
             trace.records.append(
                 StepRecord(
                     kind="backbone", block=block, window=window,
-                    ids=x.ids.copy(), masked=x.masked.copy(),
+                    ids=x.ids.copy(),
                     h=h.data, logits=logits.data,
                     revealed_positions=positions.copy(),
                     revealed_tokens=np.asarray(tokens, dtype=np.int64),

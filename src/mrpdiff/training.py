@@ -107,11 +107,10 @@ def _batches(n: int, cfg: TrainConfig, rng: np.random.Generator, steps: int):
 
 
 def _stack(states: list[SequenceState]) -> SequenceState:
-    """One state whose ids and mask flags are (B, L): sequences of one
-    length and prompt_len, which share one attention mask."""
+    """One state whose ids are (B, L): sequences of one length and
+    prompt_len, which share one attention mask."""
     first = states[0]
     return SequenceState(ids=np.stack([x.ids for x in states]),
-                         masked=np.stack([x.masked for x in states]),
                          prompt_len=first.prompt_len, block_size=first.block_size)
 
 
@@ -140,22 +139,23 @@ def _groups(items: list, key) -> dict:
 _CHUNK = 4
 
 
-def _train_step(named: list, opt: OptimizerState, items: list, key, chunk_loss,
+def _train_step(named: list, opt: OptimizerState, pairs: list, chunk_loss,
                 batch_size: int) -> tuple[float, list]:
     """One optimizer step over a batch, shared by both trainers.
 
-    `items` are the batch's sequences that have a loss. Groups them by
-    `key(item)` in first-seen order and calls `chunk_loss` on runs of at
-    most `_CHUNK` items of a group. It returns (total, per_seq): the
-    chunk's loss Tensor and one entry per item. Each total's gradient is
-    added over `batch_size`, and its graph is freed before the next chunk
-    builds its own. Returns the mean loss over the items and their
-    entries. A non-finite mean raises DivergenceError; a step with no
-    items makes no update and only advances the step count.
+    `pairs` are the (clean, corrupted) sequences of the batch that have a
+    loss. Groups them by the corrupted sequence's `_shape_key` in
+    first-seen order and calls `chunk_loss` on runs of at most `_CHUNK`
+    pairs of a group. It returns (total, per_seq): the chunk's loss Tensor
+    and one entry per pair. Each total's gradient is added over
+    `batch_size`, and its graph is freed before the next chunk builds its
+    own. Returns the mean loss over the pairs and their entries. A
+    non-finite mean raises DivergenceError; a step with no pairs makes no
+    update and only advances the step count.
     """
     zero_grads([t for _, t in named])
     loss_sum, used = 0.0, []
-    for group in _groups(items, key).values():
+    for group in _groups(pairs, lambda pair: _shape_key(pair[1])).values():
         for lo in range(0, len(group), _CHUNK):
             total, per_seq = chunk_loss(group[lo:lo + _CHUNK])
             used += per_seq
@@ -264,8 +264,7 @@ def train_backbone(
             xt = corrupt(x0, rng)
             if xt.masked.any():
                 pairs.append((x0, xt))
-        loss, _ = _train_step(named, opt, pairs, lambda pair: _shape_key(pair[1]), chunk_loss,
-                              len(batch))
+        loss, _ = _train_step(named, opt, pairs, chunk_loss, len(batch))
         return loss, ()
 
     _fit(examples, cfg, params, rng, step, log_rows)
@@ -283,9 +282,7 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
     out = x.clone()
     for block in range(out.n_blocks):
         positions = out.masked_in_block(block)[:k]
-        if len(positions):
-            out.ids[positions] = x0.ids[positions]
-            out.masked[positions] = False
+        out.ids[positions] = x0.ids[positions]
     return out
 
 
@@ -297,18 +294,16 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 def _rows(x: SequenceState) -> list[SequenceState]:
     """The sequences of an (L,) or (B, L) state, as views of its rows."""
     L = x.ids.shape[-1]
-    return [SequenceState(ids=ids, masked=masked, prompt_len=x.prompt_len,
-                          block_size=x.block_size)
-            for ids, masked in zip(x.ids.reshape(-1, L), x.masked.reshape(-1, L))]
+    return [SequenceState(ids=ids, prompt_len=x.prompt_len, block_size=x.block_size)
+            for ids in x.ids.reshape(-1, L)]
 
 
 def _check_corruption(x0: SequenceState, xt: SequenceState) -> None:
     """Raise unless xt could come from `corrupt(x0)`: InvalidShapeError for
     another shape, ContractViolationError when x0 is not clean, when xt has
     another prompt_len or block_size, when an unmasked position's id
-    differs from x0 or a masked one's is not MASK_ID, or when a prompt or
-    PAD position is masked."""
-    if xt.ids.shape != x0.ids.shape or xt.masked.shape != x0.ids.shape:
+    differs from x0, or when a prompt or PAD position is masked."""
+    if xt.ids.shape != x0.ids.shape:
         raise InvalidShapeError(
             f"corrupted state of shape {xt.ids.shape} for clean sequences of shape "
             f"{x0.ids.shape}"
@@ -456,8 +451,7 @@ def mrp_train_step(
         return kd_sequence_loss(_stack([x0 for x0, _ in chunk]), bb_params, g_params, cfg, rng,
                                 xt=_stack([xt for _, xt in chunk]))
 
-    loss, per_seq = _train_step(g_params.named_tensors(), opt, pairs,
-                                lambda pair: _shape_key(pair[1]), chunk_loss, len(batch))
+    loss, per_seq = _train_step(g_params.named_tensors(), opt, pairs, chunk_loss, len(batch))
     return loss, sum(per_seq, np.zeros(g_params.config.unroll)) / max(len(per_seq), 1)
 
 

@@ -28,8 +28,7 @@ def tiny_config(**kw):
 
 def make_state(ids, prompt_len, block_size):
     ids = np.asarray(ids, dtype=np.int64)
-    return SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=prompt_len,
-                         block_size=block_size)
+    return SequenceState(ids=ids, prompt_len=prompt_len, block_size=block_size)
 
 
 def rand_state(rng, prompt_len, n_blocks, block_size, vocab=44, mask_frac=0.0):
@@ -143,7 +142,6 @@ def test_head_identity_no_bias():
     # difference of two states maps linearly through the head
     y = x.clone()
     y.ids[y.prompt_len] = 5
-    y.masked[y.prompt_len] = False
     with no_grad():
         h2, l2 = bb.forward(y, params)
     np.testing.assert_allclose(
@@ -186,7 +184,6 @@ def test_masked_block_order_invariance():
     x = rand_state(np.random.default_rng(6), 3, 2, cfg.block_size)
     lo, hi = x.block_bounds(1)
     x.ids[lo:hi] = MASK_ID
-    x.masked[lo:hi] = True
     y = x.clone()
     with no_grad():
         _, lx = bb.forward(x, params)
@@ -234,7 +231,6 @@ def test_no_grad_forward_bit_identical_to_taped_at_default_widths():
 
 def stack_states(states):
     return SequenceState(ids=np.stack([x.ids for x in states]),
-                         masked=np.stack([x.masked for x in states]),
                          prompt_len=states[0].prompt_len, block_size=states[0].block_size)
 
 
@@ -412,7 +408,6 @@ def _mask_block(x, block, share):
     lo, hi = x.block_bounds(block)
     cut = lo + int(round(share * (hi - lo)))
     x.ids[lo:cut] = MASK_ID
-    x.masked[lo:cut] = True
 
 
 @pytest.mark.parametrize("block_size", [4, 8])
@@ -432,7 +427,6 @@ def test_prefix_forward_matches_full_forward(block_size, prompt_len):
         # tokens of the block are revealed
         for share in (1.0, 0.5, 0.0):
             x.ids[lo:hi] = rng.integers(4, cfg.vocab_size, size=hi - lo)
-            x.masked[lo:hi] = False
             _mask_block(x, block, share)
             with no_grad():
                 h, logits = bb.forward(x, params, window=window, prefix=prefix)
@@ -555,7 +549,6 @@ def test_perturbation_norm_zero_and_single():
     y = x.clone()
     pos = int(np.flatnonzero(y.masked)[0])
     y.ids[pos] = 9
-    y.masked[pos] = False
     e = params.embed.data
     expect = np.linalg.norm(e[9] - e[MASK_ID])
     assert abs(bb.perturbation_norm(x, y, params) - expect) < 1e-12
@@ -568,15 +561,13 @@ def test_perturbation_norm_two_rows_frobenius():
     y = x.clone()
     p1, p2 = np.flatnonzero(y.masked)[:2]
     y.ids[p1], y.ids[p2] = 9, 12
-    y.masked[[p1, p2]] = False
     e = params.embed.data
     d1 = np.linalg.norm(e[9] - e[MASK_ID])
     d2 = np.linalg.norm(e[12] - e[MASK_ID])
     expect = np.sqrt(d1 ** 2 + d2 ** 2)
     assert abs(bb.perturbation_norm(x, y, params) - expect) < 1e-12
     with pytest.raises(InvalidShapeError):
-        z = SequenceState(ids=y.ids[:-1], masked=y.masked[:-1],
-                          prompt_len=3, block_size=4)
+        z = SequenceState(ids=y.ids[:-1], prompt_len=3, block_size=4)
         bb.perturbation_norm(x, z, params)
 
 

@@ -121,12 +121,22 @@ def test_dataset_file_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("block_size", [0, -2])
+def test_examples_reject_a_block_size_below_one(tmp_path, block_size):
+    path = tmp_path / "data.tsv"
+    corpus.write_dataset(str(path), gen_arithmetic(seed=0, count=1))
+    for build in (lambda: make_example(12, 3, "+", block_size),
+                  lambda: gen_arithmetic(0, 1, block_size=block_size),
+                  lambda: corpus.load_dataset(str(path), block_size)):
+        with pytest.raises(InvalidConfigError, match="block_size"):
+            build()
+
+
 def _decoded_state(ex: Example, answer: str):
     st = state_from_example(ex, block_size=8)
     resp = tokenize(answer) + [EOS_ID]
     resp += [PAD_ID] * (len(st.ids) - st.prompt_len - len(resp))
     st.ids[st.prompt_len:] = resp
-    st.masked[:] = False
     return st
 
 

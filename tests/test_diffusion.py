@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mrpdiff import backbone as bb
-from mrpdiff import corpus, diffusion
+from mrpdiff import checkpoint, corpus, diffusion
 from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID
 from mrpdiff.diffusion import Policy, SequenceState, confidence_of
 from mrpdiff.errors import ContractViolationError, InvalidConfigError
@@ -22,7 +22,7 @@ from mrpdiff.numerics import tensor as T
 def test_confidence_matches_softmax_rows_bit_for_bit():
     rng = np.random.default_rng(5)
     ids = np.array([2, 7, 9, MASK_ID, 5, MASK_ID, MASK_ID, MASK_ID, MASK_ID])
-    x = SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=3, block_size=2)
+    x = SequenceState(ids=ids, prompt_len=3, block_size=2)
     logits = rng.normal(scale=20.0, size=(len(ids), 11))
     conf = confidence_of(T.tensor(logits), x)
     assert conf.positions.tolist() == [3]  # current block is [3, 5)
@@ -67,12 +67,43 @@ def test_baseline_decode_keeps_state_valid_and_traces_round_trip(
         assert (loaded.block_size, loaded.prompt_len) == (block_size, x.prompt_len)
         for a, b in zip(trace.records, loaded.records, strict=True):
             assert (a.kind, a.block, a.window, a.verify) == (b.kind, b.block, b.window, b.verify)
-            for name in ("ids", "masked", "revealed_positions", "revealed_tokens"):
+            for name in ("ids", "revealed_positions", "revealed_tokens"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             # h and logits are stored as float32
             assert np.array_equal(a.h.astype(np.float32), b.h)
             assert np.array_equal(a.logits.astype(np.float32), b.logits)
             assert (b.drafts, b.accepted, b.rejected) == ([], [], [])
+
+
+def test_load_trace_rejects_a_file_that_is_not_a_trace(tmp_path):
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=1, block_size=4, max_len=32)
+    path = str(tmp_path / "backbone.mrpc")
+    bb.save_backbone(path, bb.init_backbone(cfg, np.random.default_rng(0)))
+    with pytest.raises(InvalidConfigError, match="not a decode trace"):
+        diffusion.load_trace(path)
+    # a trace whose meta promises a step record that the file lacks
+    path = str(tmp_path / "trace.mrpc")
+    checkpoint.save_tensors(path, [("trace.meta", np.asarray([1.0, 4.0, 9.0]))])
+    with pytest.raises(InvalidConfigError, match="step.00000"):
+        diffusion.load_trace(path)
+
+
+def test_decoding_never_commits_the_mask_token():
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    # a large constant feature that survives the final norm, read only by
+    # the MASK column: MASK is the argmax of every row by a wide margin
+    params.embed.data[:, 0] += 100.0
+    params.w_lm.data[0, MASK_ID] = 50.0
+    x = diffusion.state_from_example(corpus.make_example(12, 34, "+", 4), 4)
+    with T.no_grad():
+        _, logits = bb.forward(x, params)
+    assert (logits.data[x.prompt_len:].argmax(axis=-1) == MASK_ID).all()
+    while x.current_block < x.n_blocks:
+        diffusion.denoise_block_baseline(params, x, Policy("static", r=1))
+        diffusion.finalize_block(x)
+    x.validate()
+    assert x.mask_count() == 0 and MASK_ID not in x.ids
 
 
 def test_step_records_keep_their_outputs_after_later_steps(monkeypatch):
@@ -113,6 +144,7 @@ def _two_block_state():
     ([9, 9], [5, 6]),       # repeated
     ([9, 10], [5]),         # one token for two positions
     ([9], [5, 6]),          # more tokens than positions
+    ([9, 10], [5, MASK_ID]),  # the MASK token
 ])
 def test_reveal_rejects_bad_positions_and_tokens(positions, tokens):
     x = _two_block_state()
@@ -120,7 +152,7 @@ def test_reveal_rejects_bad_positions_and_tokens(positions, tokens):
     before = x.clone()
     with pytest.raises(ContractViolationError):
         diffusion.reveal(x, positions, tokens)
-    assert np.array_equal(x.ids, before.ids) and np.array_equal(x.masked, before.masked)
+    assert np.array_equal(x.ids, before.ids)
 
 
 @pytest.mark.parametrize("positions", [[-1], [17], [8], [10, 10]])
@@ -130,7 +162,27 @@ def test_remask_rejects_bad_positions(positions):
     before = x.clone()
     with pytest.raises(ContractViolationError):
         diffusion.remask(x, positions)
-    assert np.array_equal(x.ids, before.ids) and np.array_equal(x.masked, before.masked)
+    assert np.array_equal(x.ids, before.ids)
+
+
+def test_mask_flags_are_the_mask_ids_and_read_only():
+    x = _two_block_state()
+    diffusion.reveal(x, [9], [5])
+    assert np.array_equal(x.masked, x.ids == MASK_ID) and x.mask_count() == 7
+    with pytest.raises(ValueError):
+        x.masked[10] = False
+    assert x.mask_count() == 7
+
+
+def test_clone_copies_the_ids_alone():
+    x = _two_block_state()
+    diffusion.reveal(x, [9], [5])
+    y = x.clone()
+    assert vars(y).keys() == {"ids", "prompt_len", "block_size"}
+    assert np.array_equal(y.ids, x.ids) and not np.shares_memory(y.ids, x.ids)
+    assert (y.prompt_len, y.block_size) == (x.prompt_len, x.block_size)
+    diffusion.reveal(y, [10], [6])
+    assert (x.mask_count(), y.mask_count()) == (7, 6)
 
 
 def test_reveal_then_remask_round_trip():
@@ -155,8 +207,8 @@ def test_finalize_block_backfills_later_blocks_after_an_eos():
     lo, hi = x.block_bounds(0)
     diffusion.reveal(x, np.arange(lo, hi), [5, 6, EOS_ID, 7])
     assert diffusion.finalize_block(x) == 4
-    assert x.finished and x.mask_count() == 0
-    assert x.ids[hi:].tolist() == [PAD_ID] * 4
+    assert x.mask_count() == 0
+    assert x.ids[lo:].tolist() == [5, 6, EOS_ID, 7] + [PAD_ID] * 4
     x.validate()
 
 
@@ -166,8 +218,7 @@ def test_finalize_block_without_eos_changes_nothing():
     diffusion.reveal(x, np.arange(lo, hi), [5, 6, 7, 8])
     before = x.clone()
     assert diffusion.finalize_block(x) == 0
-    assert not x.finished
-    assert np.array_equal(x.ids, before.ids) and np.array_equal(x.masked, before.masked)
+    assert np.array_equal(x.ids, before.ids) and x.mask_count() == 4
 
 
 def test_corrupt_at_full_rate_masks_exactly_the_non_pad_response():
@@ -227,9 +278,23 @@ def test_select_dynamic_falls_back_to_the_lowest_tied_position():
     assert diffusion.select_dynamic(conf, 0.6).tolist() == [5]
 
 
+def test_confidence_of_never_picks_the_mask_token():
+    ids = np.array([2, 7, MASK_ID, MASK_ID])
+    x = SequenceState(ids=ids, prompt_len=2, block_size=2)
+    logits = np.zeros((4, 6))
+    logits[2, [MASK_ID, 4]] = [5.0, 1.0]
+    # every probability but MASK's underflows to exactly 0
+    logits[3] = -1e4
+    logits[3, MASK_ID] = 0.0
+    conf = confidence_of(logits, x)
+    assert conf.tokens.tolist() == [4, 1]
+    p = T.softmax_rows(T.tensor(logits[2])).data
+    assert conf.probs[0] == p[4] and conf.probs[1] == 0.0
+
+
 def test_confidence_of_breaks_token_ties_by_lowest_id():
     ids = np.array([2, 7, MASK_ID, MASK_ID])
-    x = SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=2, block_size=2)
+    x = SequenceState(ids=ids, prompt_len=2, block_size=2)
     logits = np.zeros((4, 6))
     logits[2, [1, 4]] = 3.0
     logits[3, [5, 2]] = 3.0

@@ -25,8 +25,7 @@ def _setup(seed=0, **mrp_kw):
     head = mrp.init_mrp(mrp.MrpConfig(**mrp_kw), BB_CFG, rng)
     ids = rng.integers(4, BB_CFG.vocab_size, size=3 + 2 * BB_CFG.block_size)
     ids[[4, 6, 9]] = MASK_ID
-    x = SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=3,
-                      block_size=BB_CFG.block_size)
+    x = SequenceState(ids=ids, prompt_len=3, block_size=BB_CFG.block_size)
     with no_grad():
         h, _ = bb.forward(x, bb_params)
     return bb_params, head, x, h
@@ -177,8 +176,7 @@ def test_batched_mrp_forward_matches_per_sequence_calls(taped):
     for _ in range(3):
         ids = rng.integers(4, BB_CFG.vocab_size, size=3 + 2 * BB_CFG.block_size)
         ids[3 + rng.choice(2 * BB_CFG.block_size, 3, replace=False)] = MASK_ID
-        states.append(SequenceState(ids=ids, masked=ids == MASK_ID, prompt_len=3,
-                                    block_size=BB_CFG.block_size))
+        states.append(SequenceState(ids=ids, prompt_len=3, block_size=BB_CFG.block_size))
     stack = training._stack(states)
     h = rng.normal(0.0, 1.0, (3, stack.ids.shape[1], BB_CFG.d_model))
     with contextlib.nullcontext() if taped else no_grad():

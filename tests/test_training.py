@@ -397,7 +397,7 @@ def _distill_setup(monkeypatch, objective="residual"):
     table = {x0.ids.tobytes(): corrupt(x0, rng, rate=0.8) for x0 in batch}
     bucket = [x0 for x0 in batch if (x0.length, x0.prompt_len) == (13, 9)]
     single = bucket[0].clone()
-    single.ids[single.prompt_len], single.masked[single.prompt_len] = MASK_ID, True
+    single.ids[single.prompt_len] = MASK_ID
     table[bucket[0].ids.tobytes()] = single
     table[bucket[2].ids.tobytes()] = bucket[2].clone()
     monkeypatch.setattr(training, "corrupt", lambda x0, rng: table[x0.ids.tobytes()].clone())
@@ -543,6 +543,26 @@ def test_a_lone_sequence_without_a_loss_runs_no_teacher_forward(monkeypatch):
     assert total is None and per_seq == [None] and calls == []
 
 
+def test_stack_and_rows_round_trip_the_ids_alone():
+    rng = np.random.default_rng(0)
+    states = [corrupt(state_from_example(make_example(a, b, "+", 4), 4, all_masked=False), rng,
+                      rate=0.5) for a, b in [(999, 99), (987, 65)]]
+    stack = training._stack(states)
+    assert vars(stack).keys() == {"ids", "prompt_len", "block_size"}
+    assert stack.ids.shape == (2, states[0].length)
+    assert np.array_equal(stack.masked, stack.ids == MASK_ID)
+    with pytest.raises(ValueError):
+        stack.masked[0, 0] = True
+    rows = training._rows(stack)
+    for row, x in zip(rows, states, strict=True):
+        assert np.array_equal(row.ids, x.ids) and np.array_equal(row.masked, x.masked)
+        assert (row.prompt_len, row.block_size) == (x.prompt_len, x.block_size)
+    # the rows are views: revealing through one changes the stack
+    pos = int(np.flatnonzero(rows[1].masked)[0])
+    rows[1].ids[pos] = 5
+    assert stack.ids[1, pos] == 5
+
+
 def _corruption_case(case):
     """A stack of two clean sequences whose responses end in PAD, and its
     corruption with one defect."""
@@ -555,24 +575,22 @@ def _corruption_case(case):
     elif case == "changed token":
         pos = np.flatnonzero(~xt.masked[0])[-1]
         xt.ids[0, pos] = PAD_ID if xt.ids[0, pos] != PAD_ID else EOS_ID
-    elif case == "flag without MASK_ID":
-        xt.masked[0, np.flatnonzero(~xt.masked[0])[-1]] = True
     elif case == "other prompt_len":
         xt.prompt_len -= 1
     elif case == "x0 not clean":
         for x in (x0, xt):
-            x.ids[0, x.prompt_len], x.masked[0, x.prompt_len] = MASK_ID, True
+            x.ids[0, x.prompt_len] = MASK_ID
     elif case == "masked prompt":
-        xt.ids[0, xt.prompt_len - 1], xt.masked[0, xt.prompt_len - 1] = MASK_ID, True
+        xt.ids[0, xt.prompt_len - 1] = MASK_ID
     elif case == "masked pad":
         pos = np.flatnonzero(x0.ids[0] == PAD_ID)[0]
-        xt.ids[0, pos], xt.masked[0, pos] = MASK_ID, True
+        xt.ids[0, pos] = MASK_ID
     return x0, xt
 
 
 @pytest.mark.parametrize("case, error", [
     ("shape", InvalidShapeError), ("changed token", ContractViolationError),
-    ("flag without MASK_ID", ContractViolationError), ("other prompt_len", ContractViolationError),
+    ("other prompt_len", ContractViolationError),
     ("x0 not clean", ContractViolationError), ("masked prompt", ContractViolationError),
     ("masked pad", ContractViolationError),
 ])
