@@ -212,17 +212,18 @@ class LayerKV:
 
 
 class PrefixKV:
-    """Every layer's keys and values over a window, plus the h and logits
-    of its rows [0, rows), for one sequence or a (B, L) stack.
+    """Every layer's keys and values over a state's rows (in decoding, a
+    block's window, `x.window(block)`), plus the h and logits of its rows
+    [0, rows), for one sequence or a (B, L) stack.
 
     `rows` is a row of the block grid at or after the prompt and before the
-    window's end: the prompt's end, or the start of a response block.
+    state's end: the prompt's end, or the start of a response block.
     Block-causal attention keeps the rows before it from seeing any row
     after it, so while only the rows from `rows` on change (a block being
     denoised, or the unroll states of one clean stack in distillation),
     the earlier rows' keys, values, h and logits do not change. The first
-    forward given the prefix computes the full window and fills it; later
-    ones compute only the rows from `rows` on and overwrite their keys and
+    forward given the prefix computes every row and fills it; later ones
+    compute only the rows from `rows` on and overwrite their keys and
     values. No-grad only.
     """
 
@@ -403,35 +404,32 @@ def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
         raise InvalidShapeError("token ids must be non-empty and within the vocabulary")
 
 
-def forward(x, params: BackboneParams, window: int | None = None,
-            prefix: PrefixKV | None = None) -> tuple[Tensor, Tensor]:
-    """Run the denoiser on sequence state `x` (ids, prompt_len, block_size).
+def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[Tensor, Tensor]:
+    """Run the denoiser on every row of sequence state `x` (ids, prompt_len,
+    block_size); for the rows up to a block, pass `x.window(block)`.
 
     Returns (h, logits): h is the final post-norm hidden state (the tensor
-    that multiplies the LM head), logits = h @ w_lm. `window` truncates the
-    computation to the first `window` positions; block-causality makes the
-    retained rows bit-identical to a full-length forward. Under `no_grad`
-    every intermediate is a plain ndarray and only h and logits are wrapped.
+    that multiplies the LM head), logits = h @ w_lm. Under `no_grad` every
+    intermediate is a plain ndarray and only h and logits are wrapped. A
+    window's rows see no later row, yet their bits are not those of the same
+    rows of a full forward: a matmul over another row count rounds
+    differently (by up to ~2e-14 at the default widths).
 
     `prefix` (no-grad only) caches the rows before its end, see `PrefixKV`:
     an empty one is filled by this forward, a filled one limits the work to
     the rows from its end on. Either way h and logits are new arrays over
-    the whole window.
+    every row of `x`.
 
     `x.ids` of shape (B, L) is a batch of B sequences that share
     prompt_len and so one mask: h and logits get a leading B axis. A batch
-    runs over the full window, on the tape or under `no_grad`, and may
-    take a prefix.
+    runs on the tape or under `no_grad` and may take a prefix; a stacked
+    window forward is bit-equal to each sequence's own (measured at the
+    default widths, with and without a prefix).
     """
     cfg = params.config
     ids = np.asarray(x.ids, dtype=np.int64)
-    if ids.ndim == 2:
-        if window is not None:
-            raise ContractViolationError("a batch of sequences runs over the full window")
-    elif ids.ndim != 1:
+    if ids.ndim not in (1, 2):
         raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")
-    if window is not None:
-        ids = ids[:window]
     L = ids.shape[-1]
     if L > cfg.max_len:
         raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")

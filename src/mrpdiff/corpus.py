@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, MissingArtifactError
 
 MASK_ID = 0
 PAD_ID = 1
@@ -112,19 +112,28 @@ def write_dataset(path: str, examples: list[Example]) -> int:
 
 
 def load_dataset(path: str, block_size: int = 8) -> list[Example]:
+    """Read a file written by `write_dataset`. A missing file raises
+    MissingArtifactError; bytes that are not UTF-8 or a line that is not a
+    TAB-separated pair raise InvalidConfigError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except FileNotFoundError:
+        raise MissingArtifactError(f"dataset not found: {path}") from None
+    except UnicodeDecodeError:
+        raise InvalidConfigError(f"{path}: not UTF-8 text") from None
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                question, answer = line.split("\t")
-            except ValueError:
-                raise InvalidConfigError(
-                    f"{path}:{lineno + 1}: expected TAB-separated prompt and response"
-                ) from None
-            out.append(_example(question, answer, block_size))
+    for lineno, line in enumerate(lines):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            question, answer = line.split("\t")
+        except ValueError:
+            raise InvalidConfigError(
+                f"{path}:{lineno + 1}: expected TAB-separated prompt and response"
+            ) from None
+        out.append(_example(question, answer, block_size))
     return out
 
 

@@ -47,7 +47,7 @@ class SequenceState:
 
     @property
     def length(self) -> int:
-        return len(self.ids)
+        return self.ids.shape[-1]
 
     @property
     def n_blocks(self) -> int:
@@ -55,7 +55,7 @@ class SequenceState:
 
     @property
     def current_block(self) -> int:
-        """First response block containing a mask (n_blocks when clean)."""
+        """First response block of one sequence holding a mask (n_blocks when clean)."""
         masked_pos = np.flatnonzero(self.masked)
         if len(masked_pos) == 0:
             return self.n_blocks
@@ -65,12 +65,14 @@ class SequenceState:
         start = self.prompt_len + block * self.block_size
         return start, start + self.block_size
 
-    def window_end(self, block: int) -> int:
-        """End of the computation window: everything up to and including
-        the given block."""
-        return self.prompt_len + (block + 1) * self.block_size
+    def window(self, block: int) -> "SequenceState":
+        """The rows up to the end of `block`, of one sequence or a stack, as a
+        state whose ids are a view of these: a write into either shows in both."""
+        end = self.prompt_len + (block + 1) * self.block_size
+        return SequenceState(self.ids[..., :end], self.prompt_len, self.block_size)
 
     def masked_in_block(self, block: int) -> np.ndarray:
+        """The masked positions of `block`, of one sequence."""
         lo, hi = self.block_bounds(block)
         return lo + np.flatnonzero(self.masked[lo:hi])
 
@@ -84,7 +86,7 @@ class SequenceState:
     def validate(self) -> None:
         if (self.length - self.prompt_len) % self.block_size:
             raise InvalidConfigError("response region is not a whole number of blocks")
-        if self.masked[: self.prompt_len].any():
+        if self.masked[..., :self.prompt_len].any():
             raise ContractViolationError("prompt positions must never be masked")
 
 
@@ -283,12 +285,12 @@ class StepRecord:
     kind "backbone": h/logits are the model outputs over the window
     (verify=True when this forward verified drafts). kind "mrp": h/logits
     hold the correction head's hidden and logit residuals. `ids` is the
-    state the forward ran on; its MASK_ID positions are the masked ones.
+    window the forward ran on (up to the end of `block`); its MASK_ID
+    positions are the masked ones.
     """
 
     kind: str
     block: int
-    window: int
     ids: np.ndarray
     h: np.ndarray
     logits: np.ndarray
@@ -316,8 +318,7 @@ def save_trace(path: str, trace: DecodeTrace) -> None:
         ).reshape(-1, 4)
         named += [
             (f"{p}.meta", np.asarray([
-                0.0 if r.kind == "backbone" else 1.0,
-                float(r.block), float(r.window), 1.0 if r.verify else 0.0,
+                0.0 if r.kind == "backbone" else 1.0, float(r.block), 1.0 if r.verify else 0.0,
             ])),
             (f"{p}.ids", r.ids.astype(np.float64)),
             (f"{p}.h", r.h),
@@ -345,7 +346,7 @@ def load_trace(path: str) -> DecodeTrace:
     trace = DecodeTrace(block_size=block_size, prompt_len=prompt_len)
     for i in range(n):
         p = f"step.{i:05d}"
-        kind_code, block, window, verify = get(f"{p}.meta")
+        kind_code, block, verify = get(f"{p}.meta")
         drafts = [
             DraftRecord(int(row[0]), int(row[1]), int(row[2]), float(row[3]))
             for row in get(f"{p}.drafts").reshape(-1, 4)
@@ -354,7 +355,6 @@ def load_trace(path: str) -> DecodeTrace:
             StepRecord(
                 kind="backbone" if kind_code == 0.0 else "mrp",
                 block=int(block),
-                window=int(window),
                 ids=get(f"{p}.ids").astype(np.int64),
                 h=get(f"{p}.h"),
                 logits=get(f"{p}.logits"),
@@ -382,28 +382,27 @@ def denoise_block_baseline(
     stats=None,
 ) -> SequenceState:
     """Denoise the current block with backbone forwards only: forward ->
-    confidence -> select -> reveal until the block is clean. Each step
-    reveals at least one position, so a block finishes in <= block_size
-    forwards. The first forward caches the rows before the block, which the
-    later ones reuse."""
+    confidence -> select -> reveal on `x.window(block)`, whose reveals land
+    in x, until the block is clean. Each step reveals at least one position,
+    so a block finishes in <= block_size forwards. The first forward caches
+    the rows before the block, which the later ones reuse."""
     block = x.current_block
     lo, hi = x.block_bounds(block)
     if not x.masked[lo:hi].all():
         raise ContractViolationError("baseline denoise expects a fully masked block")
-    window = x.window_end(block)
+    xw = x.window(block)
     prefix = bb.PrefixKV(lo)
     # a plain list: cheaper than the `masked` array at each step
-    while MASK_ID in x.ids[lo:hi].tolist():
+    while MASK_ID in xw.ids[lo:hi].tolist():
         with no_grad():
-            h, logits = bb.forward(x, params, window=window, prefix=prefix)
-        conf = confidence_of(logits, x)
+            h, logits = bb.forward(xw, params, prefix=prefix)
+        conf = confidence_of(logits, xw)
         positions = policy.select(conf)
         tokens = conf.tokens[np.searchsorted(conf.positions, positions)]
         if trace is not None:
             trace.records.append(
                 StepRecord(
-                    kind="backbone", block=block, window=window,
-                    ids=x.ids.copy(),
+                    kind="backbone", block=block, ids=xw.ids.copy(),
                     h=h.data, logits=logits.data,
                     revealed_positions=positions.copy(),
                     revealed_tokens=np.asarray(tokens, dtype=np.int64),
@@ -412,7 +411,7 @@ def denoise_block_baseline(
         if stats is not None:
             stats.backbone_forwards += 1
             stats.block_steps[block] = stats.block_steps.get(block, 0) + 1
-        reveal(x, positions, tokens)
+        reveal(xw, positions, tokens)
         if stats is not None:
             stats.tokens_generated += len(positions)
     return x

@@ -92,12 +92,13 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
                 bb_params: BackboneParams) -> tuple[Tensor, Tensor]:
     """Predict (hidden residual, logit residual) for the post-reveal state x.
 
-    `h` is the running hidden state, row-aligned with x (possibly a
-    truncated window). The trunk reuses the backbone's token/positional
-    embeddings and LM head; only the fusion, trunk layers, output norm and
-    output projection are its own. Under `no_grad` it computes on plain
-    ndarrays, as `backbone.forward` does. A batch, `h` of shape (B, L, d)
-    with `x.ids` of shape (B, L), runs as one stack, as in `backbone.forward`.
+    `h` is the running hidden state with one row per row of x (a window
+    `x.window(block)` with its h), else InvalidShapeError. The trunk reuses
+    the backbone's token/positional embeddings and LM head; only the fusion,
+    trunk layers, output norm and output projection are its own. Under
+    `no_grad` it computes on plain ndarrays, as `backbone.forward` does. A
+    batch, `h` of shape (B, L, d) with `x.ids` of shape (B, L), runs as one
+    stack, as in `backbone.forward`.
     """
     cfg = bb_params.config
     d = cfg.d_model
@@ -106,14 +107,13 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
             f"correction head of width {params.w_fuse.shape[1]} does not fit a "
             f"backbone of width {d}"
         )
-    L = h.shape[-2]
-    ids = np.asarray(x.ids, dtype=np.int64)[..., :L]
+    ids = np.asarray(x.ids, dtype=np.int64)
     if ids.shape != h.shape[:-1] or h.shape[-1] != d or ids.ndim > 2:
         raise InvalidShapeError(
-            f"hidden state shape {h.shape} does not align with sequence"
+            f"hidden state of shape {h.shape} does not align with ids of shape {ids.shape}"
         )
     check_ids(ids, cfg)
-    addmask = additive_mask(L, x.block_size, x.prompt_len)
+    addmask = additive_mask(ids.shape[-1], x.block_size, x.prompt_len)
     ops = active_ops()
     w_fuse, b_fuse, out_norm, w_out, w_lm = operands(
         ops, params.w_fuse, params.b_fuse, params.out_norm, params.w_out, bb_params.w_lm)

@@ -205,9 +205,14 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
     On a batch, logits (B, L, V) with `x.masked` and `targets` (B, L), each
     sequence's masked rows weigh 1 / (its masked count): the loss is the sum
     over the B sequences of each one's mean CE; a single sequence is a
-    batch of one. A target array of another shape than the state's, or a
-    target id outside [0, V), raises InvalidShapeError.
+    batch of one. Logits without one row per position of the state, a
+    target array of another shape than the state's, or a target id outside
+    [0, V), raise InvalidShapeError.
     """
+    if logits.shape[:-1] != x.ids.shape:
+        raise InvalidShapeError(
+            f"logits of shape {logits.shape} for a state of shape {x.ids.shape}"
+        )
     rows = np.flatnonzero(x.masked)
     if len(rows) == 0:
         return None

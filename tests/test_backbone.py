@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +129,9 @@ def test_window_truncation_matches_full_forward():
     cut = x.prompt_len + 2 * cfg.block_size
     with no_grad():
         _, full = bb.forward(x, params)
-        _, part = bb.forward(x, params, window=cut)
+        _, part = bb.forward(x.window(1), params)
+    # bit-equal for this state; in general a window's rows differ from the
+    # full forward's by rounding (see the default-widths test below)
     assert np.array_equal(full.data[:cut], part.data)
 
 
@@ -199,11 +202,11 @@ def test_no_grad_forward_bit_identical_to_taped(block_size, prompt_len):
     rng = np.random.default_rng(prompt_len)
     for mask_frac in (0.5, 1.0):
         x = rand_state(rng, prompt_len, 3, block_size, mask_frac=mask_frac)
-        for window in (None, prompt_len + block_size, prompt_len + 2 * block_size):
-            h, logits = bb.forward(x, params, window=window)
+        for xw in (x, x.window(0), x.window(1)):
+            h, logits = bb.forward(xw, params)
             assert logits._parents  # the tape was recorded
             with no_grad():
-                h0, l0 = bb.forward(x, params, window=window)
+                h0, l0 = bb.forward(xw, params)
             assert np.array_equal(h.data, h0.data)
             assert np.array_equal(logits.data, l0.data)
 
@@ -272,22 +275,17 @@ def test_batched_no_grad_forward_matches_per_sequence_forwards(widths, block_siz
     check_batched_forward(widths, block_size, prompt_len, taped=False)
 
 
-def test_batched_forward_runs_over_the_full_window_only():
+def test_batched_forward_matches_taped_and_prefixed_runs_and_checks_ids():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(3)
     x = stack_states([rand_state(rng, 3, 2, cfg.block_size, mask_frac=1.0) for _ in range(2)])
-    with pytest.raises(ContractViolationError, match="batch"):
-        bb.forward(x, params, window=3 + cfg.block_size)
     with no_grad():
         h, logits = bb.forward(x, params)
     taped_h, taped_logits = bb.forward(x, params)
     assert np.array_equal(h.data, taped_h.data) and np.array_equal(logits.data, taped_logits.data)
-    # a prefix is allowed, a window with it still is not
     with no_grad():
         prefix_h, prefix_logits = bb.forward(x, params, prefix=bb.PrefixKV(3))
-        with pytest.raises(ContractViolationError, match="batch"):
-            bb.forward(x, params, window=x.ids.shape[1], prefix=bb.PrefixKV(3 + cfg.block_size))
     assert np.array_equal(prefix_h.data, h.data)
     assert np.array_equal(prefix_logits.data, logits.data)
     x.ids[1, -1] = cfg.vocab_size
@@ -398,6 +396,49 @@ def test_taped_layer_refuses_a_cache():
         bb.transformer_layer(stream, layer, addmask, 2, 1e-6, cache)
 
 
+def test_window_forward_is_close_to_the_full_forward_at_default_widths():
+    cfg = bb.BackboneConfig(n_layers=2)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(12)
+    for prompt_len in (1, 5, 9):
+        x = rand_state(rng, prompt_len, 3, cfg.block_size, mask_frac=0.5)
+        with no_grad():
+            h, logits = bb.forward(x, params)
+            for block in range(3):
+                xw = x.window(block)
+                hw, lw = bb.forward(xw, params)
+                assert hw.shape == (xw.length, cfg.d_model)
+                np.testing.assert_allclose(hw.data, h.data[:xw.length], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(lw.data, logits.data[:xw.length], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_stacked_window_forward_matches_single_window_forwards_bit_for_bit(with_prefix):
+    cfg = bb.BackboneConfig(n_layers=2)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(13)
+    for prompt_len in (1, 5, 9):
+        states = [rand_state(rng, prompt_len, 3, cfg.block_size, mask_frac=1.0)
+                  for _ in range(3)]
+        stack = stack_states(states)
+        for block in range(3):
+            lo, hi = stack.block_bounds(block)
+            prefixes = [bb.PrefixKV(lo) if with_prefix else None for _ in range(4)]
+            # the first forward fills a prefix, the second reuses it
+            for step in range(2):
+                if step:
+                    hit = rng.choice(np.arange(lo, hi), size=3, replace=False)
+                    stack.ids[:, hit] = rng.integers(4, cfg.vocab_size, size=(3, 3))
+                    for b, x in enumerate(states):
+                        x.ids[hit] = stack.ids[b, hit]
+                with no_grad():
+                    h, logits = bb.forward(stack.window(block), params, prefix=prefixes[0])
+                    for b, x in enumerate(states):
+                        h1, l1 = bb.forward(x.window(block), params, prefix=prefixes[b + 1])
+                        assert np.array_equal(h.data[b], h1.data)
+                        assert np.array_equal(logits.data[b], l1.data)
+
+
 # ---------------------------------------------------------------------------
 # prefix K/V reuse
 # ---------------------------------------------------------------------------
@@ -420,17 +461,17 @@ def test_prefix_forward_matches_full_forward(block_size, prompt_len):
         x = rand_state(rng, prompt_len, 3, block_size)
         for b in range(block, 3):
             _mask_block(x, b, 1.0)
-        window = x.window_end(block)
+        xw = x.window(block)
         lo, hi = x.block_bounds(block)
         prefix = bb.PrefixKV(lo)
         # the first forward fills the prefix, the later ones reuse it after
-        # tokens of the block are revealed
+        # tokens of the block are revealed (written into x, seen by xw)
         for share in (1.0, 0.5, 0.0):
             x.ids[lo:hi] = rng.integers(4, cfg.vocab_size, size=hi - lo)
             _mask_block(x, block, share)
             with no_grad():
-                h, logits = bb.forward(x, params, window=window, prefix=prefix)
-                h0, l0 = bb.forward(x, params, window=window)
+                h, logits = bb.forward(xw, params, prefix=prefix)
+                h0, l0 = bb.forward(xw, params)
             assert h.shape == h0.shape and logits.shape == l0.shape
             np.testing.assert_allclose(h.data, h0.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(logits.data, l0.data, rtol=0, atol=1e-12)
@@ -502,11 +543,10 @@ def test_array_layer_on_a_filled_cache_needs_no_mask(block_size, prompt_len):
 def test_prefix_forward_returns_new_arrays():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(0))
-    x = rand_state(np.random.default_rng(9), 3, 2, cfg.block_size, mask_frac=1.0)
-    window = x.window_end(1)
+    xw = rand_state(np.random.default_rng(9), 3, 2, cfg.block_size, mask_frac=1.0).window(1)
     prefix = bb.PrefixKV(3 + cfg.block_size)
     with no_grad():
-        outs = [bb.forward(x, params, window=window, prefix=prefix) for _ in range(3)]
+        outs = [bb.forward(xw, params, prefix=prefix) for _ in range(3)]
     kept = [a.data.copy() for pair in outs for a in pair]
     cached = [prefix.h, prefix.logits] + [b for kv in prefix.layers for b in (kv.k_t, kv.v)]
     arrays = [a.data for pair in outs for a in pair]
@@ -520,20 +560,20 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(0))
     x = rand_state(np.random.default_rng(9), 3, 3, cfg.block_size, mask_frac=1.0)
-    window = x.window_end(1)
+    xw = x.window(1)
     with pytest.raises(ContractViolationError, match="no_grad"):
-        bb.forward(x, params, window=window, prefix=bb.PrefixKV(3 + cfg.block_size))
+        bb.forward(xw, params, prefix=bb.PrefixKV(3 + cfg.block_size))
     # inside the prompt, off the block grid, and at the window's end
-    for rows in (2, 4, window):
+    for rows in (2, 4, xw.length):
         with pytest.raises(ContractViolationError, match="block grid"):
             with no_grad():
-                bb.forward(x, params, window=window, prefix=bb.PrefixKV(rows))
+                bb.forward(xw, params, prefix=bb.PrefixKV(rows))
     prefix = bb.PrefixKV(3 + cfg.block_size)
     with no_grad():
-        bb.forward(x, params, window=window, prefix=prefix)
-        x.ids[3] = 7 if x.ids[3] != 7 else 8
+        bb.forward(xw, params, prefix=prefix)
+        x.ids[3] = 7 if x.ids[3] != 7 else 8  # a write into x shows in its window
         with pytest.raises(ContractViolationError, match="changed"):
-            bb.forward(x, params, window=window, prefix=prefix)
+            bb.forward(xw, params, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +655,7 @@ def test_checkpoint_layout_and_roundtrip(tmp_path):
     params = bb.init_backbone(cfg, np.random.default_rng(0))
     bb.save_backbone(path, params)
 
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[:4] == b"MRPC"
     assert int.from_bytes(raw[4:8], "little") == 1
     hlen = int.from_bytes(raw[8:16], "little")
@@ -640,14 +680,14 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     params2 = bb.init_backbone(tiny_config(), np.random.default_rng(3))
     bb.save_backbone(p1, params1)
     bb.save_backbone(p2, params2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert checkpoint.file_sha256(p1) == checkpoint.file_sha256(p2)
 
 
 def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch):
     path = str(tmp_path / "model.mrpc")
     bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     real_open = open
 
     class FailingFile:
@@ -672,7 +712,7 @@ def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeyp
     with pytest.raises(OSError, match="no space"):
         bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(1)))
     monkeypatch.undo()
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.mrpc"]
 
 
@@ -687,7 +727,7 @@ def test_checkpoint_truncated_raises_typed_error(tmp_path, keep):
     # 10 B cuts the header length, 200 B the JSON header, -100 B the payload
     path = str(tmp_path / "model.mrpc")
     bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     with open(path, "wb") as f:
         f.write(raw[:keep])
     with pytest.raises(InvalidConfigError):

@@ -20,7 +20,7 @@ from mrpdiff.corpus import (
     tokenize,
 )
 from mrpdiff.diffusion import state_from_example
-from mrpdiff.errors import InvalidConfigError
+from mrpdiff.errors import InvalidConfigError, MissingArtifactError
 
 
 def test_special_ids_fixed():
@@ -119,6 +119,15 @@ def test_dataset_file_roundtrip(tmp_path):
     path2 = tmp_path / "data2.tsv"
     corpus.write_dataset(str(path2), gen_arithmetic(seed=9, count=40))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_dataset_raises_typed_errors_for_a_missing_or_non_utf8_file(tmp_path):
+    path = tmp_path / "data.tsv"
+    with pytest.raises(MissingArtifactError, match="data.tsv"):
+        corpus.load_dataset(str(path))
+    path.write_bytes(b"12+3=\t15\n\xff\xfe+1=\t2\n")
+    with pytest.raises(InvalidConfigError, match="data.tsv: not UTF-8"):
+        corpus.load_dataset(str(path))
 
 
 @pytest.mark.parametrize("block_size", [0, -2])

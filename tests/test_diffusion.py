@@ -66,7 +66,9 @@ def test_baseline_decode_keeps_state_valid_and_traces_round_trip(
         loaded = diffusion.load_trace(path)
         assert (loaded.block_size, loaded.prompt_len) == (block_size, x.prompt_len)
         for a, b in zip(trace.records, loaded.records, strict=True):
-            assert (a.kind, a.block, a.window, a.verify) == (b.kind, b.block, b.window, b.verify)
+            assert (a.kind, a.block, a.verify) == (b.kind, b.block, b.verify)
+            # the ids of the window the forward ran on: the rows up to its block's end
+            assert len(a.ids) == x.prompt_len + (a.block + 1) * block_size
             for name in ("ids", "revealed_positions", "revealed_tokens"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             # h and logits are stored as float32
@@ -183,6 +185,36 @@ def test_clone_copies_the_ids_alone():
     assert (y.prompt_len, y.block_size) == (x.prompt_len, x.block_size)
     diffusion.reveal(y, [10], [6])
     assert (x.mask_count(), y.mask_count()) == (7, 6)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_window_shares_its_ids_with_the_state(stacked):
+    x = _two_block_state()
+    if stacked:
+        x = SequenceState(ids=np.stack([x.ids, x.ids]), prompt_len=9, block_size=4)
+    xw = x.window(0)
+    assert xw.ids.shape == (*x.ids.shape[:-1], 13) and xw.length == 13
+    assert (xw.prompt_len, xw.block_size, xw.n_blocks) == (9, 4, 1)
+    assert np.shares_memory(xw.ids, x.ids)
+    xw.ids[..., 9] = 5  # a write into the window lands in the state
+    assert (x.ids[..., 9] == 5).all()
+    x.ids[..., 10] = 6  # and a write into the state shows in the window
+    assert (xw.ids[..., 10] == 6).all()
+    assert x.window(1).length == x.length == 17
+    if not stacked:
+        diffusion.reveal(xw, [11], [7])
+        assert x.ids[11] == 7 and x.mask_count() == 5
+
+
+def test_a_stacked_state_reads_its_rows_from_the_last_axis():
+    x = SequenceState(ids=np.full((2, 9), 5), prompt_len=1, block_size=4)
+    assert (x.length, x.n_blocks) == (9, 2)
+    x.validate()
+    x.ids[1, 3] = MASK_ID  # a masked response position of the second sequence
+    x.validate()
+    x.ids[1, 0] = MASK_ID  # a masked prompt position of the second sequence
+    with pytest.raises(ContractViolationError, match="prompt"):
+        x.validate()
 
 
 def test_reveal_then_remask_round_trip():

@@ -4,6 +4,7 @@ inference, input checks, checkpoint round trip."""
 from __future__ import annotations
 
 import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,13 +59,13 @@ def test_no_grad_mrp_forward_bit_identical_to_taped(objective, block_size):
     rng = np.random.default_rng(0)
     for ex in examples:
         x = corrupt(state_from_example(ex, block_size, all_masked=False), rng, rate=0.5)
-        for window in (None, x.prompt_len + block_size):
+        for xw in (x, x.window(0)):
             with no_grad():
-                h, _ = bb.forward(x, bb_params, window=window)
-            taped = mrp.mrp_forward(x, h, head, bb_params)
+                h, _ = bb.forward(xw, bb_params)
+            taped = mrp.mrp_forward(xw, h, head, bb_params)
             assert taped[1]._parents and taped[1].data.any()
             with no_grad():
-                plain = mrp.mrp_forward(x, h, head, bb_params)
+                plain = mrp.mrp_forward(xw, h, head, bb_params)
             for a, b in zip(taped, plain, strict=True):
                 assert np.array_equal(a.data, b.data)
 
@@ -118,7 +119,7 @@ def test_save_load_roundtrip_bytes_identical(tmp_path, objective):
         assert n1 == n2 and t2.requires_grad
         np.testing.assert_array_equal(t1.data.astype(np.float32), t2.data)
     mrp.save_mrp(p2, loaded)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 @pytest.mark.parametrize("name", ["mrp.layers.0.w_up", "mrp.w_fuse"])
@@ -190,3 +191,7 @@ def test_batched_mrp_forward_matches_per_sequence_calls(taped):
             mrp.mrp_forward(states[0], T.tensor(h), head, bb_params)
         with pytest.raises(InvalidShapeError, match="align"):
             mrp.mrp_forward(stack, T.tensor(h[:2]), head, bb_params)
+        # an h of the first block's window only: x is not cut to fit it
+        for x, short in ((stack, h[:, :7]), (states[0], h[0, :7])):
+            with pytest.raises(InvalidShapeError, match="align"):
+                mrp.mrp_forward(x, T.tensor(short), head, bb_params)

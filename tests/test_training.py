@@ -349,6 +349,21 @@ def test_masked_cross_entropy_rejects_bad_targets(batched, bad):
         training.masked_cross_entropy(logits, xt, targets)
 
 
+def test_masked_cross_entropy_rejects_logits_of_another_shape():
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=2, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1))
+    x0 = state_from_example(make_example(123, 456, "+", 2), 2, all_masked=False)
+    xt = corrupt(x0, np.random.default_rng(2), rate=1.0)
+    # the logits of a window, with the whole state (was a bare IndexError)
+    _, logits = bb.forward(xt.window(0), params)
+    with pytest.raises(InvalidShapeError, match="logits"):
+        training.masked_cross_entropy(logits, xt, x0.ids)
+    # a stack's logits with one sequence's state (was the first one's loss)
+    _, logits = bb.forward(training._stack([xt, xt]), params)
+    with pytest.raises(InvalidShapeError, match="logits"):
+        training.masked_cross_entropy(logits, xt, x0.ids)
+
+
 @pytest.mark.parametrize("objective", ["residual", "direct"])
 def test_fd_stacked_kd_sequence_loss_wrt_head_parameters(objective):
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
@@ -635,8 +650,8 @@ def test_kd_teacher_prefix_matches_full_teacher_forwards(monkeypatch, objective)
     rows = []
     forward = bb.forward
 
-    def counted(x, p, window=None, prefix=None):
-        h, logits = forward(x, p, window, prefix)
+    def counted(x, p, prefix=None):
+        h, logits = forward(x, p, prefix)
         rows.append(x.ids.shape[-1] - (prefix.rows if prefix.h is not None and rows else 0))
         return h, logits
 
@@ -646,7 +661,7 @@ def test_kd_teacher_prefix_matches_full_teacher_forwards(monkeypatch, objective)
     # compute the response's only
     L, prompt_len = stack.ids.shape[1], stack.prompt_len
     assert rows == [L] + [L - prompt_len] * head.config.unroll
-    monkeypatch.setattr(bb, "forward", lambda x, p, window=None, prefix=None: forward(x, p, window))
+    monkeypatch.setattr(bb, "forward", lambda x, p, prefix=None: forward(x, p))
     ref_total, ref_per_seq, ref_grads = run()
     assert abs(total - ref_total) <= 1e-12
     assert np.abs(np.subtract(per_seq, ref_per_seq)).max() <= 1e-12
