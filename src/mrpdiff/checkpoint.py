@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidConfigError, MissingArtifactError
+from .errors import UNREADABLE, InvalidConfigError, MissingArtifactError
 
 MAGIC = b"MRPC"
 FORMAT_VERSION = 1
@@ -63,13 +63,15 @@ def save_tensors(path: str, named: list[tuple[str, np.ndarray]]) -> None:
 def load_tensors(path: str) -> dict[str, np.ndarray]:
     """Read an MRPC file into {name: float64 array}.
 
-    A file that is cut short, or whose header does not describe records
-    that lie inside the payload, raises InvalidConfigError.
+    A file that is missing or cannot be read (a directory, no permission)
+    raises MissingArtifactError. A file that is cut short, or whose header
+    does not describe records that lie inside the payload, raises
+    InvalidConfigError.
     """
     try:
         f = open(path, "rb")
-    except FileNotFoundError:
-        raise MissingArtifactError(f"checkpoint not found: {path}") from None
+    except UNREADABLE as e:
+        raise MissingArtifactError(f"cannot read checkpoint {path}: {e.strerror}") from None
     with f:
         raw = f.read()
     if raw[:4] != MAGIC:
@@ -192,11 +194,13 @@ def fill(params, blob: dict[str, np.ndarray]):
 
 
 def file_sha256(path: str) -> str:
+    """Hex SHA-256 of a file's bytes; a file that is missing or cannot be
+    read raises MissingArtifactError."""
     h = hashlib.sha256()
     try:
         with open(path, "rb") as f:
             for chunk in iter(lambda: f.read(1 << 20), b""):
                 h.update(chunk)
-    except FileNotFoundError:
-        raise MissingArtifactError(f"file not found: {path}") from None
+    except UNREADABLE as e:
+        raise MissingArtifactError(f"cannot read {path}: {e.strerror}") from None
     return h.hexdigest()

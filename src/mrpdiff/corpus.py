@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, MissingArtifactError
+from .errors import UNREADABLE, InvalidConfigError, MissingArtifactError
 
 MASK_ID = 0
 PAD_ID = 1
@@ -26,18 +26,25 @@ _CHARS = [str(d) for d in range(10)] + ["+", "-", "=", " "] + [
 
 _CHAR_TO_ID = {ch: i + len(_SPECIALS) for i, ch in enumerate(_CHARS)}
 _ID_TO_CHAR = {i + len(_SPECIALS): ch for i, ch in enumerate(_CHARS)}
+# byte -> token id; 255 (no token has it) marks a byte outside the vocabulary
+_BYTE_TO_ID = bytes(_CHAR_TO_ID.get(chr(b), 255) for b in range(256))
+# rows of operand draws turned into Python ints at a time
+_ROWS = 1024
 
 
 def tokenize(text: str) -> list[int]:
-    ids = []
-    for offset, ch in enumerate(text):
-        tid = _CHAR_TO_ID.get(ch)
-        if tid is None:
-            raise InvalidConfigError(
-                f"unknown character {ch!r} at offset {offset} (not in vocabulary)"
-            )
-        ids.append(tid)
-    return ids
+    """Token ids of `text`, one per character, by one table lookup per byte.
+    A character outside the vocabulary raises InvalidConfigError naming it
+    and its offset: "replace" encodes every non-ASCII character as the one
+    byte "?", which is not in the vocabulary either, so byte offsets are
+    character offsets."""
+    ids = text.encode("ascii", "replace").translate(_BYTE_TO_ID)
+    offset = ids.find(255)
+    if offset >= 0:
+        raise InvalidConfigError(
+            f"unknown character {text[offset]!r} at offset {offset} (not in vocabulary)"
+        )
+    return list(ids)
 
 
 def detokenize(ids) -> str:
@@ -85,22 +92,32 @@ def gen_arithmetic(
     """Deterministic list of arithmetic examples.
 
     Operands are sampled uniformly from [10, max_operand] (two digits and
-    up); subtraction operands are ordered so results stay non-negative.
+    up), or from [0, max_operand] when max_operand < 10; the operator is "+"
+    or "-" with equal odds, and subtraction operands are ordered so results
+    stay non-negative.
+
+    All draws are one `rng.integers` call of shape (count, 3): row i holds
+    example i's (a, b, op). numpy fills an array-bounded draw element by
+    element in C order with the same bounded sampler as a scalar call, so
+    the rows equal three scalar draws per example, a, b then op.
     """
     if not 0 <= max_operand <= 999:
         raise InvalidConfigError("max_operand must lie in [0, 999]")
     if count < 0:
         raise InvalidConfigError("count must be >= 0")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
     lo = 10 if max_operand >= 10 else 0
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).integers(
+        [lo, lo, 0], [max_operand + 1, max_operand + 1, 2], size=(count, 3)
+    )
     out = []
-    for _ in range(count):
-        a = int(rng.integers(lo, max_operand + 1))
-        b = int(rng.integers(lo, max_operand + 1))
-        op = "+" if int(rng.integers(0, 2)) == 0 else "-"
-        if op == "-" and b > a:
-            a, b = b, a
-        out.append(make_example(a, b, op, block_size))
+    # a slice at a time, so no pool-sized list of Python ints is ever alive
+    for start in range(0, count, _ROWS):
+        for a, b, minus in draws[start:start + _ROWS].tolist():
+            if minus and b > a:
+                a, b = b, a
+            out.append(make_example(a, b, "-" if minus else "+", block_size))
     return out
 
 
@@ -112,14 +129,15 @@ def write_dataset(path: str, examples: list[Example]) -> int:
 
 
 def load_dataset(path: str, block_size: int = 8) -> list[Example]:
-    """Read a file written by `write_dataset`. A missing file raises
-    MissingArtifactError; bytes that are not UTF-8 or a line that is not a
-    TAB-separated pair raise InvalidConfigError naming the path."""
+    """Read a file written by `write_dataset`. A file that is missing or
+    cannot be read (a directory, no permission) raises MissingArtifactError;
+    bytes that are not UTF-8 or a line that is not a TAB-separated pair
+    raise InvalidConfigError naming the path."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except FileNotFoundError:
-        raise MissingArtifactError(f"dataset not found: {path}") from None
+    except UNREADABLE as e:
+        raise MissingArtifactError(f"cannot read dataset {path}: {e.strerror}") from None
     except UnicodeDecodeError:
         raise InvalidConfigError(f"{path}: not UTF-8 text") from None
     out = []

@@ -21,7 +21,7 @@ import numpy as np
 from . import backbone as bb
 from . import checkpoint
 from .corpus import EOS_ID, MASK_ID, PAD_ID
-from .errors import ContractViolationError, InvalidConfigError
+from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError
 from .numerics.tensor import Tensor, _softmax_data, no_grad
 
 
@@ -53,9 +53,15 @@ class SequenceState:
     def n_blocks(self) -> int:
         return (self.length - self.prompt_len) // self.block_size
 
+    def _one_sequence(self, op: str) -> None:
+        """Raise InvalidShapeError unless the ids are one sequence's, (L,)."""
+        if self.ids.ndim != 1:
+            raise InvalidShapeError(f"{op} takes one sequence, got ids of shape {self.ids.shape}")
+
     @property
     def current_block(self) -> int:
         """First response block of one sequence holding a mask (n_blocks when clean)."""
+        self._one_sequence("current_block")
         masked_pos = np.flatnonzero(self.masked)
         if len(masked_pos) == 0:
             return self.n_blocks
@@ -73,6 +79,7 @@ class SequenceState:
 
     def masked_in_block(self, block: int) -> np.ndarray:
         """The masked positions of `block`, of one sequence."""
+        self._one_sequence("masked_in_block")
         lo, hi = self.block_bounds(block)
         return lo + np.flatnonzero(self.masked[lo:hi])
 
@@ -148,7 +155,9 @@ def _logits_data(logits) -> np.ndarray:
 def confidence_of(logits, x: SequenceState) -> Confidence:
     """Max softmax probability and argmax token for each masked position of
     the current block. Empty when the block is clean. MASK_ID is never the
-    token: its column is set below every probability first."""
+    token: its column is set below every probability first. `x` is one
+    sequence."""
+    x._one_sequence("confidence_of")
     data = _logits_data(logits)
     masked = np.flatnonzero(x.masked)
     # a plain list: cheaper than numpy scalars and searchsorted at a few positions
@@ -223,7 +232,9 @@ def _check_positions(x: SequenceState, positions: np.ndarray, op: str) -> None:
 
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     """Set ids at `positions` (distinct response positions, all currently
-    masked), one token per position; no token may be MASK_ID."""
+    masked), one token per position; no token may be MASK_ID. `x` is one
+    sequence."""
+    x._one_sequence("reveal")
     positions = np.asarray(positions, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.shape != positions.shape:
@@ -243,7 +254,8 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
 
 def remask(x: SequenceState, positions) -> SequenceState:
     """Mask `positions` again (distinct response positions, none masked) by
-    writing MASK_ID there."""
+    writing MASK_ID there. `x` is one sequence."""
+    x._one_sequence("remask")
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size == 0:
         return x
@@ -257,7 +269,9 @@ def remask(x: SequenceState, positions) -> SequenceState:
 def finalize_block(x: SequenceState) -> int:
     """After a block completes: if an EOS is committed in the response,
     write PAD into every masked position, so the sequence is clean and
-    needs no further forwards. Returns the number of backfilled positions."""
+    needs no further forwards. Returns the number of backfilled positions.
+    `x` is one sequence."""
+    x._one_sequence("finalize_block")
     if EOS_ID not in x.ids[x.prompt_len:]:
         return 0
     rest = np.flatnonzero(x.masked)

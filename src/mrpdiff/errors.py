@@ -32,9 +32,13 @@ class ContractViolationError(MrpdiffError):
 
 
 class MissingArtifactError(MrpdiffError):
-    """A required input file (dataset, checkpoint) does not exist."""
+    """A required input file (dataset, checkpoint) does not exist or cannot be read."""
 
     exit_code = 3
+
+
+# the OS errors of opening or reading a file that mean MissingArtifactError
+UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 class CheckFailedError(MrpdiffError):

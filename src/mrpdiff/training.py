@@ -75,6 +75,8 @@ class TrainConfig:
             raise InvalidConfigError("log_every must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
             raise InvalidConfigError("max_steps must be None or >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _weights(cfg: TrainConfig, k: int) -> list[float]:

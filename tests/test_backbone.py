@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -716,10 +718,27 @@ def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.mrpc"]
 
 
-def test_checkpoint_missing_file_raises():
+def test_checkpoint_missing_file_raises(tmp_path, monkeypatch):
     from mrpdiff.errors import MissingArtifactError
-    with pytest.raises(MissingArtifactError):
-        checkpoint.load_tensors("/nonexistent/x.mrpc")
+    path = tmp_path / "x.mrpc"
+    for read in (checkpoint.load_tensors, checkpoint.file_sha256):
+        with pytest.raises(MissingArtifactError, match="x.mrpc: No such file"):
+            read(str(path))
+        with pytest.raises(MissingArtifactError, match=re.escape(f"{tmp_path}: Is a directory")):
+            read(str(tmp_path))
+        path.write_bytes(b"")
+        with pytest.raises(MissingArtifactError, match="x.mrpc/y: Not a directory"):
+            read(str(path / "y"))
+        path.unlink()
+
+    # run as root, chmod does not stop a read, so `open` refuses instead
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(checkpoint, "open", refuse, raising=False)
+    for read in (checkpoint.load_tensors, checkpoint.file_sha256):
+        with pytest.raises(MissingArtifactError, match="x.mrpc: Permission denied"):
+            read(str(path))
 
 
 @pytest.mark.parametrize("keep", [10, 200, -100])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import re
+
 import numpy as np
 import pytest
 
@@ -43,9 +46,34 @@ def test_specials_render_empty():
     assert detokenize([MASK_ID, PAD_ID, BOS_ID, EOS_ID]) == ""
 
 
+def _tokenize_per_character(text: str) -> list[int]:
+    """The tokenizer as a lookup per character: the reference the byte
+    table must equal, ids and errors alike."""
+    ids = []
+    for offset, ch in enumerate(text):
+        if ch not in corpus._CHAR_TO_ID:
+            raise InvalidConfigError(
+                f"unknown character {ch!r} at offset {offset} (not in vocabulary)"
+            )
+        ids.append(corpus._CHAR_TO_ID[ch])
+    return ids
+
+
+def test_tokenize_matches_the_per_character_lookup():
+    texts = corpus._CHARS + ["".join(corpus._CHARS), ""] + [str(n) for n in range(1999)]
+    for text in texts:
+        assert tokenize(text) == _tokenize_per_character(text)
+
+
 def test_unknown_character_names_offset():
-    with pytest.raises(InvalidConfigError, match=r"'\?' at offset 2"):
-        tokenize("12?4")
+    for text, offset in [("12?4", 2), ("12A", 2), ("1?2", 1), ("\x00", 0), ("\x7f", 0),
+                         ("é", 0), ("٣", 0), ("1é+?", 1), ("12+3é", 4)]:
+        with pytest.raises(InvalidConfigError) as want:
+            _tokenize_per_character(text)
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"{text[offset]!r} at offset {offset} ")) as got:
+            tokenize(text)
+        assert str(got.value) == str(want.value)
 
 
 def test_roundtrip_on_corpus_strings():
@@ -75,6 +103,62 @@ def test_example_block_padding_and_single_eos():
 def test_gen_rejects_max_operand_out_of_range(max_operand):
     with pytest.raises(InvalidConfigError, match="max_operand"):
         gen_arithmetic(0, 3, max_operand=max_operand)
+
+
+def _gen_per_example(seed, count, max_operand, block_size):
+    """The generator as three scalar draws per example, a, b then op: the
+    reference the one-call draw must equal."""
+    lo = 10 if max_operand >= 10 else 0
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a = int(rng.integers(lo, max_operand + 1))
+        b = int(rng.integers(lo, max_operand + 1))
+        op = "+" if int(rng.integers(0, 2)) == 0 else "-"
+        if op == "-" and b > a:
+            a, b = b, a
+        out.append(make_example(a, b, op, block_size))
+    return out
+
+
+# (seed, count, max_operand, block_size): the first 2000 examples of the two
+# decode pools, the train eval set, and mixed and edge cases
+@pytest.mark.parametrize("case", [
+    (7008, 2000, 99, 8), (7004, 2000, 999, 4), (9000, 256, 999, 8),
+    (5, 3000, 999, 8), (6, 3000, 99, 8), (7, 500, 9, 8), (8, 50, 0, 1), (9, 0, 99, 8),
+    (10, 700, 999, 3), (11, 700, 50, 16),
+])
+def test_gen_equals_three_scalar_draws_per_example(case):
+    got = gen_arithmetic(*case)
+    want = _gen_per_example(*case)
+    assert len(got) == len(want) == case[1]
+    for g, w in zip(got, want):
+        assert (g.question, g.answer, g.prompt_ids, g.response_ids) == \
+            (w.question, w.answer, w.prompt_ids, w.response_ids)
+
+
+def test_gen_draws_every_example_in_one_call(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    assert len(gen_arithmetic(3, 2500, 999)) == 2500
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_gen_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InvalidConfigError, match="seed"):
+        gen_arithmetic(seed, 3)
+    assert gen_arithmetic(np.int64(3), 3) == gen_arithmetic(3, 3)
 
 
 def test_gen_deterministic():
@@ -121,12 +205,24 @@ def test_dataset_file_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_load_dataset_raises_typed_errors_for_a_missing_or_non_utf8_file(tmp_path):
+def test_load_dataset_raises_typed_errors_for_a_missing_or_non_utf8_file(tmp_path, monkeypatch):
     path = tmp_path / "data.tsv"
-    with pytest.raises(MissingArtifactError, match="data.tsv"):
+    with pytest.raises(MissingArtifactError, match="data.tsv: No such file"):
         corpus.load_dataset(str(path))
+    with pytest.raises(MissingArtifactError, match=re.escape(f"{tmp_path}: Is a directory")):
+        corpus.load_dataset(str(tmp_path))
     path.write_bytes(b"12+3=\t15\n\xff\xfe+1=\t2\n")
+    with pytest.raises(MissingArtifactError, match="data.tsv/x: Not a directory"):
+        corpus.load_dataset(str(path / "x"))
     with pytest.raises(InvalidConfigError, match="data.tsv: not UTF-8"):
+        corpus.load_dataset(str(path))
+
+    # run as root, chmod does not stop a read, so `open` refuses instead
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(corpus, "open", refuse, raising=False)
+    with pytest.raises(MissingArtifactError, match="data.tsv: Permission denied"):
         corpus.load_dataset(str(path))
 
 

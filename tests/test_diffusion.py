@@ -15,7 +15,7 @@ from mrpdiff import backbone as bb
 from mrpdiff import checkpoint, corpus, diffusion
 from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID
 from mrpdiff.diffusion import Policy, SequenceState, confidence_of
-from mrpdiff.errors import ContractViolationError, InvalidConfigError
+from mrpdiff.errors import ContractViolationError, InvalidConfigError, InvalidShapeError
 from mrpdiff.numerics import tensor as T
 
 
@@ -215,6 +215,28 @@ def test_a_stacked_state_reads_its_rows_from_the_last_axis():
     x.ids[1, 0] = MASK_ID  # a masked prompt position of the second sequence
     with pytest.raises(ContractViolationError, match="prompt"):
         x.validate()
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x.current_block,
+    lambda x: x.masked_in_block(1),
+    lambda x: confidence_of(np.zeros((2, 9, 12)), x),
+    lambda x: diffusion.reveal(x, [5], [7]),
+    lambda x: diffusion.remask(x, [6]),
+    lambda x: diffusion.finalize_block(x),
+], ids=["current_block", "masked_in_block", "confidence_of", "reveal", "remask",
+        "finalize_block"])
+def test_per_sequence_operations_refuse_a_stack(op):
+    # on this stack they used to read the second sequence's mask as a block
+    # past the end, an empty block 1, or a misplaced logits row, ignore the
+    # first sequence's EOS, or fail on a flat index
+    ids = np.full((2, 9), 5)
+    ids[1, 5:] = MASK_ID
+    ids[0, 2] = EOS_ID
+    x = SequenceState(ids=ids, prompt_len=1, block_size=4)
+    with pytest.raises(InvalidShapeError, match=r"one sequence, got ids of shape \(2, 9\)"):
+        op(x)
+    assert np.array_equal(x.ids, ids)
 
 
 def test_reveal_then_remask_round_trip():

@@ -703,6 +703,7 @@ def test_a_zero_step_weight_logs_the_unweighted_kl(monkeypatch):
     ("min_lr", -1e-5), ("min_lr", float("nan")),
     ("weight_decay", -0.01), ("weight_decay", float("nan")),
     ("step_weights", [float("nan"), 1.0]), ("step_weights", [-0.5, 1.5]),
+    ("seed", -1), ("seed", 1.5),
 ])
 def test_train_config_rejects_non_finite_and_negative_values(field, value):
     cfg = training.TrainConfig(batch_size=2, max_steps=1, **{field: value})
