@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import checkpoint
-from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError
+from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError, check_int
 from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import (
@@ -43,14 +43,11 @@ class BackboneConfig:
     mlp_mult: int = 4
 
     def validate(self) -> None:
-        sizes = ("d_model", "n_heads", "n_layers", "block_size", "max_len", "mlp_mult")
-        small = [name for name in sizes if getattr(self, name) < 1]
-        if small:
-            raise InvalidConfigError(f"{', '.join(small)} must be >= 1")
+        for name in ("d_model", "n_heads", "n_layers", "block_size", "max_len", "mlp_mult"):
+            check_int(name, getattr(self, name), 1)
+        check_int("vocab_size", self.vocab_size, 5)
         if not self.norm_eps > 0:
             raise InvalidConfigError("norm_eps must be > 0")
-        if self.vocab_size < 5:
-            raise InvalidConfigError("vocab_size must be >= 5")
         if self.d_model % self.n_heads:
             raise InvalidConfigError("d_model must be divisible by n_heads")
         if self.max_len % self.block_size:
@@ -456,21 +453,6 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
     if prefix is not None:
         h, logits = prefix.complete(h, logits)
     return T._as_tensor(h), T._as_tensor(logits)
-
-
-def perturbation_norm(x_a, x_b, params: BackboneParams) -> float:
-    """Frobenius norm of the token-embedding difference between two states
-    (the per-transition perturbation size entering the contraction bound)."""
-    ids_a = np.asarray(x_a.ids, dtype=np.int64)
-    ids_b = np.asarray(x_b.ids, dtype=np.int64)
-    if ids_a.shape != ids_b.shape:
-        raise InvalidShapeError("sequences of different length")
-    diff = ids_a != ids_b
-    if not np.any(diff):
-        return 0.0
-    rows_a = params.embed.data[ids_a[diff]]
-    rows_b = params.embed.data[ids_b[diff]]
-    return float(np.sqrt(np.sum((rows_b - rows_a) ** 2)))
 
 
 # ---------------------------------------------------------------------------

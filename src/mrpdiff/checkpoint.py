@@ -34,6 +34,9 @@ _PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header length
 
 
 def save_tensors(path: str, named: list[tuple[str, np.ndarray]]) -> None:
+    """Write `named` as an MRPC file. A path that cannot be written (a
+    missing directory, a directory, no permission) raises
+    MissingArtifactError."""
     records = []
     payloads = []
     offset = 0
@@ -55,6 +58,8 @@ def save_tensors(path: str, named: list[tuple[str, np.ndarray]]) -> None:
             for chunk in payloads:
                 f.write(chunk)
         os.replace(tmp, path)
+    except UNREADABLE as e:
+        raise MissingArtifactError(f"cannot write checkpoint {path}: {e.strerror}") from None
     finally:
         if os.path.exists(tmp):  # only after a failed write
             os.remove(tmp)
@@ -117,29 +122,24 @@ def _record(blob: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
 def save_params(path: str, params) -> None:
     """Write `params.config` as one record per field, in field order, under
     `<params.PREFIX>.config.`, then every tensor `params.named_tensors()`
-    lists. A field with "choices" metadata is stored as its value's index."""
-    named = []
-    for f in dataclasses.fields(params.config):
-        value = getattr(params.config, f.name)
-        if "choices" in f.metadata:
-            value = f.metadata["choices"].index(value)
-        named.append((f"{params.PREFIX}.config.{f.name}", np.asarray([value])))
+    lists. Every config field is a number."""
+    named = [(f"{params.PREFIX}.config.{f.name}", np.asarray([getattr(params.config, f.name)]))
+             for f in dataclasses.fields(params.config)]
     named += [(name, t.data) for name, t in params.named_tensors()]
     save_tensors(path, named)
 
 
 def read_config(blob: dict[str, np.ndarray], prefix: str, cls):
-    """Rebuild and validate the config dataclass `cls` that save_params wrote."""
+    """Rebuild and validate the config dataclass `cls` that save_params
+    wrote. Records under `<prefix>.config.` that name no field of `cls`
+    are ignored."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         name = f"{prefix}.config.{f.name}"
         (value,) = _record(blob, name, (1,))
-        choices = f.metadata.get("choices")
-        if not np.isfinite(value) or (choices and value not in range(len(choices))):
+        if not np.isfinite(value):
             raise InvalidConfigError(f"checkpoint record {name!r} holds invalid value {value}")
-        if choices:
-            kwargs[f.name] = choices[int(value)]
-        elif isinstance(f.default, float):
+        if isinstance(f.default, float):
             # config scalars are stored as f32 records; snap floats to 6
             # significant digits so values like 1e-6 round-trip exactly
             kwargs[f.name] = float(f"{value:.6g}")

@@ -122,9 +122,15 @@ def gen_arithmetic(
 
 
 def write_dataset(path: str, examples: list[Example]) -> int:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(f"{ex.question}\t{ex.answer}\n")
+    """Write one TAB-separated prompt and response per line; returns the
+    count. A path that cannot be written (a missing directory, a
+    directory, no permission) raises MissingArtifactError."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            for ex in examples:
+                f.write(f"{ex.question}\t{ex.answer}\n")
+    except UNREADABLE as e:
+        raise MissingArtifactError(f"cannot write dataset {path}: {e.strerror}") from None
     return len(examples)
 
 

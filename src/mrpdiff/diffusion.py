@@ -21,7 +21,7 @@ import numpy as np
 from . import backbone as bb
 from . import checkpoint
 from .corpus import EOS_ID, MASK_ID, PAD_ID
-from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError
+from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError, check_int
 from .numerics.tensor import Tensor, _softmax_data, no_grad
 
 
@@ -180,8 +180,7 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
 def select_static(conf: Confidence, r: int) -> np.ndarray:
     """Positions of the min(r, #masked) highest-confidence entries; ties
     broken by lowest position index."""
-    if r < 1:
-        raise InvalidConfigError("static policy requires r >= 1")
+    check_int("static policy r", r, 1)
     if len(conf) == 0:
         return np.empty(0, dtype=np.int64)
     order = np.lexsort((conf.positions, -conf.probs))

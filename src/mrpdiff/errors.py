@@ -1,5 +1,7 @@
 """Exception types shared across the engine, mapped to CLI exit codes."""
 
+import numpy as np
+
 
 class MrpdiffError(Exception):
     """Base class; exit_code drives the CLI's process exit status."""
@@ -37,8 +39,15 @@ class MissingArtifactError(MrpdiffError):
     exit_code = 3
 
 
-# the OS errors of opening or reading a file that mean MissingArtifactError
+# the OS errors of opening, reading or writing a file that mean MissingArtifactError
 UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise InvalidConfigError unless `value` is an integer (Python or
+    numpy) of at least `low`."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class CheckFailedError(MrpdiffError):

@@ -15,7 +15,6 @@ target itself is a small correction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,31 +32,24 @@ from .backbone import (
     operands,
     transformer_layer,
 )
-from .errors import InvalidConfigError, InvalidShapeError
+from .errors import InvalidConfigError, InvalidShapeError, check_int
 from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import Tensor
 
-OBJECTIVES = ("residual", "direct")
+# std of the head's random initial weights (trunk layers and fusion)
+_INIT_STD = 0.2
 
 
 @dataclass
 class MrpConfig:
     depth: int = 3            # trunk transformer layers
-    sigma_init: float = 0.2
     unroll: int = 2           # training unroll steps per backward
     reveal_k: int = 1         # ground-truth tokens revealed per block per step
-    objective: str = field(default="residual", metadata={"choices": OBJECTIVES})
 
     def validate(self) -> None:
-        if self.depth < 1:
-            raise InvalidConfigError("mrp depth must be >= 1")
-        if not (math.isfinite(self.sigma_init) and self.sigma_init > 0):
-            raise InvalidConfigError("sigma_init must be finite and > 0")
-        if self.reveal_k < 1 or self.unroll < 1:
-            raise InvalidConfigError("reveal_k and unroll must be >= 1")
-        if self.objective not in OBJECTIVES:
-            raise InvalidConfigError(f"objective must be one of {OBJECTIVES}")
+        for name in ("depth", "unroll", "reveal_k"):
+            check_int(name, getattr(self, name), 1)
 
 
 @dataclass
@@ -75,12 +67,11 @@ class MrpParams(ParamSet):
 def init_mrp(cfg: MrpConfig, bb_cfg: BackboneConfig, rng: np.random.Generator) -> MrpParams:
     cfg.validate()
     d = bb_cfg.d_model
-    std = cfg.sigma_init
     # the trunk draws before w_fuse; this order fixes the random stream
-    layers = [LayerParams.init(d, bb_cfg.mlp_mult * d, rng, std) for _ in range(cfg.depth)]
+    layers = [LayerParams.init(d, bb_cfg.mlp_mult * d, rng, _INIT_STD) for _ in range(cfg.depth)]
     return MrpParams(
         config=cfg,
-        w_fuse=T.param(rng.normal(0.0, std, (2 * d, d))),
+        w_fuse=T.param(rng.normal(0.0, _INIT_STD, (2 * d, d))),
         b_fuse=T.param(np.zeros(d)),
         layers=layers,
         out_norm=T.param(np.ones(d)),

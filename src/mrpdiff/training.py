@@ -1,5 +1,5 @@
-"""Training loops: backbone pretraining on the toy task, correction-head
-distillation with K-step unrolling, and the direct-distillation ablation.
+"""Training loops: backbone pretraining on the toy task, and correction-head
+distillation with K-step unrolling.
 
 Both trainers share one step and one loop (`_train_step`, `_fit`). A step
 runs its batch as a few graphs, not one per sequence: sequences that share
@@ -19,8 +19,6 @@ no sequence has a loss logs a loss of 0.0 and makes no update.
 
 The distillation teacher is always the frozen backbone run without
 gradients; only the correction head's parameters ever receive updates.
-Residual and direct variants consume identical random streams for a given
-seed, so their comparison is noise-paired.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from . import mrp as mrp_mod
 from .corpus import MASK_ID, PAD_ID, Example
 from .diffusion import SequenceState, corrupt, state_from_example
 from .errors import (ContractViolationError, DivergenceError, InvalidConfigError,
-                     InvalidShapeError)
+                     InvalidShapeError, check_int)
 from .numerics import tensor as T
 from .numerics.optim import OptimizerState, adamw_step, cosine_lr
 from .numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -50,41 +48,21 @@ class TrainConfig:
     min_lr: float = 1e-5
     weight_decay: float = 0.01
     seed: int = 0
-    t_kd: float = 1.0
-    step_weights: list = None   # per-unroll-step loss weights; None = uniform
     max_steps: int | None = None  # cap for quick runs; None = full epoch count
     log_every: int = 50
 
     def validate(self) -> None:
         # a NaN fails every comparison, so each check is written to pass
         # only finite values in range
-        if not (math.isfinite(self.t_kd) and self.t_kd > 0):
-            raise InvalidConfigError("t_kd must be finite and > 0")
         for name in ("peak_lr", "min_lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidConfigError(f"{name} must be finite and >= 0")
-        if self.step_weights is not None:
-            if not all(math.isfinite(w) and w >= 0 for w in self.step_weights):
-                raise InvalidConfigError("step_weights must be finite and >= 0")
-            if abs(sum(self.step_weights) - 1.0) > 1e-9:
-                raise InvalidConfigError("step_weights must sum to 1")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidConfigError("batch_size and epochs must be >= 1")
-        if self.log_every < 1:
-            raise InvalidConfigError("log_every must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise InvalidConfigError("max_steps must be None or >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-
-
-def _weights(cfg: TrainConfig, k: int) -> list[float]:
-    if cfg.step_weights is None:
-        return [1.0 / k] * k
-    if len(cfg.step_weights) != k:
-        raise InvalidConfigError("step_weights length must equal unroll steps")
-    return list(cfg.step_weights)
+        for name in ("epochs", "batch_size", "log_every"):
+            check_int(name, getattr(self, name), 1)
+        if self.max_steps is not None:
+            check_int("max_steps", self.max_steps, 1)
+        check_int("seed", self.seed, 0)
 
 
 def _plan_steps(n_examples: int, cfg: TrainConfig) -> int:
@@ -294,7 +272,7 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 
 
 # ---------------------------------------------------------------------------
-# distillation loss (residual and direct objectives)
+# distillation loss (the KL to the teacher of the residual-corrected logits)
 # ---------------------------------------------------------------------------
 
 
@@ -329,7 +307,7 @@ def kd_sequence_loss(
     x0: SequenceState,
     bb_params: bb.BackboneParams,
     g_params: mrp_mod.MrpParams,
-    cfg: TrainConfig,
+    cfg: TrainConfig | None,
     rng: np.random.Generator,
     xt: SequenceState | None = None,
 ) -> tuple[Tensor | None, list]:
@@ -348,22 +326,23 @@ def kd_sequence_loss(
     base logits, each revealed state the teacher logits of one step; the
     first of those forwards fills a prefix cache of the prompt's rows,
     which the later ones reuse. For each step the head runs on the same
-    stack with the revealed sequences and accumulated hiddens, and the
-    loss is the KL from the teacher to the corrected (residual) or
-    standalone (direct) student distribution over each sequence's
-    still-masked positions, a mean per sequence.
+    stack with the revealed sequences and accumulated hiddens; its logit
+    residuals accumulate on the base logits, and the loss is the KL from
+    the teacher to that corrected student distribution over each
+    sequence's still-masked positions, a mean per sequence.
 
     Returns the total over the stack's sequences and one per-step list per
-    sequence, None for a sequence with no loss. The total weighs
-    each step's KL by its step weight; the per-step losses are the
-    unweighted KLs, also for a step of weight 0. The total is None when no
-    sequence has a loss. An `xt` of another shape than `x0` raises
-    InvalidShapeError, one that is not a corruption of `x0`
-    ContractViolationError.
+    sequence, None for a sequence with no loss. The total weighs each
+    step's KL by 1 / `unroll`; the per-step losses are the unweighted KLs.
+    The total is None when no sequence has a loss. An `xt` of another
+    shape than `x0` raises InvalidShapeError, one that is not a corruption
+    of `x0` ContractViolationError.
+
+    `cfg` is not read. It stays because the benchmark harness
+    (perfbench/workloads.py) passes a TrainConfig positionally.
     """
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
-    weights = _weights(cfg, k_steps)
     L = x0.ids.shape[-1]
     clean = _rows(x0)
     if xt is None:
@@ -400,24 +379,20 @@ def kd_sequence_loss(
         x_cur = _stack([paths[b][j + 1] for b in active])
         delta_h, delta_l = mrp_mod.mrp_forward(x_cur, h_acc, g_params, bb_params)
         h_acc = T.add(h_acc, delta_h)
-        if g_cfg.objective == "residual":
-            corrected = T.add(corrected, delta_l)
-            student_logits = corrected
-        else:
-            student_logits = delta_l
+        corrected = T.add(corrected, delta_l)
         # one KL over the still-masked rows of every sequence; a row weighs
-        # the step weight over its sequence's masked count
+        # 1 / unroll over its sequence's masked count
         rows = np.flatnonzero(x_cur.masked)
         counts = x_cur.masked.sum(axis=1)
         seq = rows // L
         kl_seq = np.zeros(len(active))
         if len(rows):
             teacher_logits = outs[j + 1][1].data.reshape(-1, vocab)[rows]
-            teacher = T.softmax_rows(T.tensor(teacher_logits / cfg.t_kd))
-            flat = T.reshape(student_logits, (-1, vocab))
-            student = T.softmax_rows(T.scale(T.select_rows(flat, rows), 1.0 / cfg.t_kd))
+            teacher = T.softmax_rows(T.tensor(teacher_logits))
+            flat = T.reshape(corrected, (-1, vocab))
+            student = T.softmax_rows(T.select_rows(flat, rows))
             kl = T.kl_per_row(teacher, student)
-            step_loss = T.sum_all(T.mul(kl, weights[j] / counts[seq]))
+            step_loss = T.sum_all(T.mul(kl, (1.0 / k_steps) / counts[seq]))
             total = step_loss if total is None else T.add(total, step_loss)
             kl_sum = np.bincount(seq, weights=kl.data, minlength=len(active))
             kl_seq = kl_sum / np.maximum(counts, 1)
@@ -431,12 +406,10 @@ def mrp_train_step(
     bb_params: bb.BackboneParams,
     g_params: mrp_mod.MrpParams,
     opt: OptimizerState,
-    cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """One optimizer step of residual (or direct) distillation over a batch;
-    returns (mean loss, mean per-unroll-step losses) over the sequences
-    that have a loss.
+    """One optimizer step of distillation over a batch; returns (mean
+    loss, mean per-unroll-step losses) over the sequences that have a loss.
 
     The batch is grouped by (length, prompt_len) in first-seen order and
     every sequence is corrupted in that order. The sequences that keep a
@@ -455,7 +428,7 @@ def mrp_train_step(
                 pairs.append((x0, xt))
 
     def chunk_loss(chunk):
-        return kd_sequence_loss(_stack([x0 for x0, _ in chunk]), bb_params, g_params, cfg, rng,
+        return kd_sequence_loss(_stack([x0 for x0, _ in chunk]), bb_params, g_params, None, rng,
                                 xt=_stack([xt for _, xt in chunk]))
 
     loss, per_seq = _train_step(g_params.named_tensors(), opt, pairs, chunk_loss, len(batch))
@@ -473,7 +446,6 @@ def train_mrp(
     requires_grad flags are restored on return, also when a step raises."""
     cfg.validate()
     g_cfg.validate()
-    _weights(cfg, g_cfg.unroll)  # a step_weights length mismatch fails before any step
     if not examples:
         raise InvalidConfigError("empty dataset")
     block_size = bb_params.config.block_size
@@ -482,7 +454,7 @@ def train_mrp(
 
     def step(batch, opt):
         batch = [state_from_example(ex, block_size, all_masked=False) for ex in batch]
-        return mrp_train_step(batch, bb_params, g_params, opt, cfg, rng)
+        return mrp_train_step(batch, bb_params, g_params, opt, rng)
 
     flags = [t.requires_grad for _, t in bb_params.named_tensors()]
     bb_params.set_requires_grad(False)

@@ -579,41 +579,6 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
 
 
 # ---------------------------------------------------------------------------
-# perturbation norm
-# ---------------------------------------------------------------------------
-
-
-def test_perturbation_norm_zero_and_single():
-    cfg = tiny_config()
-    params = bb.init_backbone(cfg, np.random.default_rng(0))
-    x = rand_state(np.random.default_rng(7), 3, 2, cfg.block_size, mask_frac=0.7)
-    assert bb.perturbation_norm(x, x, params) == 0.0
-    y = x.clone()
-    pos = int(np.flatnonzero(y.masked)[0])
-    y.ids[pos] = 9
-    e = params.embed.data
-    expect = np.linalg.norm(e[9] - e[MASK_ID])
-    assert abs(bb.perturbation_norm(x, y, params) - expect) < 1e-12
-
-
-def test_perturbation_norm_two_rows_frobenius():
-    cfg = tiny_config()
-    params = bb.init_backbone(cfg, np.random.default_rng(0))
-    x = rand_state(np.random.default_rng(8), 3, 2, cfg.block_size, mask_frac=1.0)
-    y = x.clone()
-    p1, p2 = np.flatnonzero(y.masked)[:2]
-    y.ids[p1], y.ids[p2] = 9, 12
-    e = params.embed.data
-    d1 = np.linalg.norm(e[9] - e[MASK_ID])
-    d2 = np.linalg.norm(e[12] - e[MASK_ID])
-    expect = np.sqrt(d1 ** 2 + d2 ** 2)
-    assert abs(bb.perturbation_norm(x, y, params) - expect) < 1e-12
-    with pytest.raises(InvalidShapeError):
-        z = SequenceState(ids=y.ids[:-1], prompt_len=3, block_size=4)
-        bb.perturbation_norm(x, z, params)
-
-
-# ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
 
@@ -739,6 +704,22 @@ def test_checkpoint_missing_file_raises(tmp_path, monkeypatch):
     for read in (checkpoint.load_tensors, checkpoint.file_sha256):
         with pytest.raises(MissingArtifactError, match="x.mrpc: Permission denied"):
             read(str(path))
+
+
+@pytest.mark.parametrize("target, reason", [("missing/x.mrpc", "No such file"),
+                                             ("x.mrpc", "Is a directory")])
+def test_checkpoint_write_to_a_missing_directory_or_a_directory_raises(tmp_path, target, reason):
+    from mrpdiff.errors import MissingArtifactError
+    (tmp_path / "x.mrpc").mkdir()
+    path = str(tmp_path / target)
+    params = bb.init_backbone(tiny_config(), np.random.default_rng(0))
+    for save in (lambda: checkpoint.save_tensors(path, [("a", np.ones(2))]),
+                 lambda: bb.save_backbone(path, params)):
+        with pytest.raises(MissingArtifactError, match=re.escape(f"{path}: {reason}")):
+            save()
+    # no temporary file is left beside the target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.mrpc"]
+    assert (tmp_path / "x.mrpc").is_dir()
 
 
 @pytest.mark.parametrize("keep", [10, 200, -100])

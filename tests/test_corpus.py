@@ -226,6 +226,15 @@ def test_load_dataset_raises_typed_errors_for_a_missing_or_non_utf8_file(tmp_pat
         corpus.load_dataset(str(path))
 
 
+@pytest.mark.parametrize("target, reason", [("missing/data.tsv", "No such file"),
+                                             (".", "Is a directory")])
+def test_write_dataset_to_a_missing_directory_or_a_directory_raises(tmp_path, target, reason):
+    path = str(tmp_path / target)
+    with pytest.raises(MissingArtifactError, match=re.escape(f"{path}: {reason}")):
+        corpus.write_dataset(path, gen_arithmetic(seed=0, count=1))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("block_size", [0, -2])
 def test_examples_reject_a_block_size_below_one(tmp_path, block_size):
     path = tmp_path / "data.tsv"

@@ -247,7 +247,7 @@ def test_fd_kl_per_row_student_side():
 
 
 def test_fd_weighted_kl_per_row_both_sides():
-    # a distillation step's loss: each row weighs step weight / its
+    # a distillation step's loss: each row weighs 1 / unroll over its
     # sequence's masked count, here rows of sequences of 1, 2 and 3 rows.
     # p is a free positive leaf, so its gradient's +1 term shows (through
     # a softmax it would cancel)

@@ -8,7 +8,7 @@ import pytest
 
 from mrpdiff import backbone as bb
 from mrpdiff import mrp as mrp_mod
-from mrpdiff import training
+from mrpdiff import diffusion, training
 from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID, gen_arithmetic, make_example
 from mrpdiff.diffusion import corrupt, state_from_example
 from mrpdiff.errors import (ContractViolationError, DivergenceError, InvalidConfigError,
@@ -52,11 +52,10 @@ def test_train_mrp_restores_flags_when_a_step_raises():
     assert _flags(params) == before
 
 
-def test_train_mrp_checks_step_weights_before_training():
+def test_train_mrp_checks_the_head_config_before_training():
     params = bb.init_backbone(BB_CFG, np.random.default_rng(0))
-    cfg = training.TrainConfig(batch_size=2, max_steps=2, step_weights=[1.0])
-    with pytest.raises(InvalidConfigError, match="step_weights"):
-        training.train_mrp(gen_arithmetic(0, 4, block_size=4), params, cfg, MrpConfig(unroll=2))
+    with pytest.raises(InvalidConfigError, match="unroll"):
+        training.train_mrp(gen_arithmetic(0, 4, block_size=4), params, TRAIN, MrpConfig(unroll=0))
     assert all(_flags(params))
 
 
@@ -76,40 +75,32 @@ def test_train_config_rejects_steps_below_one(field, value):
                            log_rows=[])
 
 
-def test_residual_and_direct_objectives_consume_the_same_random_stream(monkeypatch):
+def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
     params = bb.init_backbone(BB_CFG, np.random.default_rng(0), std=0.3)
     examples = gen_arithmetic(1, 12, block_size=4)
     cfg = training.TrainConfig(batch_size=3, max_steps=3, seed=7)
-    corrupt, reveal = training.corrupt, training.reveal_ground_truth
-    seen = {}
-    for objective in ("residual", "direct"):
-        states = []
+    states = []
 
-        def recorded(fn):
-            def call(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                states.append((fn.__name__, out.ids.copy(), out.masked.copy()))
-                return out
-            return call
+    def recorded(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            states.append((fn.__name__, out.ids.copy(), out.masked.copy()))
+            return out
+        return call
 
-        monkeypatch.setattr(training, "corrupt", recorded(corrupt))
-        monkeypatch.setattr(training, "reveal_ground_truth", recorded(reveal))
-        training.train_mrp(examples, params, cfg, MrpConfig(depth=1, objective=objective))
-        seen[objective] = states
-    residual, direct = seen["residual"], seen["direct"]
+    monkeypatch.setattr(training, "corrupt", recorded(training.corrupt))
+    monkeypatch.setattr(training, "reveal_ground_truth", recorded(training.reveal_ground_truth))
+    training.train_mrp(examples, params, cfg, MrpConfig(depth=1))
     # per step of 3 sequences: each is corrupted and revealed once, which
     # tells whether it has a loss; then each one with a loss is revealed at
     # the 2 unroll steps
     want = []
     for _ in range(3):
-        checks = residual[len(want) + 1:len(want) + 6:2]
+        checks = states[len(want) + 1:len(want) + 6:2]
         with_loss = sum(bool(masked.any()) for _, _, masked in checks)
         want += ["corrupt", "reveal_ground_truth"] * 3 + ["reveal_ground_truth"] * 2 * with_loss
-    assert [name for name, _, _ in residual] == want and len(want) > 3 * 6
-    assert len(residual) == len(direct)
-    for (name, ids, masked), (name2, ids2, masked2) in zip(residual, direct):
-        assert name == name2 and np.array_equal(ids, ids2) and np.array_equal(masked, masked2)
-    assert len({ids.tobytes() for name, ids, _ in residual if name == "corrupt"}) > 1
+    assert [name for name, _, _ in states] == want and len(want) > 3 * 6
+    assert len({ids.tobytes() for name, ids, _ in states if name == "corrupt"}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +119,11 @@ def test_fd_masked_cross_entropy_through_backbone_forward():
                 tensors, max_coords=8)
 
 
-@pytest.mark.parametrize("objective", ["residual", "direct"])
-def test_fd_kd_sequence_loss_wrt_head_parameters(objective):
+def test_fd_kd_sequence_loss_wrt_head_parameters():
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
     params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
     params.set_requires_grad(False)
-    head = init_mrp(MrpConfig(depth=1, objective=objective), cfg, np.random.default_rng(3))
+    head = init_mrp(MrpConfig(depth=1), cfg, np.random.default_rng(3))
     # a zero output projection would zero every other head gradient
     head.w_out.data[:] = np.random.default_rng(4).normal(0.0, 0.3, head.w_out.shape)
     x0 = state_from_example(make_example(999, 99, "+", 4), 4, all_masked=False)
@@ -364,12 +354,11 @@ def test_masked_cross_entropy_rejects_logits_of_another_shape():
         training.masked_cross_entropy(logits, xt, x0.ids)
 
 
-@pytest.mark.parametrize("objective", ["residual", "direct"])
-def test_fd_stacked_kd_sequence_loss_wrt_head_parameters(objective):
+def test_fd_stacked_kd_sequence_loss_wrt_head_parameters():
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
     params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
     params.set_requires_grad(False)
-    head = init_mrp(MrpConfig(depth=1, objective=objective), cfg, np.random.default_rng(3))
+    head = init_mrp(MrpConfig(depth=1), cfg, np.random.default_rng(3))
     head.w_out.data[:] = np.random.default_rng(4).normal(0.0, 0.3, head.w_out.shape)
     x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
                           for a, b in [(999, 99), (987, 65)]])
@@ -392,7 +381,7 @@ def test_fd_stacked_kd_sequence_loss_wrt_head_parameters(objective):
 DISTILL_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=32)
 
 
-def _distill_setup(monkeypatch, objective="residual"):
+def _distill_setup(monkeypatch):
     """A frozen backbone, a head with a non-zero output projection, 18
     clean states in five (length, prompt_len) buckets, and
     `training.corrupt` replaced by a table of fixed corrupted states. In
@@ -402,8 +391,7 @@ def _distill_setup(monkeypatch, objective="residual"):
     Returns the states and the number of sequences with a loss as well."""
     params = bb.init_backbone(DISTILL_CFG, np.random.default_rng(0), std=0.3)
     params.set_requires_grad(False)
-    head = init_mrp(MrpConfig(depth=1, objective=objective), DISTILL_CFG,
-                    np.random.default_rng(1))
+    head = init_mrp(MrpConfig(depth=1), DISTILL_CFG, np.random.default_rng(1))
     head.w_out.data[:] = np.random.default_rng(2).normal(0.0, 0.3, head.w_out.shape)
     examples = (gen_arithmetic(1, 8, 99, block_size=4) + gen_arithmetic(2, 8, 999, block_size=4)
                 + [make_example(999, 9, "+", 4), make_example(123, 456, "+", 4)])
@@ -438,12 +426,11 @@ def _group_order(batch):
 def _distill_step(params, head, batch):
     cfg = training.TrainConfig(batch_size=len(batch))
     opt = training.OptimizerState(peak_lr=cfg.peak_lr, min_lr=cfg.min_lr, total_steps=1)
-    return training.mrp_train_step(batch, params, head, opt, cfg, np.random.default_rng(0))
+    return training.mrp_train_step(batch, params, head, opt, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("objective", ["residual", "direct"])
-def test_bucketed_distillation_step_matches_a_per_sequence_loop(monkeypatch, objective):
-    params, head, batch, with_loss = _distill_setup(monkeypatch, objective)
+def test_bucketed_distillation_step_matches_a_per_sequence_loop(monkeypatch):
+    params, head, batch, with_loss = _distill_setup(monkeypatch)
     grads = {}
 
     def capture(named, opt):
@@ -634,9 +621,8 @@ def test_a_sequence_with_no_loss_runs_no_head_forward(monkeypatch):
     assert total is None and per_seq == [None] and sizes == []
 
 
-@pytest.mark.parametrize("objective", ["residual", "direct"])
-def test_kd_teacher_prefix_matches_full_teacher_forwards(monkeypatch, objective):
-    params, head, batch, _ = _distill_setup(monkeypatch, objective)
+def test_kd_teacher_prefix_matches_full_teacher_forwards(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
     stack = training._stack([x for x in batch if (x.length, x.prompt_len) == (13, 9)][3:5])
     named = head.named_tensors()
 
@@ -669,27 +655,16 @@ def test_kd_teacher_prefix_matches_full_teacher_forwards(monkeypatch, objective)
         assert np.abs(g - ref).max() <= 1e-12
 
 
-def test_a_zero_step_weight_logs_the_unweighted_kl(monkeypatch):
+def test_the_total_weighs_each_step_kl_by_one_over_unroll(monkeypatch):
     params, head, batch, _ = _distill_setup(monkeypatch)
     stack = training._stack([x for x in batch if (x.length, x.prompt_len) == (13, 9)][3:5])
-    out = {}
-    for weights in (None, [1.0, 0.0]):
-        out[weights is None] = training.kd_sequence_loss(
-            stack, params, head, training.TrainConfig(step_weights=weights),
-            np.random.default_rng(0))
-    (total, per_seq), (uniform_total, uniform_per_seq) = out[False], out[True]
-    # the zero-weight step still logs its KL
-    assert per_seq == uniform_per_seq and np.asarray(per_seq)[:, 1].max() > 0
-    # the total keeps only the first step's KL, summed over the stack
-    assert abs(total.item() - sum(steps[0] for steps in per_seq)) <= 1e-12
-    assert abs(uniform_total.item() - 0.5 * np.sum(per_seq)) <= 1e-12
-    # and a whole run trains, on real corruption draws
-    monkeypatch.undo()
-    cfg = training.TrainConfig(batch_size=4, max_steps=2, step_weights=[1.0, 0.0])
-    rows = []
-    training.train_mrp(gen_arithmetic(0, 8, 999, block_size=4), params, cfg,
-                       MrpConfig(depth=1), log_rows=rows)
-    assert all(np.isfinite(row["loss_step_2"]) for row in rows)
+    total, per_seq = training.kd_sequence_loss(stack, params, head, training.TrainConfig(),
+                                               np.random.default_rng(0))
+    # both sequences log a KL at every step, some of them positive at each
+    # step, and the total is their sum over the stack weighed 1 / unroll
+    assert np.asarray(per_seq).shape == (2, head.config.unroll)
+    assert np.asarray(per_seq).max(axis=0).min() > 0
+    assert abs(total.item() - np.sum(per_seq) / head.config.unroll) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +673,9 @@ def test_a_zero_step_weight_logs_the_unweighted_kl(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("t_kd", float("nan")), ("t_kd", float("inf")), ("t_kd", 0.0),
     ("peak_lr", -1.0), ("peak_lr", float("nan")),
     ("min_lr", -1e-5), ("min_lr", float("nan")),
     ("weight_decay", -0.01), ("weight_decay", float("nan")),
-    ("step_weights", [float("nan"), 1.0]), ("step_weights", [-0.5, 1.5]),
     ("seed", -1), ("seed", 1.5),
 ])
 def test_train_config_rejects_non_finite_and_negative_values(field, value):
@@ -711,3 +684,30 @@ def test_train_config_rejects_non_finite_and_negative_values(field, value):
         cfg.validate()
     with pytest.raises(InvalidConfigError, match=field):
         training.train_backbone(gen_arithmetic(0, 4, block_size=4), cfg, BB_CFG)
+
+
+def _select_static(r):
+    conf = diffusion.Confidence(np.array([4, 5]), np.array([0.6, 0.9]), np.array([7, 8]))
+    return diffusion.select_static(conf, r)
+
+
+@pytest.mark.parametrize("value", [1.5, "2"])
+@pytest.mark.parametrize("owner, field", [
+    *[(bb.BackboneConfig, name) for name in ("d_model", "n_heads", "n_layers", "vocab_size",
+                                             "block_size", "max_len", "mlp_mult")],
+    *[(MrpConfig, name) for name in ("depth", "unroll", "reveal_k")],
+    *[(training.TrainConfig, name) for name in ("epochs", "batch_size", "log_every",
+                                                "max_steps", "seed")],
+    (_select_static, "r"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_integer_fields_refuse_non_integers(owner, field, value):
+    def check(v):
+        if owner is _select_static:
+            return _select_static(v)
+        owner(**{field: v}).validate()
+
+    with pytest.raises(InvalidConfigError, match=field):
+        check(value)
+    # a numpy integer is an integer
+    default = 2 if owner is _select_static else getattr(owner(), field)
+    check(np.int64(default or 2))
