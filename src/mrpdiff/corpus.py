@@ -3,6 +3,12 @@
 The task is 2-3 digit addition/subtraction with non-negative results, e.g.
 "17+25=" -> "42". Exact string match on the answer gives a crisp quality
 metric at desk scale.
+
+An `Example` is its question and answer text and the block size its
+response is padded to; its token ids are derived when read. `make_example`,
+`gen_arithmetic` and `load_dataset` build it directly. Text read from a file
+is checked against the vocabulary there; generated text holds only
+vocabulary characters by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UNREADABLE, InvalidConfigError, MissingArtifactError
+from .errors import UNREADABLE, InvalidConfigError, MissingArtifactError, check_int
 
 MASK_ID = 0
 PAD_ID = 1
@@ -52,15 +58,37 @@ def detokenize(ids) -> str:
     return "".join(_ID_TO_CHAR.get(int(i), "") for i in ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
+    """One task example: its question and answer text, and the block size
+    its response is padded to. The token ids are derived when read, so a
+    pool of examples holds only strings. Examples compare and hash by these
+    three fields."""
+
     question: str
     answer: str
-    prompt_ids: tuple   # BOS + question tokens
-    response_ids: tuple  # answer tokens + EOS, right-padded with PAD to the block grid
+    block_size: int
+
+    def __post_init__(self):
+        check_int("block_size", self.block_size, 1)
+
+    @property
+    def prompt_ids(self) -> tuple:
+        """BOS, then the question's tokens."""
+        return (BOS_ID, *tokenize(self.question))
+
+    @property
+    def response_ids(self) -> tuple:
+        """The answer's tokens and EOS, right-padded with PAD to a whole
+        number of blocks."""
+        resp = tokenize(self.answer) + [EOS_ID]
+        return tuple(resp + [PAD_ID] * (-len(resp) % self.block_size))
 
 
 def make_example(a: int, b: int, op: str, block_size: int) -> Example:
+    """The example "a op b=" with its answer; operands are integers >= 0."""
+    check_int("operand a", a, 0)
+    check_int("operand b", b, 0)
     if op == "+":
         result = a + b
     elif op == "-":
@@ -69,21 +97,7 @@ def make_example(a: int, b: int, op: str, block_size: int) -> Example:
         raise InvalidConfigError(f"unsupported operator {op!r}")
     if result < 0:
         raise InvalidConfigError("negative results are out of task scope")
-    return _example(f"{a}{op}{b}=", str(result), block_size)
-
-
-def _example(question: str, answer: str, block_size: int) -> Example:
-    if block_size < 1:
-        raise InvalidConfigError(f"block_size must be >= 1, got {block_size}")
-    resp = tokenize(answer) + [EOS_ID]
-    if len(resp) % block_size:
-        resp = resp + [PAD_ID] * (block_size - len(resp) % block_size)
-    return Example(
-        question=question,
-        answer=answer,
-        prompt_ids=tuple([BOS_ID] + tokenize(question)),
-        response_ids=tuple(resp),
-    )
+    return Example(f"{a}{op}{b}=", str(result), block_size)
 
 
 def gen_arithmetic(
@@ -99,14 +113,15 @@ def gen_arithmetic(
     All draws are one `rng.integers` call of shape (count, 3): row i holds
     example i's (a, b, op). numpy fills an array-bounded draw element by
     element in C order with the same bounded sampler as a scalar call, so
-    the rows equal three scalar draws per example, a, b then op.
+    the rows equal three scalar draws per example, a, b then op. After the
+    draw an example costs two formatted strings: nothing is tokenized.
     """
-    if not 0 <= max_operand <= 999:
-        raise InvalidConfigError("max_operand must lie in [0, 999]")
-    if count < 0:
-        raise InvalidConfigError("count must be >= 0")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_int("seed", seed, 0)
+    check_int("count", count, 0)
+    check_int("max_operand", max_operand, 0)
+    if max_operand > 999:
+        raise InvalidConfigError(f"max_operand must lie in [0, 999], got {max_operand}")
+    check_int("block_size", block_size, 1)
     lo = 10 if max_operand >= 10 else 0
     draws = np.random.default_rng(seed).integers(
         [lo, lo, 0], [max_operand + 1, max_operand + 1, 2], size=(count, 3)
@@ -115,9 +130,12 @@ def gen_arithmetic(
     # a slice at a time, so no pool-sized list of Python ints is ever alive
     for start in range(0, count, _ROWS):
         for a, b, minus in draws[start:start + _ROWS].tolist():
-            if minus and b > a:
-                a, b = b, a
-            out.append(make_example(a, b, "-" if minus else "+", block_size))
+            if not minus:
+                out.append(Example(f"{a}+{b}=", str(a + b), block_size))
+            elif b > a:
+                out.append(Example(f"{b}-{a}=", str(b - a), block_size))
+            else:
+                out.append(Example(f"{a}-{b}=", str(a - b), block_size))
     return out
 
 
@@ -137,8 +155,10 @@ def write_dataset(path: str, examples: list[Example]) -> int:
 def load_dataset(path: str, block_size: int = 8) -> list[Example]:
     """Read a file written by `write_dataset`. A file that is missing or
     cannot be read (a directory, no permission) raises MissingArtifactError;
-    bytes that are not UTF-8 or a line that is not a TAB-separated pair
-    raise InvalidConfigError naming the path."""
+    bytes that are not UTF-8, a line that is not a TAB-separated pair, or a
+    character outside the vocabulary raise InvalidConfigError naming the
+    path (and the line)."""
+    check_int("block_size", block_size, 1)
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
@@ -157,7 +177,13 @@ def load_dataset(path: str, block_size: int = 8) -> list[Example]:
             raise InvalidConfigError(
                 f"{path}:{lineno + 1}: expected TAB-separated prompt and response"
             ) from None
-        out.append(_example(question, answer, block_size))
+        # the ids are derived when read, so the text is checked here, once
+        for field, text in (("prompt", question), ("response", answer)):
+            try:
+                tokenize(text)
+            except InvalidConfigError as e:
+                raise InvalidConfigError(f"{path}:{lineno + 1}: {field}: {e}") from None
+        out.append(Example(question, answer, block_size))
     return out
 
 

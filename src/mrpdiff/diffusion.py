@@ -100,9 +100,10 @@ class SequenceState:
 def state_from_example(ex, block_size: int, all_masked: bool = True) -> SequenceState:
     """Decode-ready state (response fully masked) or the clean x0. The
     response must be a whole number of blocks."""
+    check_int("block_size", block_size, 1)
     prompt = np.asarray(ex.prompt_ids, dtype=np.int64)
     resp = np.asarray(ex.response_ids, dtype=np.int64)
-    if block_size < 1 or len(resp) % block_size:
+    if len(resp) % block_size:
         raise InvalidConfigError(
             f"block_size {block_size} does not divide the response length {len(resp)}"
         )
@@ -190,8 +191,7 @@ def select_static(conf: Confidence, r: int) -> np.ndarray:
 def select_dynamic(conf: Confidence, tau: float) -> np.ndarray:
     """All positions with confidence strictly above tau; if none, the single
     highest-confidence position, so every step makes progress."""
-    if not 0.0 < tau <= 1.0:
-        raise InvalidConfigError("dynamic policy requires tau in (0, 1]")
+    _check_tau(tau)
     if len(conf) == 0:
         return np.empty(0, dtype=np.int64)
     above = conf.probs > tau
@@ -201,11 +201,26 @@ def select_dynamic(conf: Confidence, tau: float) -> np.ndarray:
     return conf.positions[order[:1]]
 
 
+def _check_tau(tau) -> None:
+    if (not isinstance(tau, (int, float, np.integer, np.floating)) or isinstance(tau, bool)
+            or not 0.0 < tau <= 1.0):
+        raise InvalidConfigError(f"dynamic policy requires tau in (0, 1], got {tau!r}")
+
+
 @dataclass
 class Policy:
+    """How a denoising step picks the positions to reveal: "static" takes
+    the r most confident, "dynamic" those above tau. Checked when built."""
+
     kind: str = "static"   # "static" | "dynamic"
     r: int = 1
     tau: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("static", "dynamic"):
+            raise InvalidConfigError(f"unknown policy kind {self.kind!r}")
+        check_int("static policy r", self.r, 1)
+        _check_tau(self.tau)
 
     def select(self, conf: Confidence) -> np.ndarray:
         if self.kind == "static":

@@ -45,8 +45,8 @@ UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, Permissi
 
 def check_int(name: str, value, low: int) -> None:
     """Raise InvalidConfigError unless `value` is an integer (Python or
-    numpy) of at least `low`."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    numpy, not a bool) of at least `low`."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import re
 
@@ -132,9 +133,51 @@ def test_gen_equals_three_scalar_draws_per_example(case):
     got = gen_arithmetic(*case)
     want = _gen_per_example(*case)
     assert len(got) == len(want) == case[1]
-    for g, w in zip(got, want):
-        assert (g.question, g.answer, g.prompt_ids, g.response_ids) == \
-            (w.question, w.answer, w.prompt_ids, w.response_ids)
+    assert got == want  # question, answer and block_size; the ids follow from them
+
+
+def _ids_per_character(ex: Example, block_size: int) -> tuple[tuple, tuple]:
+    """An example's ids from the per-character lookup: the reference the
+    derived `prompt_ids` and `response_ids` must equal."""
+    resp = _tokenize_per_character(ex.answer) + [EOS_ID]
+    while len(resp) % block_size:
+        resp.append(PAD_ID)
+    return tuple([BOS_ID] + _tokenize_per_character(ex.question)), tuple(resp)
+
+
+# (seed, count, max_operand, block_size): the first 2000 examples of the two
+# decode pools, and the train eval set
+@pytest.mark.parametrize("case", [(7008, 2000, 99, 8), (7004, 2000, 999, 4), (9000, 256, 999, 8)])
+def test_derived_ids_match_the_per_character_lookup(case):
+    for ex in gen_arithmetic(*case):
+        assert (ex.prompt_ids, ex.response_ids) == _ids_per_character(ex, case[3])
+
+
+def test_an_example_is_its_text_and_block_size():
+    assert [f.name for f in dataclasses.fields(Example)] == ["question", "answer", "block_size"]
+    ex = make_example(1, 2, "+", 4)
+    for same in (Example("1+2=", "3", 4), Example("1+2=", "3", np.int64(4))):
+        assert ex == same and hash(ex) == hash(same)
+    # "3" + EOS fills whole blocks of 1 and of 2 alike: equal ids, unequal examples
+    one, two = Example("1+2=", "3", 1), Example("1+2=", "3", 2)
+    assert one.response_ids == two.response_ids and one != two
+    for other in (Example("2+1=", "3", 4), Example("1+2=", "4", 4), two):
+        assert ex != other
+    assert len({ex, Example("1+2=", "3", 4), one, two}) == 3
+
+
+def test_gen_tokenizes_nothing(monkeypatch):
+    calls = []
+    real_tokenize = corpus.tokenize
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return real_tokenize(text)
+
+    monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
+    exs = gen_arithmetic(3, 2500, 999)
+    assert len(exs) == 2500 and calls == []
+    assert exs[0].prompt_ids and len(calls) == 1  # the ids are made when read
 
 
 def test_gen_draws_every_example_in_one_call(monkeypatch):
@@ -233,6 +276,49 @@ def test_write_dataset_to_a_missing_directory_or_a_directory_raises(tmp_path, ta
     with pytest.raises(MissingArtifactError, match=re.escape(f"{path}: {reason}")):
         corpus.write_dataset(path, gen_arithmetic(seed=0, count=1))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_load_dataset_names_the_line_of_an_unknown_character(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_text("12+3=\t15\n\n4+4=\t8\n12*3=\t36\n", encoding="utf-8")
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape("data.tsv:4: prompt: unknown character '*' at offset 2")):
+        corpus.load_dataset(str(path))
+    path.write_text("12+3=\t15\n4+4=\t8é\n", encoding="utf-8")
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape("data.tsv:2: response: unknown character 'é' at offset 1")):
+        corpus.load_dataset(str(path))
+
+
+# id -> (build from a dataset path, the name the error gives)
+_NON_INTEGERS = {
+    "gen-count-float": (lambda path: gen_arithmetic(0, 1.5), "count"),
+    "gen-count-str": (lambda path: gen_arithmetic(0, "3"), "count"),
+    "gen-count-bool": (lambda path: gen_arithmetic(0, True), "count"),
+    "gen-seed-bool": (lambda path: gen_arithmetic(True, 2), "seed"),
+    "gen-max-operand-float": (lambda path: gen_arithmetic(0, 2, max_operand=99.5), "max_operand"),
+    "gen-max-operand-str": (lambda path: gen_arithmetic(0, 2, max_operand="99"), "max_operand"),
+    "gen-block-float": (lambda path: gen_arithmetic(0, 2, block_size=2.0), "block_size"),
+    "make-block-float": (lambda path: make_example(12, 3, "+", 2.5), "block_size"),
+    "make-operand-negative": (lambda path: make_example(5, -3, "+", 8), "operand b"),
+    "make-operand-float": (lambda path: make_example(5.0, 3, "+", 8), "operand a"),
+    "make-operand-bool": (lambda path: make_example(5, True, "+", 8), "operand b"),
+    "example-block-bool": (lambda path: Example("1+2=", "3", True), "block_size"),
+    "load-block-float": (lambda path: corpus.load_dataset(path, 2.5), "block_size"),
+    "state-block-float": (lambda path: state_from_example(make_example(12, 3, "+", 4), 2.0),
+                          "block_size"),
+    "state-block-str": (lambda path: state_from_example(make_example(12, 3, "+", 4), "2"),
+                        "block_size"),
+}
+
+
+@pytest.mark.parametrize("case", _NON_INTEGERS)
+def test_integer_inputs_refuse_non_integers(tmp_path, case):
+    build, name = _NON_INTEGERS[case]
+    path = tmp_path / "data.tsv"
+    corpus.write_dataset(str(path), gen_arithmetic(seed=0, count=1))
+    with pytest.raises(InvalidConfigError, match=f"{name} must be an integer >= "):
+        build(str(path))
 
 
 @pytest.mark.parametrize("block_size", [0, -2])

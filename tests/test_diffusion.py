@@ -332,6 +332,31 @@ def test_select_dynamic_falls_back_to_the_lowest_tied_position():
     assert diffusion.select_dynamic(conf, 0.6).tolist() == [5]
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"kind": "bogus"}, "unknown policy kind 'bogus'"),
+    ({"kind": "static", "r": 0}, "r must be an integer >= 1"),
+    ({"kind": "static", "r": 1.5}, "r must be an integer >= 1"),
+    ({"kind": "static", "r": True}, "r must be an integer >= 1"),
+    ({"kind": "dynamic", "tau": 1.5}, r"tau in \(0, 1\]"),
+    ({"kind": "dynamic", "tau": 0.0}, r"tau in \(0, 1\]"),
+    ({"kind": "dynamic", "tau": float("nan")}, r"tau in \(0, 1\]"),
+    ({"kind": "dynamic", "tau": "0.5"}, r"tau in \(0, 1\]"),
+], ids=["kind-bogus", "r-zero", "r-float", "r-bool", "tau-above-one", "tau-zero", "tau-nan",
+        "tau-str"])
+def test_policy_is_checked_when_built(kwargs, match):
+    with pytest.raises(InvalidConfigError, match=match):
+        Policy(**kwargs)
+    # the selectors raise the same error for the same value
+    if "r" in kwargs:
+        with pytest.raises(InvalidConfigError, match=match):
+            diffusion.select_static(_conf([4], [0.5]), kwargs["r"])
+    if "tau" in kwargs:
+        with pytest.raises(InvalidConfigError, match=match):
+            diffusion.select_dynamic(_conf([4], [0.5]), kwargs["tau"])
+    assert Policy("dynamic", tau=np.float64(0.9)).tau == 0.9
+    assert Policy("static", r=np.int64(2)).r == 2
+
+
 def test_confidence_of_never_picks_the_mask_token():
     ids = np.array([2, 7, MASK_ID, MASK_ID])
     x = SequenceState(ids=ids, prompt_len=2, block_size=2)
