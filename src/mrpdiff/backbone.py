@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import checkpoint
-from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError, check_int
+from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, check_int,
+                     is_finite_real)
 from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import (
@@ -46,8 +47,8 @@ class BackboneConfig:
         for name in ("d_model", "n_heads", "n_layers", "block_size", "max_len", "mlp_mult"):
             check_int(name, getattr(self, name), 1)
         check_int("vocab_size", self.vocab_size, 5)
-        if not self.norm_eps > 0:
-            raise InvalidConfigError("norm_eps must be > 0")
+        if not (is_finite_real(self.norm_eps) and self.norm_eps > 0):
+            raise InvalidConfigError(f"norm_eps must be finite and > 0, got {self.norm_eps!r}")
         if self.d_model % self.n_heads:
             raise InvalidConfigError("d_model must be divisible by n_heads")
         if self.max_len % self.block_size:

@@ -2,9 +2,11 @@
 
 Holds the chain state (token ids on a block grid; a position is masked
 exactly when its id is MASK_ID), the training-time corruption, confidence
-computation over masked positions, static top-r / dynamic threshold
-selection, the baseline one-forward-per-step denoising loop, and trace
-recording. Decoding never commits MASK_ID, so every block ends clean.
+computation over masked positions, the decoding policy (`Policy.select`,
+the one rule for which positions a step reveals: the static top r or those
+above a dynamic threshold), the baseline one-forward-per-step denoising
+loop, and trace recording. Decoding never commits MASK_ID, so every block
+ends clean.
 
 Threshold comparisons are on max softmax probability. Tie-breaks are fixed
 everywhere (lowest position index, lowest token id) so decoding is fully
@@ -21,7 +23,8 @@ import numpy as np
 from . import backbone as bb
 from . import checkpoint
 from .corpus import EOS_ID, MASK_ID, PAD_ID
-from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError, check_int
+from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, check_int,
+                     is_finite_real)
 from .numerics.tensor import Tensor, _softmax_data, no_grad
 
 
@@ -77,12 +80,6 @@ class SequenceState:
         end = self.prompt_len + (block + 1) * self.block_size
         return SequenceState(self.ids[..., :end], self.prompt_len, self.block_size)
 
-    def masked_in_block(self, block: int) -> np.ndarray:
-        """The masked positions of `block`, of one sequence."""
-        self._one_sequence("masked_in_block")
-        lo, hi = self.block_bounds(block)
-        return lo + np.flatnonzero(self.masked[lo:hi])
-
     def mask_count(self) -> int:
         return int(self.masked.sum())
 
@@ -119,12 +116,13 @@ def state_from_example(ex, block_size: int, all_masked: bool = True) -> Sequence
 def corrupt(x0: SequenceState, rng: np.random.Generator, rate: float | None = None) -> SequenceState:
     """Mask response tokens independently with one shared rate u ~ U(0,1)
     per sequence (rate can be forced for tests). Prompt and PAD positions
-    are never masked. A forced rate outside [0, 1], or NaN, raises
-    InvalidConfigError."""
+    are never masked. `x0` is one sequence. A forced rate that is not a
+    number in [0, 1] raises InvalidConfigError."""
+    x0._one_sequence("corrupt")
     if x0.masked.any():
         raise ContractViolationError("corrupt expects a fully clean sequence")
-    if rate is not None and not 0.0 <= float(rate) <= 1.0:  # NaN fails too
-        raise InvalidConfigError(f"corruption rate must lie in [0, 1], got {rate}")
+    if rate is not None and not (is_finite_real(rate) and 0.0 <= rate <= 1.0):
+        raise InvalidConfigError(f"corruption rate must lie in [0, 1], got {rate!r}")
     u = float(rng.random()) if rate is None else float(rate)
     out = x0.clone()
     eligible = np.zeros(out.length, dtype=bool)
@@ -178,39 +176,12 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
                       tokens=p.argmax(axis=-1))
 
 
-def select_static(conf: Confidence, r: int) -> np.ndarray:
-    """Positions of the min(r, #masked) highest-confidence entries; ties
-    broken by lowest position index."""
-    check_int("static policy r", r, 1)
-    if len(conf) == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort((conf.positions, -conf.probs))
-    return np.sort(conf.positions[order[: min(r, len(conf))]])
-
-
-def select_dynamic(conf: Confidence, tau: float) -> np.ndarray:
-    """All positions with confidence strictly above tau; if none, the single
-    highest-confidence position, so every step makes progress."""
-    _check_tau(tau)
-    if len(conf) == 0:
-        return np.empty(0, dtype=np.int64)
-    above = conf.probs > tau
-    if above.any():
-        return np.sort(conf.positions[above])
-    order = np.lexsort((conf.positions, -conf.probs))
-    return conf.positions[order[:1]]
-
-
-def _check_tau(tau) -> None:
-    if (not isinstance(tau, (int, float, np.integer, np.floating)) or isinstance(tau, bool)
-            or not 0.0 < tau <= 1.0):
-        raise InvalidConfigError(f"dynamic policy requires tau in (0, 1], got {tau!r}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class Policy:
     """How a denoising step picks the positions to reveal: "static" takes
-    the r most confident, "dynamic" those above tau. Checked when built."""
+    the r most confident, "dynamic" all those strictly above tau, or the
+    most confident one when none is, so every step makes progress. Ties go
+    to the lowest position. Checked when built, and immutable after."""
 
     kind: str = "static"   # "static" | "dynamic"
     r: int = 1
@@ -220,14 +191,18 @@ class Policy:
         if self.kind not in ("static", "dynamic"):
             raise InvalidConfigError(f"unknown policy kind {self.kind!r}")
         check_int("static policy r", self.r, 1)
-        _check_tau(self.tau)
+        if not (is_finite_real(self.tau) and 0.0 < self.tau <= 1.0):
+            raise InvalidConfigError(f"dynamic policy requires tau in (0, 1], got {self.tau!r}")
 
     def select(self, conf: Confidence) -> np.ndarray:
-        if self.kind == "static":
-            return select_static(conf, self.r)
+        """The positions of `conf` to reveal, ascending; empty when `conf` is."""
         if self.kind == "dynamic":
-            return select_dynamic(conf, self.tau)
-        raise InvalidConfigError(f"unknown policy kind {self.kind!r}")
+            above = conf.probs > self.tau
+            if above.any():
+                return np.sort(conf.positions[above])
+        # the r most confident, or for "dynamic" with none above tau the one
+        order = np.lexsort((conf.positions, -conf.probs))
+        return np.sort(conf.positions[order[:self.r if self.kind == "static" else 1]])
 
 
 def _check_positions(x: SequenceState, positions: np.ndarray, op: str) -> None:

@@ -1,5 +1,8 @@
 """Exception types shared across the engine, mapped to CLI exit codes."""
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -48,6 +51,14 @@ def check_int(name: str, value, low: int) -> None:
     numpy, not a bool) of at least `low`."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def is_finite_real(value) -> bool:
+    """Whether `value` is a finite real number (Python or numpy, not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    # an integer is finite, and may be too large for math.isfinite
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 class CheckFailedError(MrpdiffError):

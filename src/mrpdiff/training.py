@@ -2,28 +2,21 @@
 distillation with K-step unrolling.
 
 Both trainers share one step and one loop (`_train_step`, `_fit`). A step
-runs its batch as a few graphs, not one per sequence: sequences that share
-length and prompt_len share one attention mask, so they go through one
-(B, L, d) forward together, in chunks of at most `_CHUNK`, each graph freed
-after its backward. Both trainers corrupt the whole batch first and stack
-only the sequences that have a loss. Pretraining's chunk is a stack of
-corrupted sequences. Distillation's is a stack of clean sequences with
-their corruptions, each of which keeps a masked position after the first
-reveal: one no-grad teacher forward per unroll state over the stack, and
-one taped head graph over the same stack, with one KL node per unroll
-step over all its still-masked rows. The unroll states of a stack differ
-only in the response, so the teacher computes the prompt's rows once per
-stack and reuses their keys and values (`backbone.PrefixKV`). Gradients
-and losses match a per-sequence loop to rounding (~1e-15). A step where
-no sequence has a loss logs a loss of 0.0 and makes no update.
-
-The distillation teacher is always the frozen backbone run without
-gradients; only the correction head's parameters ever receive updates.
+corrupts its batch first and runs only the sequences with a loss, grouped by
+(length, prompt_len) so that a group shares one attention mask, as (B, L, d)
+stacks of at most `_CHUNK`, each graph freed after its backward.
+Pretraining's stack is one of corrupted sequences. Distillation unrolls a
+stack: `reveal_ground_truth` takes each (B, L) state to the next, the frozen
+backbone runs once per state without gradients (computing the prompt's rows
+once, `backbone.PrefixKV`), and one taped head graph runs over the same
+stack, with one KL node per unroll step. Gradients and losses match a
+per-sequence loop to rounding (~1e-15). A step where no sequence has a loss
+logs a loss of 0.0 and makes no update. Only the correction head's
+parameters ever receive updates.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -34,7 +27,7 @@ from . import mrp as mrp_mod
 from .corpus import MASK_ID, PAD_ID, Example
 from .diffusion import SequenceState, corrupt, state_from_example
 from .errors import (ContractViolationError, DivergenceError, InvalidConfigError,
-                     InvalidShapeError, check_int)
+                     InvalidShapeError, check_int, is_finite_real)
 from .numerics import tensor as T
 from .numerics.optim import OptimizerState, adamw_step, cosine_lr
 from .numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -52,12 +45,10 @@ class TrainConfig:
     log_every: int = 50
 
     def validate(self) -> None:
-        # a NaN fails every comparison, so each check is written to pass
-        # only finite values in range
         for name in ("peak_lr", "min_lr", "weight_decay"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidConfigError(f"{name} must be finite and >= 0")
+            if not (is_finite_real(value) and value >= 0):
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("epochs", "batch_size", "log_every"):
             check_int(name, getattr(self, name), 1)
         if self.max_steps is not None:
@@ -263,11 +254,18 @@ def train_backbone(
 
 def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> SequenceState:
     """Reveal the k lowest-index masked positions of every block (restoring
-    tokens from x0). Blocks with fewer than k masks reveal what remains."""
+    tokens from x0), of one sequence or a (B, L) stack. Blocks with fewer
+    than k masks reveal what remains. A response that is not a whole
+    number of blocks raises InvalidConfigError."""
+    resp = x.ids[..., x.prompt_len:]
+    if resp.shape[-1] % x.block_size:
+        raise InvalidConfigError("response region is not a whole number of blocks")
+    # (..., n_blocks, block_size): a mask is revealed while at most k of its
+    # block's masks lie at or before it
+    masked = (resp == MASK_ID).reshape(*resp.shape[:-1], -1, x.block_size)
+    revealed = (masked & (np.cumsum(masked, axis=-1) <= k)).reshape(resp.shape)
     out = x.clone()
-    for block in range(out.n_blocks):
-        positions = out.masked_in_block(block)[:k]
-        out.ids[positions] = x0.ids[positions]
+    out.ids[..., x.prompt_len:][revealed] = x0.ids[..., x.prompt_len:][revealed]
     return out
 
 
@@ -316,20 +314,16 @@ def kd_sequence_loss(
 
     `xt`, when given, is the stack's corruption and `rng` is not drawn
     from; when it is None, each sequence in stack order is corrupted with
-    draws from `rng`, as a loop over its sequences would draw them. Each
-    corrupted sequence is then revealed `unroll`
-    times (ground-truth tokens per block). A sequence with nothing masked
-    after the first reveal has no loss at any step and takes no part in
-    what follows; a stack where no sequence has a loss returns before any
-    forward. Over the others the frozen backbone runs once, without
-    gradients, at each of those states: x_t gives the hidden states and
-    base logits, each revealed state the teacher logits of one step; the
-    first of those forwards fills a prefix cache of the prompt's rows,
-    which the later ones reuse. For each step the head runs on the same
-    stack with the revealed sequences and accumulated hiddens; its logit
-    residuals accumulate on the base logits, and the loss is the KL from
-    the teacher to that corrected student distribution over each
-    sequence's still-masked positions, a mean per sequence.
+    draws from `rng`. The unroll keeps `unroll + 1` stacked states:
+    states[0] = x_t and states[j + 1] = reveal_ground_truth(states[j]).
+    Only the sequences still masked in states[1] have a loss; the others
+    take no part, and a stack with none returns before any forward. The
+    frozen backbone runs once per state without gradients: states[0] gives
+    the hidden states and base logits, states[j + 1] the teacher of step
+    j + 1. The head runs on states[j + 1] with the accumulated hiddens, its
+    logit residuals accumulate on the base logits, and the step's loss is
+    the KL from the teacher to that corrected student over each sequence's
+    still-masked positions, a mean per sequence.
 
     Returns the total over the stack's sequences and one per-step list per
     sequence, None for a sequence with no loss. The total weighs each
@@ -343,40 +337,33 @@ def kd_sequence_loss(
     """
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
-    L = x0.ids.shape[-1]
-    clean = _rows(x0)
     if xt is None:
-        corrupted = [corrupt(x, rng) for x in clean]
+        xt = _stack([corrupt(x, rng) for x in _rows(x0)])
     else:
         _check_corruption(x0, xt)
-        corrupted = _rows(xt)
-
-    # paths[b][j]: sequence b corrupted (j = 0) and after j reveals
-    paths = []
-    for x, x_t in zip(clean, corrupted):
-        path = [x_t]
-        for _ in range(k_steps):
-            path.append(reveal_ground_truth(path[-1], x, g_cfg.reveal_k))
-        paths.append(path)
+    L = x0.ids.shape[-1]
+    x0, xt = (SequenceState(x.ids.reshape(-1, L), x.prompt_len, x.block_size) for x in (x0, xt))
+    states = [xt]
+    for _ in range(k_steps):
+        states.append(reveal_ground_truth(states[-1], x0, g_cfg.reveal_k))
     # the teacher's and the head's stack: the sequences that have a loss
-    active = [b for b, path in enumerate(paths) if path[1].masked.any()]
-    per_seq = [None] * len(paths)
-    if not active:
+    has_loss = states[1].masked.any(axis=1)
+    per_seq = [[] if b else None for b in has_loss.tolist()]
+    if not has_loss.any():
         return None, per_seq
-    for b in active:
-        per_seq[b] = []
+    states = [SequenceState(x.ids[has_loss], x.prompt_len, x.block_size) for x in states]
     # the states differ only in the response, so the first forward caches
     # the prompt's rows and the later ones compute only the response's
     prefix = bb.PrefixKV(x0.prompt_len)
     with no_grad():
-        outs = [bb.forward(_stack([paths[b][j] for b in active]), bb_params, prefix=prefix)
-                for j in range(k_steps + 1)]
+        outs = [bb.forward(x, bb_params, prefix=prefix) for x in states]
 
+    active = np.flatnonzero(has_loss).tolist()
     h_acc, corrected = outs[0]
     vocab = corrected.shape[-1]
     total = None
     for j in range(k_steps):
-        x_cur = _stack([paths[b][j + 1] for b in active])
+        x_cur = states[j + 1]
         delta_h, delta_l = mrp_mod.mrp_forward(x_cur, h_acc, g_params, bb_params)
         h_acc = T.add(h_acc, delta_h)
         corrected = T.add(corrected, delta_l)
@@ -412,20 +399,19 @@ def mrp_train_step(
     loss, mean per-unroll-step losses) over the sequences that have a loss.
 
     The batch is grouped by (length, prompt_len) in first-seen order and
-    every sequence is corrupted in that order. The sequences that keep a
-    masked position after the first ground-truth reveal, the only ones
-    with a loss, then run per group in stacks of at most `_CHUNK`, one
-    `kd_sequence_loss` and one backward per stack. Gradients flow only
-    into the head: backbone forwards run without the tape, and the hidden
-    state enters the head's graph as a constant leaf.
+    every sequence is corrupted in that order. One ground-truth reveal of
+    each group's stack finds the sequences that keep a masked position,
+    the only ones with a loss; they run per group in stacks of at most
+    `_CHUNK`, one `kd_sequence_loss` and one backward per stack. Gradients
+    flow only into the head: backbone forwards run without the tape, and
+    the hidden state enters the head's graph as a constant leaf.
     """
-    reveal_k = g_params.config.reveal_k
     pairs = []
     for group in _groups(batch, _shape_key).values():
-        for x0 in group:
-            xt = corrupt(x0, rng)
-            if reveal_ground_truth(xt, x0, reveal_k).masked.any():
-                pairs.append((x0, xt))
+        corrupted = [corrupt(x0, rng) for x0 in group]
+        revealed = reveal_ground_truth(_stack(corrupted), _stack(group), g_params.config.reveal_k)
+        has_loss = revealed.masked.any(axis=1).tolist()
+        pairs += [(x0, xt) for x0, xt, keep in zip(group, corrupted, has_loss) if keep]
 
     def chunk_loss(chunk):
         return kd_sequence_loss(_stack([x0 for x0, _ in chunk]), bb_params, g_params, None, rng,

@@ -585,7 +585,8 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
 
 @pytest.mark.parametrize("field, value", [
     ("n_heads", 0), ("block_size", 0), ("d_model", 0), ("mlp_mult", 0), ("max_len", 0),
-    ("norm_eps", 0.0), ("norm_eps", -1e-6),
+    ("norm_eps", 0.0), ("norm_eps", -1e-6), ("norm_eps", "1e-5"), ("norm_eps", float("inf")),
+    ("norm_eps", float("nan")), ("norm_eps", True),
 ])
 def test_backbone_config_rejects_sizes_below_one_and_nonpositive_eps(field, value):
     with pytest.raises(InvalidConfigError, match=field):

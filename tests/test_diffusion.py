@@ -4,6 +4,7 @@ decode loop, also against the benchmark's recorded answers."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -219,17 +220,17 @@ def test_a_stacked_state_reads_its_rows_from_the_last_axis():
 
 @pytest.mark.parametrize("op", [
     lambda x: x.current_block,
-    lambda x: x.masked_in_block(1),
+    lambda x: diffusion.corrupt(x, np.random.default_rng(0)),
     lambda x: confidence_of(np.zeros((2, 9, 12)), x),
     lambda x: diffusion.reveal(x, [5], [7]),
     lambda x: diffusion.remask(x, [6]),
     lambda x: diffusion.finalize_block(x),
-], ids=["current_block", "masked_in_block", "confidence_of", "reveal", "remask",
-        "finalize_block"])
+], ids=["current_block", "corrupt", "confidence_of", "reveal", "remask", "finalize_block"])
 def test_per_sequence_operations_refuse_a_stack(op):
     # on this stack they used to read the second sequence's mask as a block
-    # past the end, an empty block 1, or a misplaced logits row, ignore the
-    # first sequence's EOS, or fail on a flat index
+    # past the end or a misplaced logits row, ignore the first sequence's
+    # EOS, or fail on a flat index or a broadcast; `corrupt` must say so
+    # before it finds the masked positions
     ids = np.full((2, 9), 5)
     ids[1, 5:] = MASK_ID
     ids[0, 2] = EOS_ID
@@ -285,7 +286,8 @@ def test_corrupt_at_full_rate_masks_exactly_the_non_pad_response():
     xt.validate()
 
 
-@pytest.mark.parametrize("rate", [2.0, 1.0 + 1e-12, -0.5, float("nan")])
+@pytest.mark.parametrize("rate", [2.0, 1.0 + 1e-12, -0.5, float("nan"), float("inf"), "0.5",
+                                  True])
 def test_corrupt_rejects_a_rate_outside_zero_to_one(rate):
     x0 = diffusion.state_from_example(corpus.make_example(12, 3, "+", 8), 8, all_masked=False)
     rng = np.random.default_rng(0)
@@ -319,17 +321,44 @@ def _conf(positions, probs, tokens=None):
 
 def test_select_static_breaks_ties_by_lowest_position():
     conf = _conf([4, 5, 6, 7], [0.5, 0.9, 0.5, 0.9])
-    assert diffusion.select_static(conf, 1).tolist() == [5]
-    assert diffusion.select_static(conf, 3).tolist() == [4, 5, 7]
-    assert diffusion.select_static(_conf([4, 5, 6], [0.3, 0.3, 0.3]), 2).tolist() == [4, 5]
+    assert Policy("static", r=1).select(conf).tolist() == [5]
+    assert Policy("static", r=3).select(conf).tolist() == [4, 5, 7]
+    assert Policy("static", r=2).select(_conf([4, 5, 6], [0.3, 0.3, 0.3])).tolist() == [4, 5]
 
 
 def test_select_dynamic_falls_back_to_the_lowest_tied_position():
     conf = _conf([4, 5, 6, 7], [0.2, 0.6, 0.4, 0.6])
-    assert diffusion.select_dynamic(conf, 0.9).tolist() == [5]
-    assert diffusion.select_dynamic(conf, 0.5).tolist() == [5, 7]
+    assert Policy("dynamic", tau=0.9).select(conf).tolist() == [5]
+    assert Policy("dynamic", tau=0.5).select(conf).tolist() == [5, 7]
     # strictly above tau: a probability equal to tau is not selected
-    assert diffusion.select_dynamic(conf, 0.6).tolist() == [5]
+    assert Policy("dynamic", tau=0.6).select(conf).tolist() == [5]
+
+
+def _former_select(policy, conf):
+    """The two selectors `Policy.select` replaced, as they were."""
+    if len(conf) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((conf.positions, -conf.probs))
+    if policy.kind == "static":
+        return np.sort(conf.positions[order[: min(policy.r, len(conf))]])
+    above = conf.probs > policy.tau
+    if above.any():
+        return np.sort(conf.positions[above])
+    return conf.positions[order[:1]]
+
+
+def test_select_matches_the_former_selectors_on_random_confidences():
+    rng = np.random.default_rng(0)
+    policies = [Policy("static", r=r) for r in (1, 2, 3, 8)]
+    policies += [Policy("dynamic", tau=tau) for tau in (0.25, 0.5, 0.75, 1.0)]
+    for n in [0, 1, 2, 3, 5, 8] * 20:
+        # positions in any order; probabilities on a coarse grid, so ties occur
+        positions = rng.permutation(np.arange(10, 30))[:n]
+        conf = _conf(positions, rng.integers(0, 5, n) / 4)
+        for policy in policies:
+            got, want = policy.select(conf), _former_select(policy, conf)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist() == sorted(got.tolist())
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -346,15 +375,14 @@ def test_select_dynamic_falls_back_to_the_lowest_tied_position():
 def test_policy_is_checked_when_built(kwargs, match):
     with pytest.raises(InvalidConfigError, match=match):
         Policy(**kwargs)
-    # the selectors raise the same error for the same value
-    if "r" in kwargs:
-        with pytest.raises(InvalidConfigError, match=match):
-            diffusion.select_static(_conf([4], [0.5]), kwargs["r"])
-    if "tau" in kwargs:
-        with pytest.raises(InvalidConfigError, match=match):
-            diffusion.select_dynamic(_conf([4], [0.5]), kwargs["tau"])
     assert Policy("dynamic", tau=np.float64(0.9)).tau == 0.9
     assert Policy("static", r=np.int64(2)).r == 2
+    # a built policy cannot be changed into one that was never checked
+    policy = Policy("static", r=1)
+    field, value = list(kwargs.items())[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(policy, field, value)
+    assert policy == Policy("static", r=1)
 
 
 def test_confidence_of_never_picks_the_mask_token():

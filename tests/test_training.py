@@ -10,7 +10,7 @@ from mrpdiff import backbone as bb
 from mrpdiff import mrp as mrp_mod
 from mrpdiff import diffusion, training
 from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID, gen_arithmetic, make_example
-from mrpdiff.diffusion import corrupt, state_from_example
+from mrpdiff.diffusion import SequenceState, corrupt, state_from_example
 from mrpdiff.errors import (ContractViolationError, DivergenceError, InvalidConfigError,
                             InvalidShapeError)
 from mrpdiff.mrp import MrpConfig, init_mrp
@@ -79,28 +79,147 @@ def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
     params = bb.init_backbone(BB_CFG, np.random.default_rng(0), std=0.3)
     examples = gen_arithmetic(1, 12, block_size=4)
     cfg = training.TrainConfig(batch_size=3, max_steps=3, seed=7)
+    g_cfg = MrpConfig(depth=1)
+    reveal = training.reveal_ground_truth
     states = []
 
     def recorded(fn):
         def call(*args, **kwargs):
             out = fn(*args, **kwargs)
-            states.append((fn.__name__, out.ids.copy(), out.masked.copy()))
+            states.append((fn.__name__, out.ids.copy()))
             return out
         return call
 
     monkeypatch.setattr(training, "corrupt", recorded(training.corrupt))
-    monkeypatch.setattr(training, "reveal_ground_truth", recorded(training.reveal_ground_truth))
-    training.train_mrp(examples, params, cfg, MrpConfig(depth=1))
-    # per step of 3 sequences: each is corrupted and revealed once, which
-    # tells whether it has a loss; then each one with a loss is revealed at
-    # the 2 unroll steps
+    monkeypatch.setattr(training, "reveal_ground_truth", recorded(reveal))
+    training.train_mrp(examples, params, cfg, g_cfg)
+    # the same draws replayed: the head's init and one shuffle, then per
+    # step each (length, prompt_len) group of the batch is corrupted in
+    # first-seen order and its stack revealed once, which tells which of
+    # its sequences have a loss; the stack of those is revealed at each of
+    # the 2 unroll steps, group by group, after every group is corrupted
+    rng = np.random.default_rng(cfg.seed)
+    init_mrp(g_cfg, BB_CFG, rng)
+    order = rng.permutation(len(examples))
     want = []
-    for _ in range(3):
-        checks = states[len(want) + 1:len(want) + 6:2]
-        with_loss = sum(bool(masked.any()) for _, _, masked in checks)
-        want += ["corrupt", "reveal_ground_truth"] * 3 + ["reveal_ground_truth"] * 2 * with_loss
-    assert [name for name, _, _ in states] == want and len(want) > 3 * 6
-    assert len({ids.tobytes() for name, ids, _ in states if name == "corrupt"}) > 1
+    for step in range(cfg.max_steps):
+        batch = [state_from_example(examples[i], 4, all_masked=False)
+                 for i in order[3 * step:3 * step + 3]]
+        unrolls = []
+        for group in _group_order(batch):
+            corrupted = [corrupt(x0, rng) for x0 in group]
+            x0, xt = training._stack(group), training._stack(corrupted)
+            revealed = reveal(xt, x0, 1)
+            has_loss = revealed.masked.any(axis=1)
+            want += [("corrupt", x.ids) for x in corrupted]
+            want.append(("reveal_ground_truth", revealed.ids))
+            if has_loss.any():
+                x0.ids, xt.ids = x0.ids[has_loss], xt.ids[has_loss]
+                x1 = reveal(xt, x0, 1)
+                unrolls += [("reveal_ground_truth", x1.ids),
+                            ("reveal_ground_truth", reveal(x1, x0, 1).ids)]
+        want += unrolls
+    assert [name for name, _ in states] == [name for name, _ in want]
+    for (_, got), (_, ids) in zip(states, want):
+        assert np.array_equal(got, ids)
+    assert len(states) > 3 * 4
+    assert len({ids.tobytes() for name, ids in want if name == "corrupt"}) > 1
+
+
+def _reveal_per_block(x, x0, k):
+    """The former ground-truth reveal: a loop over one sequence's blocks."""
+    out = x.clone()
+    for block in range(out.n_blocks):
+        lo, hi = out.block_bounds(block)
+        positions = (lo + np.flatnonzero(out.masked[lo:hi]))[:k]
+        out.ids[positions] = x0.ids[positions]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_reveal_matches_the_per_block_loop(k):
+    rng = np.random.default_rng(k)
+    short = 0  # blocks holding fewer than k masks, but some
+    for prompt_len, block_size, n_blocks, rows in [(3, 4, 3, 6), (1, 1, 5, 3), (5, 8, 2, 4),
+                                                   (2, 3, 1, 1), (4, 2, 6, 5)]:
+        L = prompt_len + n_blocks * block_size
+        x0 = SequenceState(rng.integers(1, 44, (rows, L)), prompt_len, block_size)
+        # each sequence its own masking rate, so some blocks are clean or full
+        masked = rng.random((rows, L)) < rng.random((rows, 1))
+        masked[:, :prompt_len] = False
+        xt = SequenceState(np.where(masked, MASK_ID, x0.ids), prompt_len, block_size)
+        counts = masked[:, prompt_len:].reshape(rows, n_blocks, block_size).sum(axis=-1)
+        short += int(((counts > 0) & (counts < k)).sum())
+        got = training.reveal_ground_truth(xt, x0, k)
+        assert np.array_equal(xt.ids, np.where(masked, MASK_ID, x0.ids))  # a new state
+        for b in range(rows):
+            row, row0 = (SequenceState(x.ids[b], prompt_len, block_size) for x in (xt, x0))
+            want = _reveal_per_block(row, row0, k).ids
+            assert np.array_equal(got.ids[b], want)
+            assert np.array_equal(training.reveal_ground_truth(row, row0, k).ids, want)
+    assert short > 0 or k == 1
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_reveal_off_the_block_grid_raises(stacked):
+    # a prompt of 2 and a response of 5 rows: one block of 4 and one row
+    ids = np.full((2, 7) if stacked else (7,), 5)
+    x0 = SequenceState(ids, 2, 4)
+    xt = SequenceState(np.where(np.arange(7) >= 2, MASK_ID, ids), 2, 4)
+    with pytest.raises(InvalidConfigError, match="whole number of blocks"):
+        training.reveal_ground_truth(xt, x0, 1)
+
+
+def _log_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _plain_unroll(x0, xt, params, head):
+    """The unrolled KL of one sequence from its definition, with no-grad
+    forwards on plain arrays: None when the first reveal leaves nothing
+    masked, else the KL at each step."""
+    states = [xt]
+    for _ in range(head.config.unroll):
+        states.append(_reveal_per_block(states[-1], x0, head.config.reveal_k))
+    if not states[1].masked.any():
+        return None
+    with T.no_grad():
+        h, corrected = (out.data for out in bb.forward(states[0], params))
+        kls = []
+        for x in states[1:]:
+            teacher = bb.forward(x, params)[1].data
+            delta_h, delta_l = mrp_mod.mrp_forward(x, h, head, params)
+            h, corrected = h + delta_h.data, corrected + delta_l.data
+            rows = np.flatnonzero(x.masked)
+            log_p, log_q = _log_softmax(teacher[rows]), _log_softmax(corrected[rows])
+            kls.append(float(np.sum(np.exp(log_p) * (log_p - log_q))) / max(len(rows), 1))
+    return kls
+
+
+def test_kd_sequence_loss_matches_a_plain_unroll():
+    params = bb.init_backbone(BB_CFG, np.random.default_rng(1), std=0.3)
+    head = init_mrp(MrpConfig(depth=1, unroll=3), BB_CFG, np.random.default_rng(2))
+    # a zero output projection would make every residual zero
+    head.w_out.data[:] = np.random.default_rng(3).normal(0.0, 0.3, head.w_out.shape)
+    clean = [state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+             for a, b in [(999, 99), (987, 65), (912, 99), (955, 61)]]
+    rng = np.random.default_rng(5)
+    corrupted = [corrupt(x, rng, rate=rate) for x, rate in zip(clean, (0.9, 0.8, 0.0, 1.0))]
+    # one mask, which the first reveal takes away: masked, yet no loss
+    corrupted[2].ids[corrupted[2].prompt_len] = MASK_ID
+    want = [_plain_unroll(x0, xt, params, head) for x0, xt in zip(clean, corrupted)]
+    assert want[2] is None and None not in want[:2] + want[3:]
+    total, per_seq = training.kd_sequence_loss(training._stack(clean), params, head, None, None,
+                                               xt=training._stack(corrupted))
+    assert [v is None for v in per_seq] == [v is None for v in want]
+    for got, ref in zip(per_seq, want):
+        if ref is not None:
+            assert np.abs(np.subtract(got, ref)).max() <= 1e-12
+    kept = [v for v in want if v is not None]
+    assert abs(total.item() - np.sum(kept) / head.config.unroll) <= 1e-12
+    # some sequence still has a masked position, and a positive KL, at steps 1 and 2
+    assert (np.max(kept, axis=0)[:2] > 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +796,8 @@ def test_the_total_weighs_each_step_kl_by_one_over_unroll(monkeypatch):
     ("min_lr", -1e-5), ("min_lr", float("nan")),
     ("weight_decay", -0.01), ("weight_decay", float("nan")),
     ("seed", -1), ("seed", 1.5),
+    ("peak_lr", "1e-3"), ("peak_lr", True), ("peak_lr", None), ("min_lr", float("inf")),
+    ("weight_decay", "0.01"),
 ])
 def test_train_config_rejects_non_finite_and_negative_values(field, value):
     cfg = training.TrainConfig(batch_size=2, max_steps=1, **{field: value})
@@ -688,7 +809,7 @@ def test_train_config_rejects_non_finite_and_negative_values(field, value):
 
 def _select_static(r):
     conf = diffusion.Confidence(np.array([4, 5]), np.array([0.6, 0.9]), np.array([7, 8]))
-    return diffusion.select_static(conf, r)
+    return diffusion.Policy("static", r=r).select(conf)
 
 
 @pytest.mark.parametrize("value", [1.5, "2"])
