@@ -32,8 +32,10 @@ from .numerics.tensor import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneConfig:
+    """The denoiser's sizes; checked when built, InvalidConfigError if invalid."""
+
     d_model: int = 64
     n_heads: int = 4
     n_layers: int = 4
@@ -43,7 +45,7 @@ class BackboneConfig:
     norm_eps: float = 1e-6
     mlp_mult: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("d_model", "n_heads", "n_layers", "block_size", "max_len", "mlp_mult"):
             check_int(name, getattr(self, name), 1)
         check_int("vocab_size", self.vocab_size, 5)
@@ -118,7 +120,6 @@ class BackboneParams(ParamSet):
 
 
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, std: float = 0.02) -> BackboneParams:
-    cfg.validate()
     d = cfg.d_model
     return BackboneParams(
         config=cfg,
@@ -226,20 +227,21 @@ class PrefixKV:
     """
 
     def __init__(self, rows: int):
+        check_int("prefix rows", rows, 0)
         self.rows = rows
         self.ids: tuple | None = None
         self.layers: list[LayerKV] = []
         self.h: np.ndarray | None = None
         self.logits: np.ndarray | None = None
 
-    def begin(self, ids: np.ndarray, x, cfg: BackboneConfig) -> int:
-        """Check that the prefix fits this forward and return its first
-        row to compute: 0 when the prefix is empty, else `rows`."""
+    def begin(self, x, cfg: BackboneConfig) -> int:
+        """Check that the prefix fits a forward on state `x` and return its
+        first row to compute: 0 when the prefix is empty, else `rows`."""
         if T.grad_enabled():
             raise ContractViolationError(
                 "a prefix cache holds no tape: run the forward under no_grad"
             )
-        L = ids.shape[-1]
+        ids, L = x.ids, x.length
         if not x.prompt_len <= self.rows < L or (self.rows - x.prompt_len) % x.block_size:
             raise ContractViolationError(
                 f"prefix of {self.rows} rows does not end on the block grid "
@@ -425,16 +427,13 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
     default widths, with and without a prefix).
     """
     cfg = params.config
-    ids = np.asarray(x.ids, dtype=np.int64)
-    if ids.ndim not in (1, 2):
-        raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")
-    L = ids.shape[-1]
+    L = x.length
     if L > cfg.max_len:
         raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    check_ids(ids, cfg)
+    check_ids(x.ids, cfg)
     start, caches = 0, [None] * len(params.layers)
     if prefix is not None:
-        start = prefix.begin(ids, x, cfg)
+        start = prefix.begin(x, cfg)
         caches = prefix.layers
     # the rows from `start` on take their rows of the mask; the last
     # block's rows see every key, so a filled prefix whose tail is that
@@ -446,7 +445,7 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
 
     ops = active_ops()
     final_norm, w_lm = operands(ops, params.final_norm, params.w_lm)
-    stream = input_embedding(params, ids[..., start:], start)
+    stream = input_embedding(params, x.ids[..., start:], start)
     for layer, cache in zip(params.layers, caches):
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps, cache)
     h = ops.rmsnorm(stream, final_norm, cfg.norm_eps)

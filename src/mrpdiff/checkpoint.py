@@ -130,26 +130,22 @@ def save_params(path: str, params) -> None:
 
 
 def read_config(blob: dict[str, np.ndarray], prefix: str, cls):
-    """Rebuild and validate the config dataclass `cls` that save_params
-    wrote. Records under `<prefix>.config.` that name no field of `cls`
-    are ignored."""
+    """Rebuild the config dataclass `cls` that save_params wrote; `cls`
+    checks the values when built. Records under `<prefix>.config.` that
+    name no field of `cls` are ignored."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         name = f"{prefix}.config.{f.name}"
         (value,) = _record(blob, name, (1,))
-        if not np.isfinite(value):
-            raise InvalidConfigError(f"checkpoint record {name!r} holds invalid value {value}")
         if isinstance(f.default, float):
             # config scalars are stored as f32 records; snap floats to 6
             # significant digits so values like 1e-6 round-trip exactly
             kwargs[f.name] = float(f"{value:.6g}")
-        elif value != int(value):
+        elif not value.is_integer():  # NaN and inf are not integers either
             raise InvalidConfigError(f"checkpoint record {name!r} holds non-integral value {value}")
         else:
             kwargs[f.name] = int(value)
-    cfg = cls(**kwargs)
-    cfg.validate()
-    return cfg
+    return cls(**kwargs)
 
 
 def check_shapes(blob: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:

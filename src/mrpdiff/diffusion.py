@@ -16,7 +16,7 @@ deterministic.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,18 +28,38 @@ from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeErr
 from .numerics.tensor import Tensor, _softmax_data, no_grad
 
 
-@dataclass
+def _int64(name: str, values, error: type) -> np.ndarray:
+    """`values` as an int64 array, the same array when it is one. Raise
+    `error` unless they are integers (a bool or float is not), or empty."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise error(f"{name} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True)
 class SequenceState:
     """A sequence on the block grid, or a (B, L) stack of them. The state is
     its ids: a position is masked exactly when it holds MASK_ID, so every
-    change of state is a write into `ids`."""
+    change of state is a write into `ids`. Checked when built: integer ids
+    of shape (L,) or (B, L), kept as int64 without a copy (a `window` is a
+    view), a prompt of 0 to L rows and a response of whole blocks."""
 
     ids: np.ndarray  # int64, (L,) or (B, L)
     prompt_len: int
     block_size: int
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        ids = _int64("token ids", self.ids, InvalidShapeError)
+        if ids.ndim not in (1, 2):
+            raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")
+        object.__setattr__(self, "ids", ids)
+        check_int("prompt_len", self.prompt_len, 0)
+        check_int("block_size", self.block_size, 1)
+        resp = self.length - self.prompt_len
+        if resp < 0 or resp % self.block_size:
+            raise InvalidConfigError(f"{resp} rows after a prompt of {self.prompt_len} are not a "
+                                     f"whole number of blocks of block_size {self.block_size}")
 
     @property
     def masked(self) -> np.ndarray:
@@ -84,12 +104,10 @@ class SequenceState:
         return int(self.masked.sum())
 
     def clone(self) -> "SequenceState":
-        return SequenceState(ids=self.ids.copy(), prompt_len=self.prompt_len,
-                             block_size=self.block_size)
+        return replace(self, ids=self.ids.copy())
 
     def validate(self) -> None:
-        if (self.length - self.prompt_len) % self.block_size:
-            raise InvalidConfigError("response region is not a whole number of blocks")
+        """Raise ContractViolationError if a write into `ids` masked a prompt row."""
         if self.masked[..., :self.prompt_len].any():
             raise ContractViolationError("prompt positions must never be masked")
 
@@ -97,14 +115,8 @@ class SequenceState:
 def state_from_example(ex, block_size: int, all_masked: bool = True) -> SequenceState:
     """Decode-ready state (response fully masked) or the clean x0. The
     response must be a whole number of blocks."""
-    check_int("block_size", block_size, 1)
-    prompt = np.asarray(ex.prompt_ids, dtype=np.int64)
-    resp = np.asarray(ex.response_ids, dtype=np.int64)
-    if len(resp) % block_size:
-        raise InvalidConfigError(
-            f"block_size {block_size} does not divide the response length {len(resp)}"
-        )
-    ids = np.concatenate([prompt, np.full_like(resp, MASK_ID) if all_masked else resp])
+    prompt, resp = ex.prompt_ids, ex.response_ids
+    ids = np.concatenate([prompt, np.full(len(resp), MASK_ID) if all_masked else resp])
     return SequenceState(ids=ids, prompt_len=len(prompt), block_size=block_size)
 
 
@@ -221,11 +233,11 @@ def _check_positions(x: SequenceState, positions: np.ndarray, op: str) -> None:
 
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     """Set ids at `positions` (distinct response positions, all currently
-    masked), one token per position; no token may be MASK_ID. `x` is one
-    sequence."""
+    masked), one integer token >= 1 per position (so never MASK_ID). `x` is
+    one sequence."""
     x._one_sequence("reveal")
-    positions = np.asarray(positions, dtype=np.int64)
-    tokens = np.asarray(tokens, dtype=np.int64)
+    positions = _int64("reveal positions", positions, ContractViolationError)
+    tokens = _int64("reveal tokens", tokens, ContractViolationError)
     if tokens.shape != positions.shape:
         raise ContractViolationError(
             f"reveal of {positions.size} positions with {tokens.size} tokens"
@@ -235,8 +247,8 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     _check_positions(x, positions, "reveal")
     if (x.ids[positions] != MASK_ID).any():
         raise ContractViolationError("reveal of a position that is not masked")
-    if MASK_ID in tokens.tolist():
-        raise ContractViolationError("reveal of the MASK token")
+    if min(tokens.tolist()) < 1:
+        raise ContractViolationError("reveal of the MASK token or a negative id")
     x.ids[positions] = tokens
     return x
 
@@ -245,7 +257,7 @@ def remask(x: SequenceState, positions) -> SequenceState:
     """Mask `positions` again (distinct response positions, none masked) by
     writing MASK_ID there. `x` is one sequence."""
     x._one_sequence("remask")
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = _int64("remask positions", positions, ContractViolationError)
     if positions.size == 0:
         return x
     _check_positions(x, positions, "remask")
@@ -336,8 +348,11 @@ def save_trace(path: str, trace: DecodeTrace) -> None:
 
 
 def load_trace(path: str) -> DecodeTrace:
-    """Read a trace written by `save_trace`. A file that is not a trace, or
-    that lacks a step record, raises InvalidConfigError."""
+    """Read a trace written by `save_trace`. A file that is not a trace,
+    that lacks a step record, or whose records are malformed (a meta record
+    that is not three integers >= 0, a step count below 0, a kind or verify
+    flag other than 0 or 1, drafts that are not rows of 4) raises
+    InvalidConfigError."""
     blob = checkpoint.load_tensors(path)
 
     def get(name: str) -> np.ndarray:
@@ -345,19 +360,32 @@ def load_trace(path: str) -> DecodeTrace:
             raise InvalidConfigError(f"{path}: not a decode trace, no tensor {name!r}")
         return blob[name]
 
-    n, block_size, prompt_len = (int(v) for v in get("trace.meta"))
+    def meta(name: str) -> list[int]:
+        values = get(name).ravel().tolist()
+        if len(values) != 3 or not all(v >= 0 and v.is_integer() for v in values):
+            raise InvalidConfigError(f"{path}: {name!r} must be 3 integers >= 0, got {values}")
+        return [int(v) for v in values]
+
+    n, block_size, prompt_len = meta("trace.meta")
     trace = DecodeTrace(block_size=block_size, prompt_len=prompt_len)
     for i in range(n):
         p = f"step.{i:05d}"
-        kind_code, block, verify = get(f"{p}.meta")
+        kind_code, block, verify = meta(f"{p}.meta")
+        if kind_code > 1 or verify > 1:
+            raise InvalidConfigError(f"{path}: {p}.meta has kind {kind_code} and verify "
+                                     f"{verify}, each must be 0 or 1")
+        rows = get(f"{p}.drafts")
+        if rows.size % 4:
+            raise InvalidConfigError(f"{path}: {p}.drafts holds {rows.size} values, "
+                                     f"not rows of 4")
         drafts = [
             DraftRecord(int(row[0]), int(row[1]), int(row[2]), float(row[3]))
-            for row in get(f"{p}.drafts").reshape(-1, 4)
+            for row in rows.reshape(-1, 4)
         ]
         trace.records.append(
             StepRecord(
-                kind="backbone" if kind_code == 0.0 else "mrp",
-                block=int(block),
+                kind="backbone" if kind_code == 0 else "mrp",
+                block=block,
                 ids=get(f"{p}.ids").astype(np.int64),
                 h=get(f"{p}.h"),
                 logits=get(f"{p}.logits"),

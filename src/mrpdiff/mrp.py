@@ -41,13 +41,15 @@ from .numerics.tensor import Tensor
 _INIT_STD = 0.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class MrpConfig:
+    """The head's sizes; checked when built, InvalidConfigError if invalid."""
+
     depth: int = 3            # trunk transformer layers
     unroll: int = 2           # training unroll steps per backward
     reveal_k: int = 1         # ground-truth tokens revealed per block per step
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("depth", "unroll", "reveal_k"):
             check_int(name, getattr(self, name), 1)
 
@@ -65,7 +67,6 @@ class MrpParams(ParamSet):
 
 
 def init_mrp(cfg: MrpConfig, bb_cfg: BackboneConfig, rng: np.random.Generator) -> MrpParams:
-    cfg.validate()
     d = bb_cfg.d_model
     # the trunk draws before w_fuse; this order fixes the random stream
     layers = [LayerParams.init(d, bb_cfg.mlp_mult * d, rng, _INIT_STD) for _ in range(cfg.depth)]
@@ -98,19 +99,18 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
             f"correction head of width {params.w_fuse.shape[1]} does not fit a "
             f"backbone of width {d}"
         )
-    ids = np.asarray(x.ids, dtype=np.int64)
-    if ids.shape != h.shape[:-1] or h.shape[-1] != d or ids.ndim > 2:
+    if x.ids.shape != h.shape[:-1] or h.shape[-1] != d:
         raise InvalidShapeError(
-            f"hidden state of shape {h.shape} does not align with ids of shape {ids.shape}"
+            f"hidden state of shape {h.shape} does not align with ids of shape {x.ids.shape}"
         )
-    check_ids(ids, cfg)
-    addmask = additive_mask(ids.shape[-1], x.block_size, x.prompt_len)
+    check_ids(x.ids, cfg)
+    addmask = additive_mask(x.length, x.block_size, x.prompt_len)
     ops = active_ops()
     w_fuse, b_fuse, out_norm, w_out, w_lm = operands(
         ops, params.w_fuse, params.b_fuse, params.out_norm, params.w_out, bb_params.w_lm)
     if ops is A and isinstance(h, Tensor):
         h = h.data
-    stream = ops.add(ops.matmul(ops.concat_last(input_embedding(bb_params, ids), h), w_fuse),
+    stream = ops.add(ops.matmul(ops.concat_last(input_embedding(bb_params, x.ids), h), w_fuse),
                      b_fuse)
     for layer in params.layers:
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
@@ -140,5 +140,6 @@ def load_mrp(path: str) -> MrpParams:
         )
     d, hidden = w_up.shape
     checkpoint.check_layer_count(blob, "mrp.layers", cfg.depth)
-    widths = BackboneConfig(d_model=d, mlp_mult=hidden // d)
+    # one attention head, so that any width is a valid config
+    widths = BackboneConfig(d_model=d, n_heads=1, mlp_mult=hidden // d)
     return checkpoint.fill(init_mrp(cfg, widths, checkpoint.UNFILLED), blob)

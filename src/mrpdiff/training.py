@@ -18,7 +18,7 @@ parameters ever receive updates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .numerics.optim import OptimizerState, adamw_step, cosine_lr
 from .numerics.tensor import Tensor, backward, no_grad, zero_grads
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """A training run's schedule; checked when built, InvalidConfigError if invalid."""
+
     epochs: int = 1
     batch_size: int = 16
     peak_lr: float = 1e-3
@@ -44,7 +46,7 @@ class TrainConfig:
     max_steps: int | None = None  # cap for quick runs; None = full epoch count
     log_every: int = 50
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("peak_lr", "min_lr", "weight_decay"):
             value = getattr(self, name)
             if not (is_finite_real(value) and value >= 0):
@@ -80,9 +82,7 @@ def _batches(n: int, cfg: TrainConfig, rng: np.random.Generator, steps: int):
 def _stack(states: list[SequenceState]) -> SequenceState:
     """One state whose ids are (B, L): sequences of one length and
     prompt_len, which share one attention mask."""
-    first = states[0]
-    return SequenceState(ids=np.stack([x.ids for x in states]),
-                         prompt_len=first.prompt_len, block_size=first.block_size)
+    return replace(states[0], ids=np.stack([x.ids for x in states]))
 
 
 def _shape_key(x: SequenceState) -> tuple[int, int]:
@@ -218,8 +218,6 @@ def train_backbone(
     and the logged loss are the mean over those sequences of each one's
     mean CE, as a loop over single sequences would give them.
     """
-    cfg.validate()
-    bb_cfg.validate()
     if not examples:
         raise InvalidConfigError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
@@ -255,11 +253,8 @@ def train_backbone(
 def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> SequenceState:
     """Reveal the k lowest-index masked positions of every block (restoring
     tokens from x0), of one sequence or a (B, L) stack. Blocks with fewer
-    than k masks reveal what remains. A response that is not a whole
-    number of blocks raises InvalidConfigError."""
+    than k masks reveal what remains."""
     resp = x.ids[..., x.prompt_len:]
-    if resp.shape[-1] % x.block_size:
-        raise InvalidConfigError("response region is not a whole number of blocks")
     # (..., n_blocks, block_size): a mask is revealed while at most k of its
     # block's masks lie at or before it
     masked = (resp == MASK_ID).reshape(*resp.shape[:-1], -1, x.block_size)
@@ -276,9 +271,7 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 
 def _rows(x: SequenceState) -> list[SequenceState]:
     """The sequences of an (L,) or (B, L) state, as views of its rows."""
-    L = x.ids.shape[-1]
-    return [SequenceState(ids=ids, prompt_len=x.prompt_len, block_size=x.block_size)
-            for ids in x.ids.reshape(-1, L)]
+    return [replace(x, ids=ids) for ids in x.ids.reshape(-1, x.length)]
 
 
 def _check_corruption(x0: SequenceState, xt: SequenceState) -> None:
@@ -430,8 +423,6 @@ def train_mrp(
 ) -> mrp_mod.MrpParams:
     """Distill a correction head against the frozen backbone. The backbone's
     requires_grad flags are restored on return, also when a step raises."""
-    cfg.validate()
-    g_cfg.validate()
     if not examples:
         raise InvalidConfigError("empty dataset")
     block_size = bb_params.config.block_size

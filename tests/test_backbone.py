@@ -293,9 +293,9 @@ def test_batched_forward_matches_taped_and_prefixed_runs_and_checks_ids():
     x.ids[1, -1] = cfg.vocab_size
     with pytest.raises(InvalidShapeError, match="token ids"):
         bb.forward(x, params)
-    x.ids = x.ids[None]
+    # ids of any other rank build no state, so none reaches a forward
     with pytest.raises(InvalidShapeError, match="shape"):
-        bb.forward(x, params)
+        SequenceState(x.ids[None], x.prompt_len, x.block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +578,13 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
             bb.forward(xw, params, prefix=prefix)
 
 
+@pytest.mark.parametrize("rows", [6.0, -1, True, "6"])
+def test_prefix_rows_are_checked_when_built(rows):
+    # 6.0 used to build and fail at the first forward with a bare TypeError
+    with pytest.raises(InvalidConfigError, match="prefix rows"):
+        bb.PrefixKV(rows)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
@@ -590,7 +597,7 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
 ])
 def test_backbone_config_rejects_sizes_below_one_and_nonpositive_eps(field, value):
     with pytest.raises(InvalidConfigError, match=field):
-        tiny_config(**{field: value}).validate()
+        tiny_config(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["n_heads", "block_size"])

@@ -78,6 +78,16 @@ def test_baseline_decode_keeps_state_valid_and_traces_round_trip(
             assert (b.drafts, b.accepted, b.rejected) == ([], [], [])
 
 
+def _one_step_trace(path, **records):
+    """A trace of one backbone step, with `records` replacing its own."""
+    step = {"meta": [0.0, 0.0, 0.0], "ids": [5.0, 0.0], "h": np.zeros((2, 3)),
+            "logits": np.zeros((2, 5)), "revealed_positions": [1.0], "revealed_tokens": [6.0],
+            "drafts": np.zeros((0, 4)), "accepted": [], "rejected": []}
+    named = {"trace.meta": [1.0, 1.0, 1.0],
+             **{f"step.00000.{name}": value for name, value in step.items()}, **records}
+    checkpoint.save_tensors(path, [(name, np.asarray(v)) for name, v in named.items()])
+
+
 def test_load_trace_rejects_a_file_that_is_not_a_trace(tmp_path):
     cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=1, block_size=4, max_len=32)
     path = str(tmp_path / "backbone.mrpc")
@@ -89,6 +99,25 @@ def test_load_trace_rejects_a_file_that_is_not_a_trace(tmp_path):
     checkpoint.save_tensors(path, [("trace.meta", np.asarray([1.0, 4.0, 9.0]))])
     with pytest.raises(InvalidConfigError, match="step.00000"):
         diffusion.load_trace(path)
+    # malformed records, each once a bare ValueError, a wrong kind or an
+    # empty trace, beside the well-formed trace they change
+    _one_step_trace(path)
+    (record,) = diffusion.load_trace(path).records
+    assert (record.kind, record.ids.tolist(), record.drafts) == ("backbone", [5, 0], [])
+    for records, match in [
+        ({"trace.meta": [1.0, 1.0]}, "trace.meta"),
+        ({"trace.meta": [1.0, 1.0, 1.0, 1.0]}, "trace.meta"),
+        ({"trace.meta": [-1.0, 1.0, 1.0]}, "trace.meta"),
+        ({"trace.meta": [float("nan"), 1.0, 1.0]}, "trace.meta"),
+        ({"trace.meta": [1.5, 1.0, 1.0]}, "trace.meta"),
+        ({"step.00000.meta": [0.0, 0.0]}, "step.00000.meta"),
+        ({"step.00000.meta": [7.0, 0.0, 0.0]}, "kind 7"),
+        ({"step.00000.meta": [0.0, 0.0, 2.0]}, "verify 2"),
+        ({"step.00000.drafts": np.zeros(6)}, "rows of 4"),
+    ]:
+        _one_step_trace(path, **records)
+        with pytest.raises(InvalidConfigError, match=match):
+            diffusion.load_trace(path)
 
 
 def test_decoding_never_commits_the_mask_token():
@@ -148,6 +177,10 @@ def _two_block_state():
     ([9, 10], [5]),         # one token for two positions
     ([9], [5, 6]),          # more tokens than positions
     ([9, 10], [5, MASK_ID]),  # the MASK token
+    ([9.7], [5]),           # a float position, once truncated to 9
+    ([True], [5]),          # a bool position
+    ([9], [5.9]),           # a float token, once truncated to 5
+    ([9], [-3]),            # a negative token
 ])
 def test_reveal_rejects_bad_positions_and_tokens(positions, tokens):
     x = _two_block_state()
@@ -158,7 +191,7 @@ def test_reveal_rejects_bad_positions_and_tokens(positions, tokens):
     assert np.array_equal(x.ids, before.ids)
 
 
-@pytest.mark.parametrize("positions", [[-1], [17], [8], [10, 10]])
+@pytest.mark.parametrize("positions", [[-1], [17], [8], [10, 10], [9.2], [True]])
 def test_remask_rejects_bad_positions(positions):
     x = diffusion.state_from_example(corpus.make_example(999, 999, "+", 4), 4,
                                      all_masked=False)
@@ -216,6 +249,47 @@ def test_a_stacked_state_reads_its_rows_from_the_last_axis():
     x.ids[1, 0] = MASK_ID  # a masked prompt position of the second sequence
     with pytest.raises(ContractViolationError, match="prompt"):
         x.validate()
+
+
+@pytest.mark.parametrize("ids, prompt_len, block_size, error, match", [
+    (np.full(9, 5), 1, 0, InvalidConfigError, "block_size"),
+    (np.full(9, 5), 1, 4.0, InvalidConfigError, "block_size"),
+    (np.full(9, 5), 1, True, InvalidConfigError, "block_size"),
+    (np.full(9, 5), -1, 4, InvalidConfigError, "prompt_len"),
+    (np.full(8, 5), 12, 4, InvalidConfigError, "whole number of blocks"),
+    (np.full(9, 5), 2.0, 1, InvalidConfigError, "prompt_len"),
+    (np.array([1.5, 2.7]), 0, 1, InvalidShapeError, "integers"),
+    (np.array(["5", "6"]), 0, 1, InvalidShapeError, "integers"),
+    (np.array([True, False]), 0, 1, InvalidShapeError, "integers"),
+    (np.full((2, 2, 9), 5), 1, 4, InvalidShapeError, "shape"),
+    (np.int64(5), 0, 1, InvalidShapeError, "shape"),
+    (np.full(9, 5), 2, 4, InvalidConfigError, "whole number of blocks"),
+    (np.full((2, 9), 5), 1, 3, InvalidConfigError, "whole number of blocks"),
+], ids=["block_size-0", "block_size-float", "block_size-bool", "prompt_len-negative",
+        "prompt_len-past-the-end", "prompt_len-float", "float-ids", "string-ids", "bool-ids",
+        "3d-ids", "0d-ids", "off-grid", "off-grid-stack"])
+def test_a_state_is_checked_when_built(ids, prompt_len, block_size, error, match):
+    # each of these used to build, then fail later with a bare numpy or
+    # Python error, run a forward on it, or truncate its ids
+    with pytest.raises(error, match=match):
+        SequenceState(ids, prompt_len, block_size)
+
+
+def test_a_state_keeps_int64_ids_without_a_copy_and_casts_other_integers():
+    ids = np.full(9, 5)
+    assert SequenceState(ids, 1, 4).ids is ids
+    x = SequenceState(np.full((2, 9), 5, dtype=np.int32), 9, 4)  # all prompt, no blocks
+    assert x.ids.dtype == np.int64 and x.n_blocks == 0
+    assert SequenceState([2, 5, 0, 0], 2, 2).ids.tolist() == [2, 5, 0, 0]
+
+
+@pytest.mark.parametrize("field", ["ids", "prompt_len", "block_size"])
+def test_a_built_state_is_frozen(field):
+    x = _two_block_state()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(x, field, getattr(x, field))
+    diffusion.reveal(x, [9], [5])  # its ids are written in place
+    assert x.ids[9] == 5
 
 
 @pytest.mark.parametrize("op", [

@@ -120,6 +120,20 @@ def test_save_load_roundtrip_bytes_identical(tmp_path):
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+def test_a_head_whose_width_the_default_head_count_does_not_divide_round_trips(tmp_path):
+    # a backbone of width 6 with 3 heads: the loader reads the head's widths
+    # from its records, and 6 is not a multiple of the default 4 heads
+    cfg = bb.BackboneConfig(d_model=6, n_heads=3, n_layers=1, block_size=4, max_len=16)
+    head = mrp.init_mrp(mrp.MrpConfig(depth=2), cfg, np.random.default_rng(0))
+    path = str(tmp_path / "head.mrpc")
+    mrp.save_mrp(path, head)
+    loaded = mrp.load_mrp(path)
+    assert loaded.config == head.config
+    for (n1, t1), (n2, t2) in zip(head.named_tensors(), loaded.named_tensors(), strict=True):
+        assert n1 == n2
+        np.testing.assert_array_equal(t1.data.astype(np.float32), t2.data)
+
+
 @pytest.mark.parametrize("name", ["mrp.layers.0.w_up", "mrp.w_fuse"])
 def test_load_rejects_missing_or_misshapen_record(tmp_path, name):
     _, head, _, _ = _setup(depth=2)

@@ -3,6 +3,8 @@ them; finite-difference gradients of the training losses."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,17 +64,11 @@ def test_train_mrp_checks_the_head_config_before_training():
 @pytest.mark.parametrize("field, value", [("log_every", 0), ("max_steps", 0),
                                           ("max_steps", -1)])
 def test_train_config_rejects_steps_below_one(field, value):
-    cfg = training.TrainConfig(batch_size=2, **{field: value})
+    # refused when built, so no training loop can run on it (log_every=0
+    # used to divide by zero at step 0, max_steps=0 to return an untrained
+    # model)
     with pytest.raises(InvalidConfigError, match=field):
-        cfg.validate()
-    # both training loops check before any step (log_every=0 used to divide by
-    # zero at step 0, max_steps=0 to return an untrained model)
-    with pytest.raises(InvalidConfigError, match=field):
-        training.train_backbone(gen_arithmetic(0, 4, block_size=4), cfg, BB_CFG, log_rows=[])
-    params = bb.init_backbone(BB_CFG, np.random.default_rng(0))
-    with pytest.raises(InvalidConfigError, match=field):
-        training.train_mrp(gen_arithmetic(0, 4, block_size=4), params, cfg, MrpConfig(depth=1),
-                           log_rows=[])
+        training.TrainConfig(batch_size=2, **{field: value})
 
 
 def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
@@ -114,7 +110,8 @@ def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
             want += [("corrupt", x.ids) for x in corrupted]
             want.append(("reveal_ground_truth", revealed.ids))
             if has_loss.any():
-                x0.ids, xt.ids = x0.ids[has_loss], xt.ids[has_loss]
+                x0, xt = (SequenceState(x.ids[has_loss], x.prompt_len, x.block_size)
+                          for x in (x0, xt))
                 x1 = reveal(xt, x0, 1)
                 unrolls += [("reveal_ground_truth", x1.ids),
                             ("reveal_ground_truth", reveal(x1, x0, 1).ids)]
@@ -162,12 +159,12 @@ def test_stacked_reveal_matches_the_per_block_loop(k):
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_reveal_off_the_block_grid_raises(stacked):
-    # a prompt of 2 and a response of 5 rows: one block of 4 and one row
+    # a prompt of 2 and a response of 5 rows, one block of 4 and one row:
+    # no such state can be built, so none reaches the reveal
     ids = np.full((2, 7) if stacked else (7,), 5)
-    x0 = SequenceState(ids, 2, 4)
-    xt = SequenceState(np.where(np.arange(7) >= 2, MASK_ID, ids), 2, 4)
-    with pytest.raises(InvalidConfigError, match="whole number of blocks"):
-        training.reveal_ground_truth(xt, x0, 1)
+    for state_ids in (ids, np.where(np.arange(7) >= 2, MASK_ID, ids)):
+        with pytest.raises(InvalidConfigError, match="whole number of blocks"):
+            SequenceState(state_ids, 2, 4)
 
 
 def _log_softmax(z):
@@ -697,7 +694,8 @@ def _corruption_case(case):
         pos = np.flatnonzero(~xt.masked[0])[-1]
         xt.ids[0, pos] = PAD_ID if xt.ids[0, pos] != PAD_ID else EOS_ID
     elif case == "other prompt_len":
-        xt.prompt_len -= 1
+        # on the block grid, as every state is
+        xt = SequenceState(xt.ids, xt.prompt_len - xt.block_size, xt.block_size)
     elif case == "x0 not clean":
         for x in (x0, xt):
             x.ids[0, x.prompt_len] = MASK_ID
@@ -800,11 +798,25 @@ def test_the_total_weighs_each_step_kl_by_one_over_unroll(monkeypatch):
     ("weight_decay", "0.01"),
 ])
 def test_train_config_rejects_non_finite_and_negative_values(field, value):
-    cfg = training.TrainConfig(batch_size=2, max_steps=1, **{field: value})
     with pytest.raises(InvalidConfigError, match=field):
-        cfg.validate()
-    with pytest.raises(InvalidConfigError, match=field):
-        training.train_backbone(gen_arithmetic(0, 4, block_size=4), cfg, BB_CFG)
+        training.TrainConfig(batch_size=2, max_steps=1, **{field: value})
+
+
+@pytest.mark.parametrize("cfg, field, value", [
+    (BB_CFG, "n_heads", 3), (MrpConfig(), "depth", 2), (TRAIN, "batch_size", 0),
+], ids=["BackboneConfig", "MrpConfig", "TrainConfig"])
+def test_a_built_config_is_frozen(cfg, field, value):
+    # a model's config is the caller's own object: setting n_heads = 3 on it
+    # after init_backbone used to fail the next forward with a bare reshape
+    # ValueError, and a batch size of 0 was never checked again
+    before = getattr(cfg, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    assert getattr(cfg, field) == before
+    params = bb.init_backbone(BB_CFG, np.random.default_rng(0))
+    assert params.config is BB_CFG
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.config.n_heads = 3
 
 
 def _select_static(r):
@@ -825,7 +837,7 @@ def test_integer_fields_refuse_non_integers(owner, field, value):
     def check(v):
         if owner is _select_static:
             return _select_static(v)
-        owner(**{field: v}).validate()
+        owner(**{field: v})
 
     with pytest.raises(InvalidConfigError, match=field):
         check(value)
