@@ -388,20 +388,19 @@ def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
 def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> Tensor | np.ndarray:
     """Token embedding plus learned absolute position rows for ids, (L,) or
     (B, L), at positions start, start + 1, ...: a Tensor while the tape
-    records, an ndarray under `no_grad`."""
-    ops = active_ops()
-    embed, pos = operands(ops, params.embed, params.pos)
-    return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, start + ids.shape[-1], start))
-
-
-def check_ids(ids: np.ndarray, cfg: BackboneConfig) -> None:
-    """Raise InvalidShapeError unless there is at least one id and every id,
-    of an (L,) or (B, L) array, indexes the embedding table (a negative id
-    would silently wrap to the last row)."""
+    records, an ndarray under `no_grad`. Both forwards check their rows
+    here: no ids, an id outside the vocabulary (a negative one would wrap
+    to the last row) or a row at or past max_len raise InvalidShapeError."""
+    cfg, end = params.config, start + ids.shape[-1]
+    if end > cfg.max_len:
+        raise InvalidShapeError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     # a plain list: cheaper than two numpy reductions at a window's few ids
     values = ids.ravel().tolist()
     if not values or min(values) < 0 or max(values) >= cfg.vocab_size:
         raise InvalidShapeError("token ids must be non-empty and within the vocabulary")
+    ops = active_ops()
+    embed, pos = operands(ops, params.embed, params.pos)
+    return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, end, start))
 
 
 def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[Tensor, Tensor]:
@@ -418,7 +417,8 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
     `prefix` (no-grad only) caches the rows before its end, see `PrefixKV`:
     an empty one is filled by this forward, a filled one limits the work to
     the rows from its end on. Either way h and logits are new arrays over
-    every row of `x`.
+    every row of `x`. The rows computed are checked in `input_embedding`;
+    a forward that raises leaves an empty prefix empty.
 
     `x.ids` of shape (B, L) is a batch of B sequences that share
     prompt_len and so one mask: h and logits get a leading B axis. A batch
@@ -428,13 +428,12 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
     """
     cfg = params.config
     L = x.length
-    if L > cfg.max_len:
-        raise InvalidShapeError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    check_ids(x.ids, cfg)
     start, caches = 0, [None] * len(params.layers)
     if prefix is not None:
+        # first: a filled prefix refuses changed ids in its rows, which are not embedded
         start = prefix.begin(x, cfg)
         caches = prefix.layers
+    stream = input_embedding(params, x.ids[..., start:], start)  # before a mask is cached
     # the rows from `start` on take their rows of the mask; the last
     # block's rows see every key, so a filled prefix whose tail is that
     # block adds no mask
@@ -445,7 +444,6 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
 
     ops = active_ops()
     final_norm, w_lm = operands(ops, params.final_norm, params.w_lm)
-    stream = input_embedding(params, x.ids[..., start:], start)
     for layer, cache in zip(params.layers, caches):
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps, cache)
     h = ops.rmsnorm(stream, final_norm, cfg.norm_eps)

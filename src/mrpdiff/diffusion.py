@@ -23,18 +23,9 @@ import numpy as np
 from . import backbone as bb
 from . import checkpoint
 from .corpus import EOS_ID, MASK_ID, PAD_ID
-from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, check_int,
-                     is_finite_real)
+from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, as_int64,
+                     check_int, is_finite_real)
 from .numerics.tensor import Tensor, _softmax_data, no_grad
-
-
-def _int64(name: str, values, error: type) -> np.ndarray:
-    """`values` as an int64 array, the same array when it is one. Raise
-    `error` unless they are integers (a bool or float is not), or empty."""
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise error(f"{name} must be integers, got {arr.dtype} values")
-    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,7 @@ class SequenceState:
     block_size: int
 
     def __post_init__(self):
-        ids = _int64("token ids", self.ids, InvalidShapeError)
+        ids = as_int64("token ids", self.ids, InvalidShapeError)
         if ids.ndim not in (1, 2):
             raise InvalidShapeError(f"token ids must be (L,) or (B, L), got shape {ids.shape}")
         object.__setattr__(self, "ids", ids)
@@ -128,19 +119,19 @@ def state_from_example(ex, block_size: int, all_masked: bool = True) -> Sequence
 def corrupt(x0: SequenceState, rng: np.random.Generator, rate: float | None = None) -> SequenceState:
     """Mask response tokens independently with one shared rate u ~ U(0,1)
     per sequence (rate can be forced for tests). Prompt and PAD positions
-    are never masked. `x0` is one sequence. A forced rate that is not a
-    number in [0, 1] raises InvalidConfigError."""
-    x0._one_sequence("corrupt")
+    are never masked. A clean (B, L) stack draws row by row, as B calls
+    would. Before any draw, a masked `x0` raises ContractViolationError and
+    a forced rate that is not a number in [0, 1] InvalidConfigError."""
     if x0.masked.any():
-        raise ContractViolationError("corrupt expects a fully clean sequence")
+        raise ContractViolationError("corrupt expects clean sequences")
     if rate is not None and not (is_finite_real(rate) and 0.0 <= rate <= 1.0):
         raise InvalidConfigError(f"corruption rate must lie in [0, 1], got {rate!r}")
-    u = float(rng.random()) if rate is None else float(rate)
     out = x0.clone()
-    eligible = np.zeros(out.length, dtype=bool)
-    eligible[out.prompt_len:] = out.ids[out.prompt_len:] != PAD_ID
-    draw = rng.random(out.length) < u
-    out.ids[eligible & draw] = MASK_ID
+    for row in np.atleast_2d(out.ids):  # views of the clone's rows
+        u = float(rng.random()) if rate is None else float(rate)
+        hit = rng.random(out.length) < u
+        hit[:out.prompt_len] = False
+        row[hit & (row != PAD_ID)] = MASK_ID
     return out
 
 
@@ -236,8 +227,8 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     masked), one integer token >= 1 per position (so never MASK_ID). `x` is
     one sequence."""
     x._one_sequence("reveal")
-    positions = _int64("reveal positions", positions, ContractViolationError)
-    tokens = _int64("reveal tokens", tokens, ContractViolationError)
+    positions = as_int64("reveal positions", positions, ContractViolationError)
+    tokens = as_int64("reveal tokens", tokens, ContractViolationError)
     if tokens.shape != positions.shape:
         raise ContractViolationError(
             f"reveal of {positions.size} positions with {tokens.size} tokens"
@@ -257,7 +248,7 @@ def remask(x: SequenceState, positions) -> SequenceState:
     """Mask `positions` again (distinct response positions, none masked) by
     writing MASK_ID there. `x` is one sequence."""
     x._one_sequence("remask")
-    positions = _int64("remask positions", positions, ContractViolationError)
+    positions = as_int64("remask positions", positions, ContractViolationError)
     if positions.size == 0:
         return x
     _check_positions(x, positions, "remask")
@@ -349,10 +340,10 @@ def save_trace(path: str, trace: DecodeTrace) -> None:
 
 def load_trace(path: str) -> DecodeTrace:
     """Read a trace written by `save_trace`. A file that is not a trace,
-    that lacks a step record, or whose records are malformed (a meta record
-    that is not three integers >= 0, a step count below 0, a kind or verify
-    flag other than 0 or 1, drafts that are not rows of 4) raises
-    InvalidConfigError."""
+    that lacks a step record, or whose records are malformed (an integer
+    record holding anything but finite integers >= 0, a meta record of
+    other than three, a kind or verify flag other than 0 or 1, drafts that
+    are not rows of 4) raises InvalidConfigError naming the record."""
     blob = checkpoint.load_tensors(path)
 
     def get(name: str) -> np.ndarray:
@@ -360,17 +351,19 @@ def load_trace(path: str) -> DecodeTrace:
             raise InvalidConfigError(f"{path}: not a decode trace, no tensor {name!r}")
         return blob[name]
 
-    def meta(name: str) -> list[int]:
-        values = get(name).ravel().tolist()
-        if len(values) != 3 or not all(v >= 0 and v.is_integer() for v in values):
-            raise InvalidConfigError(f"{path}: {name!r} must be 3 integers >= 0, got {values}")
-        return [int(v) for v in values]
+    def ints(name: str, count: int | None = None, values: np.ndarray | None = None) -> np.ndarray:
+        """Record `name`, or `values` read from it, as int64."""
+        values = get(name) if values is None else values
+        whole = np.isfinite(values) & (values >= 0) & (values == np.floor(values))
+        if not whole.all() or count not in (None, values.size):
+            raise InvalidConfigError(f"{path}: {name!r} must hold {count or 'only'} integers >= 0")
+        return values.astype(np.int64)
 
-    n, block_size, prompt_len = meta("trace.meta")
+    n, block_size, prompt_len = ints("trace.meta", 3).tolist()
     trace = DecodeTrace(block_size=block_size, prompt_len=prompt_len)
     for i in range(n):
         p = f"step.{i:05d}"
-        kind_code, block, verify = meta(f"{p}.meta")
+        kind_code, block, verify = ints(f"{p}.meta", 3).tolist()
         if kind_code > 1 or verify > 1:
             raise InvalidConfigError(f"{path}: {p}.meta has kind {kind_code} and verify "
                                      f"{verify}, each must be 0 or 1")
@@ -378,23 +371,23 @@ def load_trace(path: str) -> DecodeTrace:
         if rows.size % 4:
             raise InvalidConfigError(f"{path}: {p}.drafts holds {rows.size} values, "
                                      f"not rows of 4")
-        drafts = [
-            DraftRecord(int(row[0]), int(row[1]), int(row[2]), float(row[3]))
-            for row in rows.reshape(-1, 4)
-        ]
+        rows = rows.reshape(-1, 4)
+        # position, token and MRP round, then the confidence
+        cols = ints(f"{p}.drafts", values=rows[:, :3]).tolist()
+        drafts = [DraftRecord(*c, conf) for c, conf in zip(cols, rows[:, 3].tolist())]
         trace.records.append(
             StepRecord(
                 kind="backbone" if kind_code == 0 else "mrp",
                 block=block,
-                ids=get(f"{p}.ids").astype(np.int64),
+                ids=ints(f"{p}.ids"),
                 h=get(f"{p}.h"),
                 logits=get(f"{p}.logits"),
-                revealed_positions=get(f"{p}.revealed_positions").astype(np.int64),
-                revealed_tokens=get(f"{p}.revealed_tokens").astype(np.int64),
+                revealed_positions=ints(f"{p}.revealed_positions"),
+                revealed_tokens=ints(f"{p}.revealed_tokens"),
                 verify=bool(verify),
                 drafts=drafts,
-                accepted=[int(v) for v in get(f"{p}.accepted")],
-                rejected=[int(v) for v in get(f"{p}.rejected")],
+                accepted=ints(f"{p}.accepted").tolist(),
+                rejected=ints(f"{p}.rejected").tolist(),
             )
         )
     return trace

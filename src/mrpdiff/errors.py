@@ -53,6 +53,15 @@ def check_int(name: str, value, low: int) -> None:
         raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def as_int64(name: str, values, error: type) -> np.ndarray:
+    """`values` as an int64 array, the same array when it is one. Raise
+    `error` unless they are integers (a bool or float is not), or empty."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise error(f"{name} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 def is_finite_real(value) -> bool:
     """Whether `value` is a finite real number (Python or numpy, not a bool)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):

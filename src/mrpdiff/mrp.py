@@ -27,7 +27,6 @@ from .backbone import (
     ParamSet,
     active_ops,
     additive_mask,
-    check_ids,
     input_embedding,
     operands,
     transformer_layer,
@@ -90,7 +89,8 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
     trunk layers, output norm and output projection are its own. Under
     `no_grad` it computes on plain ndarrays, as `backbone.forward` does. A
     batch, `h` of shape (B, L, d) with `x.ids` of shape (B, L), runs as one
-    stack, as in `backbone.forward`.
+    stack, as in `backbone.forward`. Its ids and positions are checked
+    where they are embedded, as in `backbone.forward` (InvalidShapeError).
     """
     cfg = bb_params.config
     d = cfg.d_model
@@ -103,15 +103,14 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
         raise InvalidShapeError(
             f"hidden state of shape {h.shape} does not align with ids of shape {x.ids.shape}"
         )
-    check_ids(x.ids, cfg)
+    embedded = input_embedding(bb_params, x.ids)  # checks the ids before a mask is cached
     addmask = additive_mask(x.length, x.block_size, x.prompt_len)
     ops = active_ops()
     w_fuse, b_fuse, out_norm, w_out, w_lm = operands(
         ops, params.w_fuse, params.b_fuse, params.out_norm, params.w_out, bb_params.w_lm)
     if ops is A and isinstance(h, Tensor):
         h = h.data
-    stream = ops.add(ops.matmul(ops.concat_last(input_embedding(bb_params, x.ids), h), w_fuse),
-                     b_fuse)
+    stream = ops.add(ops.matmul(ops.concat_last(embedded, h), w_fuse), b_fuse)
     for layer in params.layers:
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
     delta_h = ops.matmul(ops.rmsnorm(stream, out_norm, cfg.norm_eps), w_out)

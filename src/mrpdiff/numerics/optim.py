@@ -11,14 +11,15 @@ from ..errors import NoGradError
 from .tensor import Tensor
 
 
+# AdamW's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     peak_lr: float
     min_lr: float
     total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
@@ -48,8 +49,8 @@ def adamw_step(params: list[tuple[str, Tensor]], opt: OptimizerState) -> float:
     lr = cosine_lr(opt.step_count, opt)
     opt.step_count += 1
     t = opt.step_count
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params:
         g = p.grad
         if g is None:
@@ -62,15 +63,15 @@ def adamw_step(params: list[tuple[str, Tensor]], opt: OptimizerState) -> float:
         # the moments and the step's temporaries are updated in place, one
         # operation at a time in the textbook update's order, which keeps
         # its bits
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         step = m / bc1
         step *= lr
         denom = v / bc2
         np.sqrt(denom, out=denom)
-        denom += opt.eps
+        denom += EPS
         step /= denom
         if opt.weight_decay:
             p.data -= lr * opt.weight_decay * p.data

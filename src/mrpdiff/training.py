@@ -27,7 +27,7 @@ from . import mrp as mrp_mod
 from .corpus import MASK_ID, PAD_ID, Example
 from .diffusion import SequenceState, corrupt, state_from_example
 from .errors import (ContractViolationError, DivergenceError, InvalidConfigError,
-                     InvalidShapeError, check_int, is_finite_real)
+                     InvalidShapeError, as_int64, check_int, is_finite_real)
 from .numerics import tensor as T
 from .numerics.optim import OptimizerState, adamw_step, cosine_lr
 from .numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -110,25 +110,26 @@ def _groups(items: list, key) -> dict:
 _CHUNK = 4
 
 
-def _train_step(named: list, opt: OptimizerState, pairs: list, chunk_loss,
+def _train_step(named: list, opt: OptimizerState, stacks: list, chunk_loss,
                 batch_size: int) -> tuple[float, list]:
     """One optimizer step over a batch, shared by both trainers.
 
-    `pairs` are the (clean, corrupted) sequences of the batch that have a
-    loss. Groups them by the corrupted sequence's `_shape_key` in
-    first-seen order and calls `chunk_loss` on runs of at most `_CHUNK`
-    pairs of a group. It returns (total, per_seq): the chunk's loss Tensor
-    and one entry per pair. Each total's gradient is added over
-    `batch_size`, and its graph is freed before the next chunk builds its
-    own. Returns the mean loss over the pairs and their entries. A
-    non-finite mean raises DivergenceError; a step with no pairs makes no
+    `stacks` holds one (clean, corrupted) pair of (B, L) stacks per shape
+    group of the batch: the group's sequences that have a loss, each group
+    stacked once. `chunk_loss(x0, xt)` runs on row slices of at most
+    `_CHUNK` rows of a pair, in order, and returns (total, per_seq): the
+    chunk's loss Tensor and one entry per row. Each total's gradient is
+    added over `batch_size`, and its graph is freed before the next chunk
+    builds its own. Returns the mean loss over the rows and their entries.
+    A non-finite mean raises DivergenceError; a step with no rows makes no
     update and only advances the step count.
     """
     zero_grads([t for _, t in named])
     loss_sum, used = 0.0, []
-    for group in _groups(pairs, lambda pair: _shape_key(pair[1])).values():
-        for lo in range(0, len(group), _CHUNK):
-            total, per_seq = chunk_loss(group[lo:lo + _CHUNK])
+    for clean, corrupted in stacks:
+        for lo in range(0, len(clean.ids), _CHUNK):
+            x0, xt = (replace(x, ids=x.ids[lo:lo + _CHUNK]) for x in (clean, corrupted))
+            total, per_seq = chunk_loss(x0, xt)
             used += per_seq
             backward(T.scale(total, 1.0 / batch_size))
             loss_sum += total.item()
@@ -176,9 +177,9 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
     On a batch, logits (B, L, V) with `x.masked` and `targets` (B, L), each
     sequence's masked rows weigh 1 / (its masked count): the loss is the sum
     over the B sequences of each one's mean CE; a single sequence is a
-    batch of one. Logits without one row per position of the state, a
-    target array of another shape than the state's, or a target id outside
-    [0, V), raise InvalidShapeError.
+    batch of one. Logits without one row per position of the state,
+    targets that are not integers, a target array of another shape than
+    the state's, or a target id outside [0, V), raise InvalidShapeError.
     """
     if logits.shape[:-1] != x.ids.shape:
         raise InvalidShapeError(
@@ -188,7 +189,7 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
     if len(rows) == 0:
         return None
     vocab = logits.shape[-1]
-    targets = np.asarray(targets)
+    targets = as_int64("targets", targets, InvalidShapeError)
     if targets.shape != x.masked.shape:
         raise InvalidShapeError(
             f"targets of shape {targets.shape} for a state of shape {x.masked.shape}"
@@ -212,9 +213,9 @@ def train_backbone(
 ) -> bb.BackboneParams:
     """Pretrain the denoiser with masked cross-entropy on corrupted inputs.
 
-    A step corrupts its batch in order, then groups the sequences with a
-    masked position by (length, prompt_len) and runs each group in chunks
-    of at most `_CHUNK` sequences, one taped graph per chunk. The gradient
+    A step corrupts its batch in order, stacks its sequences with a masked
+    position once per (length, prompt_len) group, and runs chunks of at
+    most `_CHUNK` rows, one taped graph each. The gradient
     and the logged loss are the mean over those sequences of each one's
     mean CE, as a loop over single sequences would give them.
     """
@@ -224,12 +225,10 @@ def train_backbone(
     params = bb.init_backbone(bb_cfg, rng)
     named = params.named_tensors()
 
-    def chunk_loss(chunk):
-        xt = _stack([xt for _, xt in chunk])
+    def chunk_loss(x0, xt):
         _, logits = bb.forward(xt, params)
-        targets = np.stack([x0.ids for x0, _ in chunk])
-        # every pair has a loss, and pretraining logs no per-step losses
-        return masked_cross_entropy(logits, xt, targets), [()] * len(chunk)
+        # every row has a loss, and pretraining logs no per-step losses
+        return masked_cross_entropy(logits, xt, x0.ids), [()] * len(xt.ids)
 
     def step(batch, opt):
         pairs = []
@@ -238,7 +237,10 @@ def train_backbone(
             xt = corrupt(x0, rng)
             if xt.masked.any():
                 pairs.append((x0, xt))
-        loss, _ = _train_step(named, opt, pairs, chunk_loss, len(batch))
+        # grouped after the filter, which sets the order gradients are summed in
+        groups = _groups(pairs, lambda pair: _shape_key(pair[1])).values()
+        stacks = [(_stack([x0 for x0, _ in g]), _stack([xt for _, xt in g])) for g in groups]
+        loss, _ = _train_step(named, opt, stacks, chunk_loss, len(batch))
         return loss, ()
 
     _fit(examples, cfg, params, rng, step, log_rows)
@@ -250,10 +252,24 @@ def train_backbone(
 # ---------------------------------------------------------------------------
 
 
+def _check_aligned(x: SequenceState, x0: SequenceState) -> None:
+    """Raise unless x0 holds a clean sequence for each of x's: InvalidShapeError
+    for ids of another shape, ContractViolationError for another grid."""
+    if x.ids.shape != x0.ids.shape:
+        raise InvalidShapeError(
+            f"state of shape {x.ids.shape} for clean sequences of shape {x0.ids.shape}"
+        )
+    if (x.prompt_len, x.block_size) != (x0.prompt_len, x0.block_size):
+        raise ContractViolationError("state has another prompt_len or block_size than x0")
+
+
 def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> SequenceState:
     """Reveal the k lowest-index masked positions of every block (restoring
     tokens from x0), of one sequence or a (B, L) stack. Blocks with fewer
-    than k masks reveal what remains."""
+    than k masks reveal what remains. k must be an integer >= 1
+    (InvalidConfigError), and x0 must fit x (`_check_aligned`)."""
+    check_int("reveal k", k, 1)
+    _check_aligned(x, x0)
     resp = x.ids[..., x.prompt_len:]
     # (..., n_blocks, block_size): a mask is revealed while at most k of its
     # block's masks lie at or before it
@@ -269,25 +285,14 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 # ---------------------------------------------------------------------------
 
 
-def _rows(x: SequenceState) -> list[SequenceState]:
-    """The sequences of an (L,) or (B, L) state, as views of its rows."""
-    return [replace(x, ids=ids) for ids in x.ids.reshape(-1, x.length)]
-
-
 def _check_corruption(x0: SequenceState, xt: SequenceState) -> None:
     """Raise unless xt could come from `corrupt(x0)`: InvalidShapeError for
-    another shape, ContractViolationError when x0 is not clean, when xt has
-    another prompt_len or block_size, when an unmasked position's id
+    another shape, ContractViolationError when xt has another prompt_len or
+    block_size, when x0 is not clean, when an unmasked position's id
     differs from x0, or when a prompt or PAD position is masked."""
-    if xt.ids.shape != x0.ids.shape:
-        raise InvalidShapeError(
-            f"corrupted state of shape {xt.ids.shape} for clean sequences of shape "
-            f"{x0.ids.shape}"
-        )
+    _check_aligned(xt, x0)
     if x0.masked.any():
         raise ContractViolationError("kd_sequence_loss expects clean sequences")
-    if (xt.prompt_len, xt.block_size) != (x0.prompt_len, x0.block_size):
-        raise ContractViolationError("corrupted state has another prompt_len or block_size")
     if not np.array_equal(xt.ids, np.where(xt.masked, MASK_ID, x0.ids)):
         raise ContractViolationError("corrupted state changes an unmasked token")
     if xt.masked[..., :x0.prompt_len].any() or (xt.masked & (x0.ids == PAD_ID)).any():
@@ -306,8 +311,8 @@ def kd_sequence_loss(
     that share length and prompt_len; a single sequence is a stack of one.
 
     `xt`, when given, is the stack's corruption and `rng` is not drawn
-    from; when it is None, each sequence in stack order is corrupted with
-    draws from `rng`. The unroll keeps `unroll + 1` stacked states:
+    from; when it is None, the stack is corrupted with `corrupt(x0, rng)`,
+    row by row. The unroll keeps `unroll + 1` stacked states:
     states[0] = x_t and states[j + 1] = reveal_ground_truth(states[j]).
     Only the sequences still masked in states[1] have a loss; the others
     take no part, and a stack with none returns before any forward. The
@@ -331,7 +336,7 @@ def kd_sequence_loss(
     g_cfg = g_params.config
     k_steps = g_cfg.unroll
     if xt is None:
-        xt = _stack([corrupt(x, rng) for x in _rows(x0)])
+        xt = corrupt(x0, rng)
     else:
         _check_corruption(x0, xt)
     L = x0.ids.shape[-1]
@@ -391,26 +396,25 @@ def mrp_train_step(
     """One optimizer step of distillation over a batch; returns (mean
     loss, mean per-unroll-step losses) over the sequences that have a loss.
 
-    The batch is grouped by (length, prompt_len) in first-seen order and
-    every sequence is corrupted in that order. One ground-truth reveal of
-    each group's stack finds the sequences that keep a masked position,
-    the only ones with a loss; they run per group in stacks of at most
-    `_CHUNK`, one `kd_sequence_loss` and one backward per stack. Gradients
+    The batch is grouped by (length, prompt_len) in first-seen order; each
+    group is stacked once and corrupted, and one ground-truth reveal finds
+    the rows that keep a masked position, the only ones with a loss. Those
+    rows run in chunks of at most `_CHUNK`, one `kd_sequence_loss` and one
+    backward per chunk. Gradients
     flow only into the head: backbone forwards run without the tape, and
     the hidden state enters the head's graph as a constant leaf.
     """
-    pairs = []
+    stacks = []
     for group in _groups(batch, _shape_key).values():
-        corrupted = [corrupt(x0, rng) for x0 in group]
-        revealed = reveal_ground_truth(_stack(corrupted), _stack(group), g_params.config.reveal_k)
-        has_loss = revealed.masked.any(axis=1).tolist()
-        pairs += [(x0, xt) for x0, xt, keep in zip(group, corrupted, has_loss) if keep]
+        x0 = _stack(group)
+        xt = corrupt(x0, rng)
+        keep = reveal_ground_truth(xt, x0, g_params.config.reveal_k).masked.any(axis=1)
+        stacks.append((replace(x0, ids=x0.ids[keep]), replace(xt, ids=xt.ids[keep])))
 
-    def chunk_loss(chunk):
-        return kd_sequence_loss(_stack([x0 for x0, _ in chunk]), bb_params, g_params, None, rng,
-                                xt=_stack([xt for _, xt in chunk]))
+    def chunk_loss(x0, xt):
+        return kd_sequence_loss(x0, bb_params, g_params, None, rng, xt=xt)
 
-    loss, per_seq = _train_step(g_params.named_tensors(), opt, pairs, chunk_loss, len(batch))
+    loss, per_seq = _train_step(g_params.named_tensors(), opt, stacks, chunk_loss, len(batch))
     return loss, sum(per_seq, np.zeros(g_params.config.unroll)) / max(len(per_seq), 1)
 
 

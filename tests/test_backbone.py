@@ -578,6 +578,38 @@ def test_prefix_forward_rejects_tape_and_misplaced_or_stale_prefix():
             bb.forward(xw, params, prefix=prefix)
 
 
+def test_a_prefix_forward_checks_the_rows_it_embeds():
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = rand_state(np.random.default_rng(9), 3, 3, cfg.block_size, mask_frac=1.0)
+    prefix = bb.PrefixKV(3 + cfg.block_size)
+    with no_grad():
+        # an empty prefix stays empty after a forward that raises
+        x.ids[-1] = cfg.vocab_size
+        with pytest.raises(InvalidShapeError, match="vocabulary"):
+            bb.forward(x, params, prefix=prefix)
+        assert prefix.h is None
+        x.ids[-1] = MASK_ID
+        bb.forward(x, params, prefix=prefix)
+        # a filled prefix embeds only the rows after it, and checks them
+        for bad in (-1, cfg.vocab_size):
+            x.ids[-1] = bad
+            with pytest.raises(InvalidShapeError, match="vocabulary"):
+                bb.forward(x, params, prefix=prefix)
+        x.ids[-1] = MASK_ID
+        # its own rows are not embedded again: the prefix refuses changed
+        # ids there, out of the vocabulary or not, before any embedding
+        kept = x.ids[1]
+        for bad in (4 if kept != 4 else 5, cfg.vocab_size):
+            x.ids[1] = bad
+            with pytest.raises(ContractViolationError, match="changed"):
+                bb.forward(x, params, prefix=prefix)
+        x.ids[1] = kept
+        _, logits = bb.forward(x, params, prefix=prefix)
+        _, full = bb.forward(x, params)
+    np.testing.assert_allclose(logits.data, full.data, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("rows", [6.0, -1, True, "6"])
 def test_prefix_rows_are_checked_when_built(rows):
     # 6.0 used to build and fail at the first forward with a bare TypeError

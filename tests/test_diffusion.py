@@ -114,6 +114,16 @@ def test_load_trace_rejects_a_file_that_is_not_a_trace(tmp_path):
         ({"step.00000.meta": [7.0, 0.0, 0.0]}, "kind 7"),
         ({"step.00000.meta": [0.0, 0.0, 2.0]}, "verify 2"),
         ({"step.00000.drafts": np.zeros(6)}, "rows of 4"),
+        # integer records that are not integers: once a bare ValueError, a
+        # garbage id with a RuntimeWarning, and 2 read from 2.5
+        ({"step.00000.accepted": [float("nan")]}, "step.00000.accepted"),
+        ({"step.00000.revealed_tokens": [float("nan")]}, "step.00000.revealed_tokens"),
+        ({"step.00000.ids": [2.5, 0.0]}, "step.00000.ids"),
+        ({"step.00000.ids": [5.0, -1.0]}, "step.00000.ids"),
+        ({"step.00000.revealed_positions": [float("inf")]}, "step.00000.revealed_positions"),
+        ({"step.00000.rejected": [0.5]}, "step.00000.rejected"),
+        ({"step.00000.drafts": [[1.0, 6.0, 1.5, 0.9]]}, "step.00000.drafts"),
+        ({"step.00000.drafts": [[1.0, float("nan"), 1.0, 0.9]]}, "step.00000.drafts"),
     ]:
         _one_step_trace(path, **records)
         with pytest.raises(InvalidConfigError, match=match):
@@ -294,17 +304,15 @@ def test_a_built_state_is_frozen(field):
 
 @pytest.mark.parametrize("op", [
     lambda x: x.current_block,
-    lambda x: diffusion.corrupt(x, np.random.default_rng(0)),
     lambda x: confidence_of(np.zeros((2, 9, 12)), x),
     lambda x: diffusion.reveal(x, [5], [7]),
     lambda x: diffusion.remask(x, [6]),
     lambda x: diffusion.finalize_block(x),
-], ids=["current_block", "corrupt", "confidence_of", "reveal", "remask", "finalize_block"])
+], ids=["current_block", "confidence_of", "reveal", "remask", "finalize_block"])
 def test_per_sequence_operations_refuse_a_stack(op):
     # on this stack they used to read the second sequence's mask as a block
     # past the end or a misplaced logits row, ignore the first sequence's
-    # EOS, or fail on a flat index or a broadcast; `corrupt` must say so
-    # before it finds the masked positions
+    # EOS, or fail on a flat index or a broadcast
     ids = np.full((2, 9), 5)
     ids[1, 5:] = MASK_ID
     ids[0, 2] = EOS_ID
@@ -369,6 +377,26 @@ def test_corrupt_rejects_a_rate_outside_zero_to_one(rate):
         diffusion.corrupt(x0, rng, rate=rate)
     # refused before any draw: the stream continues as if never called
     assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("rate", [None, 0.5])
+def test_a_stacked_corrupt_draws_as_one_call_per_row(rate):
+    # examples of one length ending in PAD, so some positions are never masked
+    exs = [corpus.make_example(a, b, "+", 4) for a, b in [(12, 3), (45, 6), (78, 9), (10, 2)]]
+    rows = [diffusion.state_from_example(ex, 4, all_masked=False) for ex in exs]
+    stack = SequenceState(np.stack([x.ids for x in rows]), rows[0].prompt_len, 4)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    got = diffusion.corrupt(stack, rng, rate=rate)
+    want = [diffusion.corrupt(x, ref, rate=rate).ids for x in rows]
+    assert np.array_equal(got.ids, np.stack(want)) and got.masked.any()
+    assert not np.shares_memory(got.ids, stack.ids) and not stack.masked.any()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # a masked row refuses the whole stack before any draw
+    masked = stack.clone()
+    masked.ids[2, -1] = MASK_ID
+    with pytest.raises(ContractViolationError, match="clean"):
+        diffusion.corrupt(masked, rng, rate=rate)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_corrupt_at_the_rate_bounds_keeps_its_draws():

@@ -95,6 +95,20 @@ def test_mrp_forward_rejects_out_of_range_ids(bad_id, taped):
 
 
 @pytest.mark.parametrize("taped", [True, False])
+def test_mrp_forward_rejects_a_state_longer_than_max_len(taped):
+    # was a bare numpy ValueError from adding max_len position rows to
+    # L token rows
+    bb_params, head, _, _ = _setup()
+    L = BB_CFG.max_len + BB_CFG.block_size
+    x = SequenceState(np.full(L, 5), 4, BB_CFG.block_size)
+    masks = set(bb._MASK_CACHE)
+    with contextlib.nullcontext() if taped else no_grad():
+        with pytest.raises(InvalidShapeError, match="max_len"):
+            mrp.mrp_forward(x, np.zeros((L, BB_CFG.d_model)), head, bb_params)
+    assert set(bb._MASK_CACHE) == masks  # refused before a mask was built
+
+
+@pytest.mark.parametrize("taped", [True, False])
 def test_mrp_forward_rejects_head_of_another_width(taped):
     wide = bb.BackboneConfig(d_model=32, n_heads=2, n_layers=1, block_size=4, max_len=32)
     bb_params = bb.init_backbone(wide, np.random.default_rng(0))

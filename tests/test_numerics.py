@@ -10,6 +10,7 @@ import pytest
 
 from mrpdiff.errors import InvalidShapeError, NoGradError
 from mrpdiff.numerics import arrays as A
+from mrpdiff.numerics import optim
 from mrpdiff.numerics import tensor as T
 from mrpdiff.numerics.optim import OptimizerState, adamw_step, cosine_lr
 from mrpdiff.numerics.tensor import Tensor, backward, no_grad, zero_grads
@@ -327,7 +328,7 @@ def test_adamw_matches_the_textbook_update_bit_for_bit():
     ref = {"p": p.data.copy(), "q": q.data.copy()}
     moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in ref.items()}
     opt = _opt(peak_lr=1e-2, min_lr=1e-4, weight_decay=0.1)
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = optim.BETA1, optim.BETA2
     for step in range(1, 6):
         lr = cosine_lr(opt.step_count, opt)
         for t in (p, q):
@@ -341,7 +342,7 @@ def test_adamw_matches_the_textbook_update_bit_for_bit():
             v = b2 * v + (1.0 - b2) * (g * g)
             moments[name] = (m, v)
             a -= lr * opt.weight_decay * a
-            a -= lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + opt.eps)
+            a -= lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + optim.EPS)
         assert np.array_equal(p.data, ref["p"]) and np.array_equal(q.data, ref["q"])
         assert np.array_equal(opt.first_moment["p"], moments["p"][0])
         assert np.array_equal(opt.second_moment["q"], moments["q"][1])

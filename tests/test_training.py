@@ -90,8 +90,9 @@ def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
     monkeypatch.setattr(training, "reveal_ground_truth", recorded(reveal))
     training.train_mrp(examples, params, cfg, g_cfg)
     # the same draws replayed: the head's init and one shuffle, then per
-    # step each (length, prompt_len) group of the batch is corrupted in
-    # first-seen order and its stack revealed once, which tells which of
+    # step each (length, prompt_len) group of the batch is stacked and
+    # corrupted once, in first-seen order, with the ids one call per
+    # sequence draws, and its stack revealed once, which tells which of
     # its sequences have a loss; the stack of those is revealed at each of
     # the 2 unroll steps, group by group, after every group is corrupted
     rng = np.random.default_rng(cfg.seed)
@@ -103,12 +104,11 @@ def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
                  for i in order[3 * step:3 * step + 3]]
         unrolls = []
         for group in _group_order(batch):
-            corrupted = [corrupt(x0, rng) for x0 in group]
-            x0, xt = training._stack(group), training._stack(corrupted)
+            x0 = training._stack(group)
+            xt = training._stack([corrupt(x, rng) for x in group])
             revealed = reveal(xt, x0, 1)
             has_loss = revealed.masked.any(axis=1)
-            want += [("corrupt", x.ids) for x in corrupted]
-            want.append(("reveal_ground_truth", revealed.ids))
+            want += [("corrupt", xt.ids), ("reveal_ground_truth", revealed.ids)]
             if has_loss.any():
                 x0, xt = (SequenceState(x.ids[has_loss], x.prompt_len, x.block_size)
                           for x in (x0, xt))
@@ -119,7 +119,10 @@ def test_distillation_corrupts_and_reveals_in_a_fixed_order(monkeypatch):
     assert [name for name, _ in states] == [name for name, _ in want]
     for (_, got), (_, ids) in zip(states, want):
         assert np.array_equal(got, ids)
-    assert len(states) > 3 * 4
+    # fewer corrupt calls than sequences: some group stacked two or three
+    names = [name for name, _ in states]
+    assert cfg.max_steps <= names.count("corrupt") < cfg.max_steps * cfg.batch_size
+    assert len(names) > 2 * names.count("corrupt")  # and some unroll reveals ran
     assert len({ids.tobytes() for name, ids in want if name == "corrupt"}) > 1
 
 
@@ -155,6 +158,30 @@ def test_stacked_reveal_matches_the_per_block_loop(k):
             assert np.array_equal(got.ids[b], want)
             assert np.array_equal(training.reveal_ground_truth(row, row0, k).ids, want)
     assert short > 0 or k == 1
+
+
+@pytest.mark.parametrize("k, clean, error, match", [
+    (1.5, None, InvalidConfigError, "k"), (0, None, InvalidConfigError, "k"),
+    (-1, None, InvalidConfigError, "k"), ("a", None, InvalidConfigError, "k"),
+    (True, None, InvalidConfigError, "k"),
+    (1, "one row", InvalidShapeError, "shape"),
+    (1, "prompt_len", ContractViolationError, "prompt_len"),
+    (1, "block_size", ContractViolationError, "block_size"),
+])
+def test_reveal_ground_truth_refuses_bad_input(k, clean, error, match):
+    # each used to run: 1.5 as 1, -1 revealing nothing, "a" a bare numpy
+    # UFuncTypeError, and an x0 of another shape a bare IndexError
+    x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+                          for a, b in [(999, 99), (987, 65)]])
+    xt = corrupt(x0, np.random.default_rng(0), rate=1.0)
+    other = {"one row": SequenceState(x0.ids[0], x0.prompt_len, 4),
+             "prompt_len": SequenceState(x0.ids, x0.prompt_len - 4, 4),
+             "block_size": SequenceState(x0.ids, x0.prompt_len, 2), None: x0}[clean]
+    with pytest.raises(error, match=match):
+        training.reveal_ground_truth(xt, other, k)
+    # the same stack and k = 1 reveal one position per block
+    revealed = training.reveal_ground_truth(xt, x0, 1)
+    assert xt.mask_count() - revealed.mask_count() == 2 * xt.n_blocks
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -361,7 +388,7 @@ def _first_batch_clean(monkeypatch, trainer):
         drawn.append(corrupt(x0, rng))  # the usual draws, so later batches are unchanged
         return x0.clone() if len(drawn) <= cfg.batch_size else drawn[-1]
 
-    monkeypatch.setattr(training, "corrupt", first_batch_clean)
+    monkeypatch.setattr(training, "corrupt", _row_by_row(first_batch_clean))
     _record(monkeypatch, training, "adamw_step", updates)
     log = []
     _train(trainer, _step_examples(), cfg, log)
@@ -437,7 +464,7 @@ def test_fd_batched_masked_cross_entropy_through_backbone_forward():
 
 
 @pytest.mark.parametrize("batched", [False, True])
-@pytest.mark.parametrize("bad", ["short", "negative", "vocab_size"])
+@pytest.mark.parametrize("bad", ["short", "negative", "vocab_size", "float", "str"])
 def test_masked_cross_entropy_rejects_bad_targets(batched, bad):
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
     params = bb.init_backbone(cfg, np.random.default_rng(1))
@@ -448,6 +475,10 @@ def test_masked_cross_entropy_rejects_bad_targets(batched, bad):
         xt, targets = training._stack([xt, xt]), np.stack([targets, targets])
     if bad == "short":
         targets = targets[..., :-1]
+    elif bad == "float":  # was truncated: exactly the loss of the integer targets
+        targets = targets + 0.7
+    elif bad == "str":  # was a bare numpy UFuncTypeError
+        targets = targets.astype(str)
     else:
         targets[..., -1] = -1 if bad == "negative" else cfg.vocab_size
     _, logits = bb.forward(xt, params)
@@ -497,6 +528,15 @@ def test_fd_stacked_kd_sequence_loss_wrt_head_parameters():
 DISTILL_CFG = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=32)
 
 
+def _row_by_row(fake):
+    """`fake`, a stand-in for `training.corrupt` on one sequence, applied to
+    each row of a stack in order, as `corrupt` draws a stack."""
+    def corrupt_rows(x0, rng):
+        rows = [fake(dataclasses.replace(x0, ids=ids), rng).ids for ids in np.atleast_2d(x0.ids)]
+        return dataclasses.replace(x0, ids=np.stack(rows).reshape(x0.ids.shape))
+    return corrupt_rows
+
+
 def _distill_setup(monkeypatch):
     """A frozen backbone, a head with a non-zero output projection, 18
     clean states in five (length, prompt_len) buckets, and
@@ -519,7 +559,8 @@ def _distill_setup(monkeypatch):
     single.ids[single.prompt_len] = MASK_ID
     table[bucket[0].ids.tobytes()] = single
     table[bucket[2].ids.tobytes()] = bucket[2].clone()
-    monkeypatch.setattr(training, "corrupt", lambda x0, rng: table[x0.ids.tobytes()].clone())
+    monkeypatch.setattr(training, "corrupt",
+                        _row_by_row(lambda x0, rng: table[x0.ids.tobytes()].clone()))
     with_loss = len(_with_loss(batch))
     assert len({(x0.length, x0.prompt_len) for x0 in batch}) >= 2
     assert with_loss <= len(batch) - 2
@@ -620,10 +661,12 @@ def test_distillation_step_corrupts_the_batch_in_group_order(monkeypatch):
     seen = []
     _record(monkeypatch, training, "corrupt", seen)
     _distill_step(params, head, batch)
-    # every sequence once, grouped by (length, prompt_len) in first-seen
-    # order: the order in which stacks of all sequences drew them
-    want = [x0.ids.tobytes() for group in _group_order(batch) for x0 in group]
-    assert [x0.ids.tobytes() for (x0, _), _ in seen] == want
+    # one call per (length, prompt_len) group on its stack, in first-seen
+    # order, so every sequence is drawn once, in group order
+    groups = _group_order(batch)
+    assert [x0.ids.shape[0] for (x0, _), _ in seen] == [len(group) for group in groups]
+    want = [x0.ids.tobytes() for group in groups for x0 in group]
+    assert [row.tobytes() for (x0, _), _ in seen for row in x0.ids] == want
     assert want != [x0.ids.tobytes() for x0 in batch]
 
 
@@ -671,7 +714,7 @@ def test_stack_and_rows_round_trip_the_ids_alone():
     assert np.array_equal(stack.masked, stack.ids == MASK_ID)
     with pytest.raises(ValueError):
         stack.masked[0, 0] = True
-    rows = training._rows(stack)
+    rows = [SequenceState(ids, stack.prompt_len, stack.block_size) for ids in stack.ids]
     for row, x in zip(rows, states, strict=True):
         assert np.array_equal(row.ids, x.ids) and np.array_equal(row.masked, x.masked)
         assert (row.prompt_len, row.block_size) == (x.prompt_len, x.block_size)
@@ -687,9 +730,9 @@ def _corruption_case(case):
     x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
                           for a, b in [(999, 99), (987, 65)]])
     rng = np.random.default_rng(0)
-    xt = training._stack([corrupt(x, rng, rate=0.5) for x in training._rows(x0)])
+    xt = corrupt(x0, rng, rate=0.5)
     if case == "shape":
-        xt = training._rows(xt)[0]
+        xt = SequenceState(xt.ids[0], xt.prompt_len, xt.block_size)
     elif case == "changed token":
         pos = np.flatnonzero(~xt.masked[0])[-1]
         xt.ids[0, pos] = PAD_ID if xt.ids[0, pos] != PAD_ID else EOS_ID
