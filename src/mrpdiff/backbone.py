@@ -136,35 +136,21 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, std: float = 0.
 # ---------------------------------------------------------------------------
 
 
-def block_index(positions, block_size: int, prompt_len: int):
-    """Block id per position: the prompt is leading block 0, then the
-    response is gridded in blocks of block_size."""
-    pos = np.asarray(positions)
-    return np.where(pos < prompt_len, 0, 1 + (pos - prompt_len) // block_size)
-
-
-def attention_mask(L: int, block_size: int, prompt_len: int = 0) -> np.ndarray:
-    """Boolean LxL matrix: query q may attend key k iff block(k) <= block(q)
-    (all preceding blocks plus full bidirectional attention within a block)."""
-    if (L - prompt_len) % block_size:
-        raise InvalidConfigError(
-            f"response region of length {L - prompt_len} is not a multiple of "
-            f"block_size {block_size}"
-        )
-    blocks = block_index(np.arange(L), block_size, prompt_len)
-    return blocks[None, :] <= blocks[:, None]
-
-
 _MASK_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def additive_mask(L: int, block_size: int, prompt_len: int) -> np.ndarray:
-    """0 where attention is allowed, -1e30 where blocked (kept finite so no
-    intermediate is ever inf/NaN)."""
+    """LxL block-causal mask: 0 where query q may attend key k, -1e30
+    where blocked (kept finite so no intermediate is ever inf/NaN). The
+    prompt is leading block 0, then the response is gridded in blocks of
+    block_size; q may attend k iff block(k) <= block(q), so a block sees
+    all preceding blocks and itself in full."""
     key = (L, block_size, prompt_len)
     cached = _MASK_CACHE.get(key)
     if cached is None:
-        cached = np.where(attention_mask(L, block_size, prompt_len), 0.0, -1e30)
+        pos = np.arange(L)
+        blocks = np.where(pos < prompt_len, 0, 1 + (pos - prompt_len) // block_size)
+        cached = np.where(blocks[None, :] <= blocks[:, None], 0.0, -1e30)
         _MASK_CACHE[key] = cached
     return cached
 

@@ -187,27 +187,18 @@ def load_dataset(path: str, block_size: int = 8) -> list[Example]:
     return out
 
 
-def response_answer(ids) -> str:
-    """Detokenized response text before the first EOS."""
-    cut = []
-    for i in ids:
-        if int(i) == EOS_ID:
-            break
-        cut.append(int(i))
-    return detokenize(cut)
-
-
 def exact_match_accuracy(decoded, refs) -> float:
-    """Fraction of decoded sequences whose answer-before-EOS matches the
-    reference answer string exactly. `decoded` holds SequenceState-likes
-    (ids + prompt_len); refs holds Examples."""
+    """Fraction of decoded sequences whose response starts with exactly
+    the ids of the reference answer and then EOS; what follows the first
+    EOS is not read. A leftover MASK, a PAD inside the answer or a missing
+    EOS misses. `decoded` holds SequenceState-likes (ids + prompt_len);
+    refs holds Examples."""
     if len(decoded) != len(refs):
         raise InvalidConfigError("decoded and refs must have the same length")
     if not refs:
         return 0.0
     hits = 0
     for state, ref in zip(decoded, refs):
-        got = response_answer(state.ids[state.prompt_len:])
-        if got == ref.answer:
-            hits += 1
+        ids = state.ids[state.prompt_len:].tolist()
+        hits += EOS_ID in ids and ids[:ids.index(EOS_ID)] == tokenize(ref.answer)
     return hits / len(refs)

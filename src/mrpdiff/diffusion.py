@@ -4,9 +4,11 @@ Holds the chain state (token ids on a block grid; a position is masked
 exactly when its id is MASK_ID), the training-time corruption, confidence
 computation over masked positions, the decoding policy (`Policy.select`,
 the one rule for which positions a step reveals: the static top r or those
-above a dynamic threshold), the baseline one-forward-per-step denoising
-loop, and trace recording. Decoding never commits MASK_ID, so every block
-ends clean.
+above a dynamic threshold), the write that reveals tokens (`reveal`),
+the baseline one-forward-per-step denoising loop, and the decode trace:
+one record per forward, its kind "backbone" or "mrp", saved to and loaded
+from a tensor file. Decoding never commits MASK_ID, so every block ends
+clean.
 
 Threshold comparisons are on max softmax probability. Tie-breaks are fixed
 everywhere (lowest position index, lowest token id) so decoding is fully
@@ -146,9 +148,6 @@ class Confidence:
     probs: np.ndarray      # max softmax probability per position
     tokens: np.ndarray     # argmax token id (ties -> lowest id)
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
 
 def _logits_data(logits) -> np.ndarray:
     return logits.data if isinstance(logits, Tensor) else np.asarray(logits)
@@ -208,20 +207,6 @@ class Policy:
         return np.sort(conf.positions[order[:self.r if self.kind == "static" else 1]])
 
 
-def _check_positions(x: SequenceState, positions: np.ndarray, op: str) -> None:
-    """Raise unless `positions` is a 1-D list of distinct response positions."""
-    if positions.ndim != 1:
-        raise ContractViolationError(f"{op} expects a 1-D list of positions")
-    # plain lists: cheaper than numpy reductions at the few positions of a step
-    pos = positions.tolist()
-    if min(pos) < x.prompt_len or max(pos) >= x.length:
-        raise ContractViolationError(
-            f"{op} of a position outside the response [{x.prompt_len}, {x.length})"
-        )
-    if len(set(pos)) != len(pos):
-        raise ContractViolationError(f"{op} of a repeated position")
-
-
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     """Set ids at `positions` (distinct response positions, all currently
     masked), one integer token >= 1 per position (so never MASK_ID). `x` is
@@ -235,26 +220,21 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
         )
     if positions.size == 0:
         return x
-    _check_positions(x, positions, "reveal")
+    if positions.ndim != 1:
+        raise ContractViolationError("reveal expects a 1-D list of positions")
+    # plain lists: cheaper than numpy reductions at the few positions of a step
+    pos = positions.tolist()
+    if min(pos) < x.prompt_len or max(pos) >= x.length:
+        raise ContractViolationError(
+            f"reveal of a position outside the response [{x.prompt_len}, {x.length})"
+        )
+    if len(set(pos)) != len(pos):
+        raise ContractViolationError("reveal of a repeated position")
     if (x.ids[positions] != MASK_ID).any():
         raise ContractViolationError("reveal of a position that is not masked")
     if min(tokens.tolist()) < 1:
         raise ContractViolationError("reveal of the MASK token or a negative id")
     x.ids[positions] = tokens
-    return x
-
-
-def remask(x: SequenceState, positions) -> SequenceState:
-    """Mask `positions` again (distinct response positions, none masked) by
-    writing MASK_ID there. `x` is one sequence."""
-    x._one_sequence("remask")
-    positions = as_int64("remask positions", positions, ContractViolationError)
-    if positions.size == 0:
-        return x
-    _check_positions(x, positions, "remask")
-    if x.masked[positions].any():
-        raise ContractViolationError("remask of a position that is already masked")
-    x.ids[positions] = MASK_ID
     return x
 
 
@@ -276,23 +256,19 @@ def finalize_block(x: SequenceState) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DraftRecord:
-    position: int
-    token: int
-    mrp_step: int      # 1-based index of the drafting MRP round
-    confidence: float  # accumulated-logits confidence at draft time
+# a trace stores each record's kind as its index here
+_KINDS = ("backbone", "mrp")
 
 
 @dataclass
 class StepRecord:
     """Snapshot of one forward pass during decoding.
 
-    kind "backbone": h/logits are the model outputs over the window
-    (verify=True when this forward verified drafts). kind "mrp": h/logits
-    hold the correction head's hidden and logit residuals. `ids` is the
-    window the forward ran on (up to the end of `block`); its MASK_ID
-    positions are the masked ones.
+    kind "backbone": h/logits are the model outputs over the window. kind
+    "mrp": h/logits hold the correction head's hidden and logit residuals.
+    `ids` is the window the forward ran on (up to the end of `block`); its
+    MASK_ID positions are the masked ones. Any other kind raises
+    InvalidConfigError when built.
     """
 
     kind: str
@@ -302,10 +278,10 @@ class StepRecord:
     logits: np.ndarray
     revealed_positions: np.ndarray
     revealed_tokens: np.ndarray
-    verify: bool = False
-    drafts: list = field(default_factory=list)
-    accepted: list = field(default_factory=list)
-    rejected: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise InvalidConfigError(f"unknown step record kind {self.kind!r}")
 
 
 @dataclass
@@ -319,21 +295,13 @@ def save_trace(path: str, trace: DecodeTrace) -> None:
     named = [("trace.meta", np.asarray([len(trace.records), trace.block_size, trace.prompt_len]))]
     for i, r in enumerate(trace.records):
         p = f"step.{i:05d}"
-        drafts = np.asarray(
-            [[d.position, d.token, d.mrp_step, d.confidence] for d in r.drafts]
-        ).reshape(-1, 4)
         named += [
-            (f"{p}.meta", np.asarray([
-                0.0 if r.kind == "backbone" else 1.0, float(r.block), 1.0 if r.verify else 0.0,
-            ])),
+            (f"{p}.meta", np.asarray([float(_KINDS.index(r.kind)), float(r.block)])),
             (f"{p}.ids", r.ids.astype(np.float64)),
             (f"{p}.h", r.h),
             (f"{p}.logits", r.logits),
             (f"{p}.revealed_positions", r.revealed_positions.astype(np.float64)),
             (f"{p}.revealed_tokens", r.revealed_tokens.astype(np.float64)),
-            (f"{p}.drafts", drafts.astype(np.float64)),
-            (f"{p}.accepted", np.asarray(r.accepted, dtype=np.float64)),
-            (f"{p}.rejected", np.asarray(r.rejected, dtype=np.float64)),
         ]
     checkpoint.save_tensors(path, named)
 
@@ -342,8 +310,8 @@ def load_trace(path: str) -> DecodeTrace:
     """Read a trace written by `save_trace`. A file that is not a trace,
     that lacks a step record, or whose records are malformed (an integer
     record holding anything but finite integers >= 0, a meta record of
-    other than three, a kind or verify flag other than 0 or 1, drafts that
-    are not rows of 4) raises InvalidConfigError naming the record."""
+    other than two, a kind code that names no kind) raises
+    InvalidConfigError naming the record."""
     blob = checkpoint.load_tensors(path)
 
     def get(name: str) -> np.ndarray:
@@ -351,9 +319,9 @@ def load_trace(path: str) -> DecodeTrace:
             raise InvalidConfigError(f"{path}: not a decode trace, no tensor {name!r}")
         return blob[name]
 
-    def ints(name: str, count: int | None = None, values: np.ndarray | None = None) -> np.ndarray:
-        """Record `name`, or `values` read from it, as int64."""
-        values = get(name) if values is None else values
+    def ints(name: str, count: int | None = None) -> np.ndarray:
+        """Record `name` as int64."""
+        values = get(name)
         whole = np.isfinite(values) & (values >= 0) & (values == np.floor(values))
         if not whole.all() or count not in (None, values.size):
             raise InvalidConfigError(f"{path}: {name!r} must hold {count or 'only'} integers >= 0")
@@ -363,31 +331,19 @@ def load_trace(path: str) -> DecodeTrace:
     trace = DecodeTrace(block_size=block_size, prompt_len=prompt_len)
     for i in range(n):
         p = f"step.{i:05d}"
-        kind_code, block, verify = ints(f"{p}.meta", 3).tolist()
-        if kind_code > 1 or verify > 1:
-            raise InvalidConfigError(f"{path}: {p}.meta has kind {kind_code} and verify "
-                                     f"{verify}, each must be 0 or 1")
-        rows = get(f"{p}.drafts")
-        if rows.size % 4:
-            raise InvalidConfigError(f"{path}: {p}.drafts holds {rows.size} values, "
-                                     f"not rows of 4")
-        rows = rows.reshape(-1, 4)
-        # position, token and MRP round, then the confidence
-        cols = ints(f"{p}.drafts", values=rows[:, :3]).tolist()
-        drafts = [DraftRecord(*c, conf) for c, conf in zip(cols, rows[:, 3].tolist())]
+        kind_code, block = ints(f"{p}.meta", 2).tolist()
+        if kind_code >= len(_KINDS):
+            raise InvalidConfigError(f"{path}: {p}.meta has kind {kind_code}, "
+                                     f"must be below {len(_KINDS)}")
         trace.records.append(
             StepRecord(
-                kind="backbone" if kind_code == 0 else "mrp",
+                kind=_KINDS[kind_code],
                 block=block,
                 ids=ints(f"{p}.ids"),
                 h=get(f"{p}.h"),
                 logits=get(f"{p}.logits"),
                 revealed_positions=ints(f"{p}.revealed_positions"),
                 revealed_tokens=ints(f"{p}.revealed_tokens"),
-                verify=bool(verify),
-                drafts=drafts,
-                accepted=ints(f"{p}.accepted").tolist(),
-                rejected=ints(f"{p}.rejected").tolist(),
             )
         )
     return trace

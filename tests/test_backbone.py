@@ -49,7 +49,7 @@ def rand_state(rng, prompt_len, n_blocks, block_size, vocab=44, mask_frac=0.0):
 
 
 def test_mask_hand_example():
-    m = bb.attention_mask(4, 2, prompt_len=0)
+    m = bb.additive_mask(4, 2, prompt_len=0) == 0
     expected = np.array([
         [1, 1, 0, 0],
         [1, 1, 0, 0],
@@ -60,27 +60,22 @@ def test_mask_hand_example():
 
 
 def test_mask_single_block_all_ones():
-    assert bb.attention_mask(6, 6, prompt_len=0).all()
+    assert (bb.additive_mask(6, 6, prompt_len=0) == 0).all()
 
 
 def test_mask_first_block_sees_only_itself():
-    m = bb.attention_mask(8, 4, prompt_len=0)
+    m = bb.additive_mask(8, 4, prompt_len=0) == 0
     assert np.array_equal(np.flatnonzero(m[0]), np.arange(4))
 
 
 def test_mask_prompt_forms_leading_block():
-    m = bb.attention_mask(7, 2, prompt_len=3)
+    m = bb.additive_mask(7, 2, prompt_len=3) == 0
     # prompt rows see only the prompt
     assert np.array_equal(m[0], np.array([1, 1, 1, 0, 0, 0, 0], dtype=bool))
     # first response block sees prompt + itself
     assert np.array_equal(m[3], np.array([1, 1, 1, 1, 1, 0, 0], dtype=bool))
     # second response block sees everything
     assert m[5].all()
-
-
-def test_mask_misaligned_grid_raises():
-    with pytest.raises(InvalidConfigError):
-        bb.attention_mask(7, 2, prompt_len=0)
 
 
 # ---------------------------------------------------------------------------

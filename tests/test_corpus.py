@@ -348,3 +348,15 @@ def test_exact_match_counting():
     assert exact_match_accuracy(wrong, exs) == 0.0
     mixed = right[:3] + wrong[3:]
     assert exact_match_accuracy(mixed, exs) == 0.75
+    # "5+7=" -> "12": each of these responses once scored 1.0, since
+    # detokenize renders the special ids as ""
+    ex = make_example(5, 7, "+", 4)
+    one, two = tokenize("12")
+    for resp, score in [([one, two, EOS_ID, PAD_ID], 1.0),
+                        ([one, MASK_ID, two, EOS_ID], 0.0),
+                        ([one, PAD_ID, two, EOS_ID], 0.0),
+                        ([MASK_ID, one, two, EOS_ID], 0.0),
+                        ([one, two, PAD_ID, PAD_ID], 0.0)]:  # no EOS
+        st = state_from_example(ex, block_size=4)
+        st.ids[st.prompt_len:] = resp
+        assert exact_match_accuracy([st], [ex]) == score
