@@ -209,7 +209,9 @@ class PrefixKV:
     the earlier rows' keys, values, h and logits do not change. The first
     forward given the prefix computes every row and fills it; later ones
     compute only the rows from `rows` on and overwrite their keys and
-    values. No-grad only.
+    values. `tile` serves a stack of states that share a filled
+    one-sequence prefix's rows, such as drafted states of one block.
+    No-grad only.
     """
 
     def __init__(self, rows: int):
@@ -247,6 +249,21 @@ class PrefixKV:
                 "prefix tokens or window shape changed since the cache was filled"
             )
         return self.rows
+
+    def tile(self, n: int) -> PrefixKV:
+        """A filled prefix for a stack of n states that share this filled
+        one-sequence prefix's rows: its keys, values, h and logits copied n
+        times into contiguous buffers (on a strided view the scores'
+        matmul can give other bits)."""
+        if self.h is None or len(self.ids[0]) != 1:
+            raise ContractViolationError("only a filled one-sequence prefix can be tiled")
+        out = PrefixKV(self.rows)
+        shape, prefix_ids = self.ids
+        out.ids = ((n, *shape), prefix_ids * n)
+        out.layers = [LayerKV(*(np.repeat(a[None], n, axis=0) for a in (kv.k_t, kv.v)))
+                      for kv in self.layers]
+        out.h, out.logits = (np.repeat(a[None], n, axis=0) for a in (self.h, self.logits))
+        return out
 
     def complete(self, h: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full window's h and logits, new arrays, from the rows this

@@ -436,6 +436,46 @@ def test_stacked_window_forward_matches_single_window_forwards_bit_for_bit(with_
                         assert np.array_equal(logits.data[b], l1.data)
 
 
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("prompt_len", [1, 5, 9])
+def test_a_tiled_prefix_forward_matches_each_rows_own_prefix_forward_bit_for_bit(
+        block_size, prompt_len):
+    cfg = bb.BackboneConfig(n_layers=2, block_size=block_size)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(prompt_len)
+    x = rand_state(rng, prompt_len, 3, block_size)
+    for block in range(3):
+        lo, hi = x.block_bounds(block)
+        x.ids[lo:] = MASK_ID
+        xw = x.window(block)
+        prefix = bb.PrefixKV(lo)
+        with no_grad():
+            # the block's first forward fills the prefix over the whole window
+            bb.forward(xw, params, prefix=prefix)
+            for n in (1, 2, 3):
+                tiled = prefix.tile(n)
+                stack = stack_states([xw] * n)
+                # two forwards on the tile, each row's block revealed further
+                for _ in range(2):
+                    for row in stack.ids:
+                        hit = rng.choice(np.arange(lo, hi), size=2, replace=False)
+                        row[hit] = rng.integers(4, cfg.vocab_size, size=2)
+                    h, logits = bb.forward(stack, params, prefix=tiled)
+                    for b, ids in enumerate(stack.ids):
+                        h1, l1 = bb.forward(make_state(ids, prompt_len, block_size), params,
+                                            prefix=prefix)
+                        assert h.data[b].tobytes() == h1.data.tobytes()
+                        assert logits.data[b].tobytes() == l1.data.tobytes()
+                changed = stack.clone()
+                changed.ids[:, lo - 1] = 3 if x.ids[lo - 1] != 3 else 4
+                with pytest.raises(ContractViolationError, match="changed"):
+                    bb.forward(changed, params, prefix=tiled)
+            with pytest.raises(ContractViolationError, match="one-sequence"):
+                tiled.tile(2)
+    with pytest.raises(ContractViolationError, match="filled"):
+        bb.PrefixKV(lo).tile(2)
+
+
 # ---------------------------------------------------------------------------
 # prefix K/V reuse
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,14 +53,16 @@ def test_baseline_decode_keeps_state_valid_and_traces_round_trip(
         ex = corpus.make_example(a, b, op, block_size)
         x = diffusion.state_from_example(ex, block_size)
         trace = diffusion.DecodeTrace(block_size=block_size, prompt_len=x.prompt_len)
-        stats = SimpleNamespace(backbone_forwards=0, tokens_generated=0, block_steps={})
+        stats = diffusion.DecodeStats()
         while x.current_block < x.n_blocks:
             diffusion.denoise_block_baseline(params, x, policy, trace=trace, stats=stats)
             diffusion.finalize_block(x)
             x.validate()
         assert x.mask_count() == 0
         assert all(1 <= n <= block_size for n in stats.block_steps.values())
-        assert len(trace.records) == stats.backbone_forwards
+        # one record per step; a stacked forward covers several steps
+        steps = sum(stats.block_steps.values())
+        assert len(trace.records) == steps and 1 <= stats.backbone_forwards <= steps
 
         path = str(tmp_path / "trace.mrpc")
         diffusion.save_trace(path, trace)
@@ -125,12 +127,35 @@ def test_load_trace_rejects_a_file_that_is_not_a_trace(tmp_path):
             diffusion.load_trace(path)
 
 
+@pytest.mark.parametrize("records, match", [
+    # 3 revealed positions with 1 token, a MASK
+    ({"step.00000.revealed_positions": [1.0, 1.0, 1.0], "step.00000.revealed_tokens": [0.0]},
+     "3 positions with 1 tokens"),
+    ({"step.00000.h": np.zeros((7, 3))}, "one row per id"),
+    ({"step.00000.logits": np.zeros((1, 5))}, "one row per id"),
+    ({"step.00000.h": np.zeros(6)}, "one row per id"),
+    # block 5 of a trace with a 1-row prompt and blocks of 1 ends at row 7
+    ({"step.00000.meta": [0.0, 5.0]}, "not the 7 rows up to the end of block 5"),
+    ({"step.00000.ids": [5.0, 0.0, 0.0]}, "not the 2 rows"),
+    ({"step.00000.ids": [[5.0, 0.0]]}, "not the 2 rows"),
+    ({"step.00000.revealed_positions": [0.0]}, r"outside its block \[1, 2\)"),
+    ({"step.00000.revealed_positions": [2.0]}, r"outside its block \[1, 2\)"),
+], ids=["counts", "h-rows", "logits-rows", "h-1d", "block-past-ids", "ids-long", "ids-2d",
+        "position-in-prompt", "position-past-block"])
+def test_load_trace_checks_each_record_against_its_trace(tmp_path, records, match):
+    # each of these used to load without error
+    path = str(tmp_path / "trace.mrpc")
+    _one_step_trace(path, **records)
+    with pytest.raises(InvalidConfigError, match=f"step.00000.*{match}"):
+        diffusion.load_trace(path)
+
+
 def test_a_trace_round_trips_an_mrp_record(tmp_path):
     rng = np.random.default_rng(3)
     record = diffusion.StepRecord(
-        kind="mrp", block=1, ids=np.array([5, 7, 9, MASK_ID, 6, MASK_ID]),
+        kind="mrp", block=1, ids=np.array([5, 7, 9, 4, 6, MASK_ID]),
         h=rng.normal(size=(6, 4)), logits=rng.normal(size=(6, 11)),
-        revealed_positions=np.array([3]), revealed_tokens=np.array([8]),
+        revealed_positions=np.array([5]), revealed_tokens=np.array([8]),
     )
     path = str(tmp_path / "trace.mrpc")
     diffusion.save_trace(path, diffusion.DecodeTrace(block_size=2, prompt_len=2,
@@ -185,11 +210,74 @@ def test_step_records_keep_their_outputs_after_later_steps(monkeypatch):
         return reveal(x, positions, tokens)
 
     monkeypatch.setattr(diffusion, "reveal", snapshot_reveal)
-    diffusion.denoise_block_baseline(params, x, Policy("static", r=1), trace=trace)
-    # one forward per step: the first fills the prefix, the later ones reuse it
-    assert len(trace.records) == 8
+    stats = diffusion.DecodeStats()
+    diffusion.denoise_block_baseline(params, x, Policy("static", r=1), trace=trace, stats=stats)
+    # one record per step, recorded before its reveal; its rows come from
+    # the forward that filled the prefix, or a later one over the step's
+    # state alone or stacked with drafted states
+    assert len(trace.records) == stats.block_steps[0] == 8
+    assert stats.backbone_forwards < 8
     for record, (h, logits) in zip(trace.records, seen, strict=True):
         assert np.array_equal(record.h, h) and np.array_equal(record.logits, logits)
+
+
+def _decode_all(params, prompts, block_size, policy):
+    """Each prompt decoded to completion: its final ids, trace and stats."""
+    out = []
+    for a, b, op in prompts:
+        x = diffusion.state_from_example(corpus.make_example(a, b, op, block_size), block_size)
+        trace = diffusion.DecodeTrace(block_size=block_size, prompt_len=x.prompt_len)
+        stats = diffusion.DecodeStats()
+        while x.current_block < x.n_blocks:
+            diffusion.denoise_block_baseline(params, x, policy, trace=trace, stats=stats)
+            diffusion.finalize_block(x)
+        out.append((x.ids, trace, stats))
+    return out
+
+
+@pytest.mark.parametrize("block_size", [4, 8])
+@pytest.mark.parametrize("policy", [Policy("static", r=1), Policy("static", r=3),
+                                    Policy("dynamic", tau=0.1), Policy("dynamic", tau=0.9)])
+def test_drafted_decoding_is_one_forward_per_step_bit_for_bit(monkeypatch, block_size, policy):
+    # 999+999 spans two blocks of 4, 9999999+1 two blocks of 8
+    prompts = [(999, 999, "+"), (9999999, 1, "+"), (500, 501, "+"), (45, 12, "-"), (87, 9, "+"),
+               (7, 7, "-")]
+    drafts = diffusion._DRAFTS
+    assert drafts > 0
+    for seed in range(3):
+        cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=block_size,
+                                max_len=64)
+        params = bb.init_backbone(cfg, np.random.default_rng(seed), std=0.3)
+        monkeypatch.setattr(diffusion, "_DRAFTS", 0)
+        plain = _decode_all(params, prompts, block_size, policy)
+        monkeypatch.setattr(diffusion, "_DRAFTS", drafts)
+        drafted = _decode_all(params, prompts, block_size, policy)
+        for (ids0, trace0, stats0), (ids, trace, stats) in zip(plain, drafted, strict=True):
+            assert np.array_equal(ids, ids0)
+            assert stats.block_steps == stats0.block_steps
+            assert stats.tokens_generated == stats0.tokens_generated
+            assert stats0.backbone_forwards == sum(stats0.block_steps.values())
+            assert stats.backbone_forwards <= stats0.backbone_forwards
+            for r0, r in zip(trace0.records, trace.records, strict=True):
+                assert (r.kind, r.block) == (r0.kind, r0.block)
+                for name in ("ids", "h", "logits", "revealed_positions", "revealed_tokens"):
+                    a, b = getattr(r, name), getattr(r0, name)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        forwards = sum(stats.backbone_forwards for _, _, stats in drafted)
+        plain_forwards = sum(stats.backbone_forwards for _, _, stats in plain)
+        if policy == Policy("static", r=1):
+            assert forwards < plain_forwards
+        if policy.kind == "dynamic":
+            # a dynamic step takes every position above tau: none is left to draft
+            assert forwards == plain_forwards
+
+
+def test_decode_stats_hold_only_what_the_loop_writes():
+    stats = diffusion.DecodeStats()
+    with pytest.raises(AttributeError):
+        stats.backfilled = 1
+    stats.backbone_forwards, stats.block_steps = 3, {0: 4, 1: 2}
+    assert stats.drafts_accepted == 3
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +640,21 @@ def test_decode_checkpoint_reproduces_recorded_answers(references, name, seed, m
     n = 64
     pool = corpus.gen_arithmetic(seed, n, max_operand, block_size)
     assert [ex.question for ex in pool] == refs["questions"][:n]
+    forwards = steps = 0
     for ex, want in zip(pool, refs["response_ids"][:n], strict=True):
         x = diffusion.state_from_example(ex, block_size)
+        stats, backfilled = diffusion.DecodeStats(), 0
         while x.current_block < x.n_blocks:
-            diffusion.denoise_block_baseline(params, x, policy)
-            diffusion.finalize_block(x)
+            diffusion.denoise_block_baseline(params, x, policy, stats=stats)
+            backfilled += diffusion.finalize_block(x)
         assert x.ids[x.prompt_len:].tolist() == want, ex.question
+        # the checks perfbench makes of each answer
+        assert stats.tokens_generated + backfilled == len(want)
+        if policy.kind == "static":
+            assert set(stats.block_steps.values()) == {math.ceil(block_size / policy.r)}
+        forwards += stats.backbone_forwards
+        steps += sum(stats.block_steps.values())
+    if name == "decode-static-b8":
+        assert forwards < steps
+    else:  # a dynamic policy drafts nothing
+        assert forwards == steps
