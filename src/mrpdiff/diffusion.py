@@ -1,29 +1,29 @@
 """Masking process and unmasking policies.
 
 Holds the chain state (token ids on a block grid; a position is masked
-exactly when its id is MASK_ID), the training-time corruption, confidence
-computation over masked positions, the decoding policy (`Policy.select`,
-the one rule for which positions a step reveals: the static top r or those
-above a dynamic threshold), the write that reveals tokens (`reveal`),
-the baseline denoising loop with its counts (`DecodeStats`), and the
-decode trace: one record per step, its kind "backbone" or "mrp", saved to
-and loaded from a tensor file. Decoding never commits MASK_ID, so every
-block ends clean.
+exactly when its id is MASK_ID), the training-time corruption, the
+confidence at the current block's offsets (`confidence_of`, for one
+sequence or a stack of states) with its one ranking (`Confidence.rank`),
+the decoding policy (`Policy.select`, the one rule for which offsets a
+step reveals: the static top r or those above a dynamic threshold), the
+write that reveals tokens (`reveal`), the baseline denoising loop with its
+counts (`DecodeStats`), and the decode trace: one record per step, its
+kind "backbone" or "mrp", saved to and loaded from a tensor file.
+Decoding never commits MASK_ID, so every block ends clean.
 
 The baseline loop drafts and verifies losslessly, as speculative decoding
-does (Leviathan et al., arXiv 2211.17192): the last forward's ranking
-drafts the next steps, and one stacked forward checks them, so it takes
-the steps of one forward per step, bit for bit, with fewer forwards (see
+does (Leviathan et al., arXiv 2211.17192): the drafts are rank windows of
+the last exact row, and one stacked forward checks them, so it takes the
+steps of one forward per step, bit for bit, with fewer forwards (see
 `denoise_block_baseline`).
 
 Threshold comparisons are on max softmax probability. Tie-breaks are fixed
-everywhere (lowest position index, lowest token id) so decoding is fully
+everywhere (lowest offset, lowest token id) so decoding is fully
 deterministic.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,46 +150,61 @@ def corrupt(x0: SequenceState, rng: np.random.Generator, rate: float | None = No
 
 @dataclass
 class Confidence:
-    positions: np.ndarray  # masked positions of the current block
-    probs: np.ndarray      # max softmax probability per position
+    """Confidence at the current block's offsets, as ([B,] block_size)
+    arrays. An offset that is not masked has `probs` -1, below every
+    probability. `rank` is the one tie rule, read by selection and
+    drafting: each offset's place in its row's stable ranking by (-prob,
+    offset), so the masked offsets come first."""
+
+    lo: int                # first position of the current block
+    masked: np.ndarray     # the offset is masked
+    probs: np.ndarray      # max softmax probability per masked offset, else -1
     tokens: np.ndarray     # argmax token id (ties -> lowest id)
+    rank: np.ndarray = field(init=False)
 
-
-def _logits_data(logits) -> np.ndarray:
-    return logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    def __post_init__(self):
+        self.rank = (-self.probs).argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
 def confidence_of(logits, x: SequenceState) -> Confidence:
-    """Max softmax probability and argmax token for each masked position of
-    the current block. Empty when the block is clean. MASK_ID is never the
-    token: its column is set below every probability first. `x` is one
-    sequence."""
-    x._one_sequence("confidence_of")
-    data = _logits_data(logits)
-    masked = np.flatnonzero(x.masked)
-    # a plain list: cheaper than numpy scalars and searchsorted at a few positions
-    where = masked.tolist()
-    if not where:
-        return Confidence(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
-    # the current block holds the first masked position and ends at `hi`
-    hi = x.prompt_len + ((where[0] - x.prompt_len) // x.block_size + 1) * x.block_size
-    positions = masked[:bisect.bisect_left(where, hi)]
-    if len(data) <= positions[-1]:
+    """Max softmax probability and argmax token at each offset of the
+    current block, from one softmax over its rows. `x` is one sequence, or
+    a (B, L) stack whose rows share their current block (else
+    ContractViolationError); a clean sequence gives empty arrays. MASK_ID
+    is never the token: its column is set below every probability first."""
+    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    masked = x.masked
+    rows = masked.reshape(-1, x.length)
+    # a row's current block starts on the grid at or before its first mask
+    # (plain Python: cheaper than numpy arithmetic at a stack's few rows)
+    p0, size = x.prompt_len, x.block_size
+    starts = {f - (f - p0) % size if row[f] else x.length
+              for row, f in zip(rows, rows.argmax(axis=-1).tolist())}
+    if len(starts) > 1:
+        raise ContractViolationError(f"a stack's rows must share their current block, got "
+                                     f"blocks starting at {sorted(starts)}")
+    lo = starts.pop()
+    if lo == x.length:
+        return Confidence(lo, np.empty(0, bool), np.empty(0), np.empty(0, np.int64))
+    hi = lo + x.block_size
+    if data.shape[-2] < hi:
         raise ContractViolationError("logits rows do not cover the current block")
-    p = _softmax_data(data[positions])
+    p = _softmax_data(data[..., lo:hi, :])
     # -1, not 0: MASK must also lose to a row whose other entries underflow to 0
-    p[:, MASK_ID] = -1.0
+    p[..., MASK_ID] = -1.0
+    masked = masked[..., lo:hi]
     # a row's largest probability is the one at its argmax
-    return Confidence(positions=positions, probs=np.maximum.reduce(p, axis=-1),
-                      tokens=p.argmax(axis=-1))
+    return Confidence(lo, masked, np.where(masked, np.maximum.reduce(p, axis=-1), -1.0),
+                      p.argmax(axis=-1))
 
 
 @dataclass(frozen=True)
 class Policy:
-    """How a denoising step picks the positions to reveal: "static" takes
-    the r most confident, "dynamic" all those strictly above tau, or the
-    most confident one when none is, so every step makes progress. Ties go
-    to the lowest position. Checked when built, and immutable after."""
+    """How a denoising step picks the offsets to reveal, from the masked
+    offsets' ranking (`Confidence.rank`): "static" takes the first r,
+    "dynamic" all those strictly above tau, or the first when none is, so
+    every step makes progress. One call selects for every row of a stack.
+    Checked when built, and immutable after."""
 
     kind: str = "static"   # "static" | "dynamic"
     r: int = 1
@@ -203,14 +218,12 @@ class Policy:
             raise InvalidConfigError(f"dynamic policy requires tau in (0, 1], got {self.tau!r}")
 
     def select(self, conf: Confidence) -> np.ndarray:
-        """The positions of `conf` to reveal, ascending; empty when `conf` is."""
-        if self.kind == "dynamic":
-            above = conf.probs > self.tau
-            if above.any():
-                return np.sort(conf.positions[above])
-        # the r most confident, or for "dynamic" with none above tau the one
-        order = np.lexsort((conf.positions, -conf.probs))
-        return np.sort(conf.positions[order[:self.r if self.kind == "static" else 1]])
+        """The ([B,] block_size) mask of the offsets a step reveals, per row
+        of `conf`; empty when `conf` is."""
+        if self.kind == "static":
+            return conf.masked & (conf.rank < self.r)
+        # rank 0 is above tau whenever any offset is: taking it too is the fallback
+        return conf.masked & ((conf.probs > self.tau) | (conf.rank == 0))
 
 
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
@@ -224,10 +237,10 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
         raise ContractViolationError(
             f"reveal of {positions.size} positions with {tokens.size} tokens"
         )
-    if positions.size == 0:
-        return x
     if positions.ndim != 1:
         raise ContractViolationError("reveal expects a 1-D list of positions")
+    if positions.size == 0:
+        return x
     # plain lists: cheaper than numpy reductions at the few positions of a step
     pos = positions.tolist()
     if min(pos) < x.prompt_len or max(pos) >= x.length:
@@ -402,51 +415,6 @@ class DecodeStats:
         return sum(self.block_steps.values()) - self.backbone_forwards
 
 
-def _draft(policy: Policy, conf: Confidence, taken: np.ndarray) -> list:
-    """Up to `_DRAFTS` further steps, each (positions, tokens) as lists,
-    after a step revealed `taken` of `conf`'s positions: `policy` selects
-    on `conf` restricted to the positions still masked, after each draft's
-    reveal. A draft that would clean the block is left out (its state needs
-    no forward), and so is a dynamic policy's progress fallback: its step
-    took every position of `conf` above tau, so nothing else is left."""
-    if policy.kind == "dynamic":
-        return []
-    drafts = []
-    rest = conf
-    for _ in range(_DRAFTS):
-        # plain lists: cheaper than numpy masks at a block's few positions
-        gone = set(taken.tolist())
-        keep = [i for i, p in enumerate(rest.positions.tolist()) if p not in gone]
-        rest = Confidence(rest.positions[keep], rest.probs[keep], rest.tokens[keep])
-        taken = policy.select(rest)
-        if len(taken) == len(keep):
-            break
-        tokens = rest.tokens[np.searchsorted(rest.positions, taken)]
-        drafts.append((taken.tolist(), tokens.tolist()))
-    return drafts
-
-
-def _forward_drafts(params, xw: SequenceState, drafts: list, prefix: bb.PrefixKV,
-                    tiled: dict) -> list:
-    """Exact (h, logits) of `xw` and of each drafted state after it, from
-    one no-grad forward: over `xw` alone with the block's `prefix`, or over
-    the stack of states with a tile of it (kept in `tiled` by stack size)."""
-    if not drafts:
-        with no_grad():
-            h, logits = bb.forward(xw, params, prefix=prefix)
-        return [(h.data, logits.data)]
-    n = len(drafts) + 1
-    ids = np.repeat(xw.ids[None], n, axis=0)
-    for j, (positions, tokens) in enumerate(drafts, 1):
-        ids[j:, positions] = tokens
-    if n not in tiled:
-        tiled[n] = prefix.tile(n)
-    with no_grad():
-        h, logits = bb.forward(SequenceState(ids, xw.prompt_len, xw.block_size), params,
-                               prefix=tiled[n])
-    return list(zip(h.data, logits.data))
-
-
 def denoise_block_baseline(
     params,
     x: SequenceState,
@@ -455,65 +423,79 @@ def denoise_block_baseline(
     stats: DecodeStats | None = None,
 ) -> SequenceState:
     """Denoise the current block with backbone forwards only, until it is
-    clean: each step runs confidence -> select -> reveal on
-    `x.window(block)`, whose reveals land in x, and reveals at least one
-    position, so a block takes <= block_size steps.
+    clean: each step selects and reveals on `x.window(block)`, whose
+    reveals land in x, at least one position, so a block takes
+    <= block_size steps.
 
-    Draft and verify, lossless: after each reveal, `Policy.select` on the
-    same forward's confidence, restricted to the positions still masked,
-    drafts up to `_DRAFTS` further steps. One stacked forward gives the
-    exact logits of the revealed state and of each drafted one. A step
-    whose positions and tokens, selected on its state's exact logits, are
-    the drafted ones lands on the next drafted state, whose exact row is
-    then at hand; the first step that differs, or the last draft, ends
-    the stack and the next forward starts from the state reached. So ids,
+    Draft and verify, lossless: a forward runs on the window's state
+    stacked with up to `_DRAFTS` drafted states after it, and
+    `confidence_of` and `Policy.select` run once on its rows. Under a
+    static policy the drafts are rank windows of the last exact row:
+    drafted step d reveals its masked offsets of rank [r(d+1), r(d+2))
+    with their tokens, what selection on that row takes next (a zero
+    residual). A drafted state that would be clean is left out. The steps
+    walk the stack while each lands on the next drafted state, so ids,
     trace records and steps are those of one forward per step, bit for
-    bit. `stats.block_steps` counts steps, one per selection, and
-    `stats.backbone_forwards` forwards, a stacked one once.
+    bit. A dynamic step takes every offset above tau, so only its
+    fallback is left, never drafted: it runs one forward per step.
+    `stats.block_steps` counts steps, and `stats.backbone_forwards`
+    forwards, a stacked one once.
 
-    The drafts rank by the last forward's confidence unchanged (a zero
-    residual). A dynamic policy's step has already taken every position
-    of it above tau, so only the progress fallback is left, which is
-    never drafted: a dynamic policy runs one forward per step.
-
-    The block's first forward caches the rows before the block, and later
-    ones reuse them, a stacked one through a tile of that cache. The trace
-    keeps one record per step, its kind "backbone"."""
+    The block's first forward caches the rows before the block; later
+    ones reuse them, a stacked one through a tile. The trace keeps one
+    record per step, its kind "backbone"."""
     block = x.current_block
     lo, hi = x.block_bounds(block)
     if not x.masked[lo:hi].all():
         raise ContractViolationError("baseline denoise expects a fully masked block")
     xw = x.window(block)
-    prefix, tiled = bb.PrefixKV(lo), {}
-    # exact (h, logits) of xw, then of each drafted state after it; and the
-    # drafted step from each of those states to the next
-    outs, drafts = [], []
-    conf = positions = None
-    # a plain list: cheaper than the `masked` array at each step
-    while MASK_ID in xw.ids[lo:hi].tolist():
-        if not outs:
-            drafts = [] if conf is None else _draft(policy, conf, positions)
-            outs = _forward_drafts(params, xw, drafts, prefix, tiled)
-            if stats is not None:
-                stats.backbone_forwards += 1
-        h, logits = outs.pop(0)
-        conf = confidence_of(logits, xw)
-        positions = policy.select(conf)
-        tokens = conf.tokens[np.searchsorted(conf.positions, positions)]
-        if trace is not None:
-            trace.records.append(
-                StepRecord(
-                    kind="backbone", block=block, ids=xw.ids.copy(), h=h, logits=logits,
-                    revealed_positions=positions.copy(),
-                    revealed_tokens=np.asarray(tokens, dtype=np.int64),
+    stats = DecodeStats() if stats is None else stats
+    # the block's prefix, and its tile for each stack size
+    caches = {1: bb.PrefixKV(lo)}
+    # the block's ids in each drafted state after xw's
+    drafted = np.empty((0, x.block_size), np.int64)
+    while True:
+        n, xs = len(drafted) + 1, xw
+        if n > 1:
+            ids = np.repeat(xw.ids[None], n, axis=0)
+            ids[1:, lo:hi] = drafted
+            xs = SequenceState(ids, xw.prompt_len, xw.block_size)
+        if n not in caches:
+            caches[n] = caches[1].tile(n)
+        with no_grad():
+            h, logits = bb.forward(xs, params, prefix=caches[n])
+        stats.backbone_forwards += 1
+        conf = confidence_of(logits, xs)
+        take = policy.select(conf)
+        # one row per state, also when xw ran alone
+        take, tokens = take.reshape(n, -1), conf.tokens.reshape(n, -1)
+        for j in range(n):
+            step = take[j]
+            positions, revealed = step.nonzero()[0] + lo, tokens[j][step]
+            if trace is not None:
+                trace.records.append(
+                    StepRecord(
+                        kind="backbone", block=block, ids=xw.ids.copy(),
+                        h=h.data.reshape(n, hi, -1)[j], logits=logits.data.reshape(n, hi, -1)[j],
+                        revealed_positions=positions, revealed_tokens=revealed,
+                    )
                 )
-            )
-        if stats is not None:
             stats.block_steps[block] = stats.block_steps.get(block, 0) + 1
-        reveal(xw, positions, tokens)
-        if stats is not None:
+            reveal(xw, positions, revealed)
             stats.tokens_generated += len(positions)
-        # xw is the next drafted state only if this step was the drafted one
-        if drafts and drafts.pop(0) != (positions.tolist(), tokens.tolist()):
-            outs = []
-    return x
+            # plain lists: cheaper than numpy compares at a block's few ids
+            if j + 1 == n or xw.ids[lo:hi].tolist() != drafted[j].tolist():
+                break
+        # a plain list: cheaper than the `masked` array
+        if MASK_ID not in xw.ids[lo:hi].tolist():
+            return x
+        # a dynamic step took every offset above tau: its fallback is never drafted
+        if policy.kind == "static":
+            # Row j, the last exact one, drafts with its ranking unchanged (a
+            # zero residual). A correction head's logit residual would shift
+            # it here: the drafts would rank confidence_of on row j plus it.
+            masked, rank = (a.reshape(n, -1)[j] for a in (conf.masked, conf.rank))
+            reach = masked & (rank < policy.r * np.arange(2, _DRAFTS + 2)[:, None])
+            drafted = np.where(reach, tokens[j], xw.ids[lo:hi])
+            # a drafted state that would be clean needs no forward
+            drafted = drafted[(drafted == MASK_ID).any(axis=-1)]

@@ -26,10 +26,12 @@ def test_confidence_matches_softmax_rows_bit_for_bit():
     x = SequenceState(ids=ids, prompt_len=3, block_size=2)
     logits = rng.normal(scale=20.0, size=(len(ids), 11))
     conf = confidence_of(T.tensor(logits), x)
-    assert conf.positions.tolist() == [3]  # current block is [3, 5)
-    p = T.softmax_rows(T.tensor(logits[conf.positions])).data
-    assert np.array_equal(conf.probs, p.max(axis=-1))
-    assert np.array_equal(conf.tokens, p.argmax(axis=-1))
+    # current block is [3, 5), its offset 0 masked
+    assert conf.lo == 3 and conf.masked.tolist() == [True, False]
+    p = T.softmax_rows(T.tensor(logits[[3]])).data
+    assert np.array_equal(conf.probs[conf.masked], p.max(axis=-1))
+    assert np.array_equal(conf.tokens[conf.masked], p.argmax(axis=-1))
+    assert conf.probs[1] == -1.0  # below every probability
 
 
 @pytest.mark.parametrize("block_size", [4, 8])
@@ -302,6 +304,7 @@ def _two_block_state():
     ([True], [5]),          # a bool position
     ([9], [5.9]),           # a float token, once truncated to 5
     ([9], [-3]),            # a negative token
+    ([[]], [[]]),           # an empty 2-D list, once accepted
 ])
 def test_reveal_rejects_bad_positions_and_tokens(positions, tokens):
     x = _two_block_state()
@@ -403,20 +406,25 @@ def test_a_built_state_is_frozen(field):
     assert x.ids[9] == 5
 
 
-@pytest.mark.parametrize("op", [
-    lambda x: x.current_block,
-    lambda x: confidence_of(np.zeros((2, 9, 12)), x),
-    lambda x: diffusion.reveal(x, [5], [7]),
-    lambda x: diffusion.finalize_block(x),
-], ids=["current_block", "confidence_of", "reveal", "finalize_block"])
-def test_per_sequence_operations_refuse_a_stack(op):
-    # on this stack they used to read the second sequence's mask as a block
-    # past the end or a misplaced logits row, ignore the first sequence's
-    # EOS, or fail on a flat index or a broadcast
+def _two_blocks_stack():
+    """A stack of a clean sequence with an EOS and one masked from position 5."""
     ids = np.full((2, 9), 5)
     ids[1, 5:] = MASK_ID
     ids[0, 2] = EOS_ID
-    x = SequenceState(ids=ids, prompt_len=1, block_size=4)
+    return SequenceState(ids=ids, prompt_len=1, block_size=4)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x.current_block,
+    lambda x: diffusion.reveal(x, [5], [7]),
+    lambda x: diffusion.finalize_block(x),
+], ids=["current_block", "reveal", "finalize_block"])
+def test_per_sequence_operations_refuse_a_stack(op):
+    # on this stack they used to read the second sequence's mask as a block
+    # past the end, ignore the first sequence's EOS, or fail on a flat index
+    # or a broadcast
+    x = _two_blocks_stack()
+    ids = x.ids.copy()
     with pytest.raises(InvalidShapeError, match=r"one sequence, got ids of shape \(2, 9\)"):
         op(x)
     assert np.array_equal(x.ids, ids)
@@ -515,52 +523,124 @@ def test_corrupt_at_the_rate_bounds_keeps_its_draws():
 # ---------------------------------------------------------------------------
 
 
-def _conf(positions, probs, tokens=None):
-    positions = np.asarray(positions, dtype=np.int64)
-    tokens = np.zeros(len(positions), np.int64) if tokens is None else np.asarray(tokens)
-    return diffusion.Confidence(positions, np.asarray(probs, dtype=float), tokens)
+def _conf(positions, probs, lo=4, size=8):
+    """The confidence of a block [lo, lo + size) masked at `positions`
+    (ascending), whose probabilities are `probs`."""
+    masked = np.zeros(size, bool)
+    masked[np.asarray(positions, dtype=np.int64) - lo] = True
+    full = np.full(size, -1.0)
+    full[masked] = probs
+    return diffusion.Confidence(lo, masked, full, np.zeros(size, np.int64))
+
+
+def _selected(policy, conf):
+    """The positions `policy` reveals on `conf`, ascending."""
+    take = policy.select(conf)
+    assert take.dtype == bool and take.shape == conf.masked.shape
+    return (conf.lo + np.flatnonzero(take)).tolist()
 
 
 def test_select_static_breaks_ties_by_lowest_position():
     conf = _conf([4, 5, 6, 7], [0.5, 0.9, 0.5, 0.9])
-    assert Policy("static", r=1).select(conf).tolist() == [5]
-    assert Policy("static", r=3).select(conf).tolist() == [4, 5, 7]
-    assert Policy("static", r=2).select(_conf([4, 5, 6], [0.3, 0.3, 0.3])).tolist() == [4, 5]
+    assert _selected(Policy("static", r=1), conf) == [5]
+    assert _selected(Policy("static", r=3), conf) == [4, 5, 7]
+    assert _selected(Policy("static", r=2), _conf([4, 5, 6], [0.3, 0.3, 0.3])) == [4, 5]
 
 
 def test_select_dynamic_falls_back_to_the_lowest_tied_position():
     conf = _conf([4, 5, 6, 7], [0.2, 0.6, 0.4, 0.6])
-    assert Policy("dynamic", tau=0.9).select(conf).tolist() == [5]
-    assert Policy("dynamic", tau=0.5).select(conf).tolist() == [5, 7]
+    assert _selected(Policy("dynamic", tau=0.9), conf) == [5]
+    assert _selected(Policy("dynamic", tau=0.5), conf) == [5, 7]
     # strictly above tau: a probability equal to tau is not selected
-    assert Policy("dynamic", tau=0.6).select(conf).tolist() == [5]
+    assert _selected(Policy("dynamic", tau=0.6), conf) == [5]
 
 
-def _former_select(policy, conf):
-    """The two selectors `Policy.select` replaced, as they were."""
-    if len(conf.positions) == 0:
+def _former_select(policy, positions, probs):
+    """The two selectors `Policy.select` replaced, as they were, on the
+    masked positions and their probabilities."""
+    if len(positions) == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((conf.positions, -conf.probs))
+    order = np.lexsort((positions, -probs))
     if policy.kind == "static":
-        return np.sort(conf.positions[order[: min(policy.r, len(conf.positions))]])
-    above = conf.probs > policy.tau
+        return np.sort(positions[order[: min(policy.r, len(positions))]])
+    above = probs > policy.tau
     if above.any():
-        return np.sort(conf.positions[above])
-    return conf.positions[order[:1]]
+        return np.sort(positions[above])
+    return positions[order[:1]]
+
+
+POLICIES = ([Policy("static", r=r) for r in (1, 2, 3, 8)]
+            + [Policy("dynamic", tau=tau) for tau in (0.25, 0.5, 0.75, 1.0)])
 
 
 def test_select_matches_the_former_selectors_on_random_confidences():
     rng = np.random.default_rng(0)
-    policies = [Policy("static", r=r) for r in (1, 2, 3, 8)]
-    policies += [Policy("dynamic", tau=tau) for tau in (0.25, 0.5, 0.75, 1.0)]
     for n in [0, 1, 2, 3, 5, 8] * 20:
-        # positions in any order; probabilities on a coarse grid, so ties occur
-        positions = rng.permutation(np.arange(10, 30))[:n]
-        conf = _conf(positions, rng.integers(0, 5, n) / 4)
-        for policy in policies:
-            got, want = policy.select(conf), _former_select(policy, conf)
-            assert got.dtype == want.dtype == np.int64
-            assert got.tolist() == want.tolist() == sorted(got.tolist())
+        # a random masked subset of a block; probabilities on a coarse
+        # grid, so ties occur
+        positions = np.sort(rng.permutation(np.arange(10, 30))[:n])
+        probs = rng.integers(0, 5, n) / 4
+        conf = _conf(positions, probs, lo=10, size=20)
+        for policy in POLICIES:
+            want = _former_select(policy, positions, probs)
+            assert want.dtype == np.int64
+            assert _selected(policy, conf) == want.tolist()
+
+
+def test_a_stacked_confidence_and_selection_equal_each_rows_own():
+    rng = np.random.default_rng(1)
+    prompt_len, size, vocab = 3, 8, 12
+    for case in range(60):
+        B, block = int(rng.integers(2, 5)), int(rng.integers(0, 2))
+        ids = rng.integers(1, vocab, size=(B, prompt_len + 2 * size))
+        ids[ids == MASK_ID] = 1
+        lo = prompt_len + block * size
+        ids[:, lo + size:] = MASK_ID
+        # a random masked subset of the current block in each row, never empty
+        hit = rng.random((B, size)) < rng.random()
+        hit[np.arange(B), rng.integers(0, size, B)] = True
+        ids[:, lo:lo + size][hit] = MASK_ID
+        # logits on a coarse grid, so probabilities and tokens tie
+        logits = rng.integers(-2, 3, size=(B, ids.shape[1], vocab)).astype(float)
+        if case % 3 == 0:
+            # MASK-dominated rows: every other probability underflows to 0
+            rows = rng.random((B, ids.shape[1])) < 0.5
+            logits[rows] = -1e4
+            logits[rows, MASK_ID] = 0.0
+        x = SequenceState(ids, prompt_len, size)
+        conf = confidence_of(logits, x)
+        assert conf.lo == lo and conf.masked.shape == (B, size)
+        takes = {policy: policy.select(conf) for policy in POLICIES}
+        for b in range(B):
+            one = confidence_of(logits[b], SequenceState(ids[b], prompt_len, size))
+            assert one.lo == lo
+            for name in ("masked", "probs", "tokens", "rank"):
+                a, c = getattr(conf, name)[b], getattr(one, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (c.dtype, c.shape, c.tobytes())
+            for policy, take in takes.items():
+                assert np.array_equal(take[b], policy.select(one))
+                positions = lo + np.flatnonzero(one.masked)
+                assert _selected(policy, one) == _former_select(
+                    policy, positions, one.probs[one.masked]).tolist()
+    # tau = 1.0 is above every probability: each row takes its fallback
+    assert (takes[Policy("dynamic", tau=1.0)].sum(axis=-1) == 1).all()
+    # rows whose current blocks differ: a clean row and a masked one, and
+    # rows masked from different blocks
+    later = x.clone()
+    later.ids[0, lo:lo + size] = 5
+    for stack in (_two_blocks_stack(), later):
+        with pytest.raises(ContractViolationError, match="share their current block"):
+            confidence_of(np.zeros((*stack.ids.shape, vocab)), stack)
+
+
+def test_confidence_of_a_clean_sequence_is_empty():
+    x = SequenceState(np.array([2, 7, 5, 6]), 2, 2)
+    conf = confidence_of(np.zeros((4, 6)), x)
+    assert conf.lo == 4
+    for a in (conf.masked, conf.probs, conf.tokens, conf.rank):
+        assert a.shape == (0,)
+    for policy in POLICIES:
+        assert _selected(policy, conf) == []
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -596,6 +676,7 @@ def test_confidence_of_never_picks_the_mask_token():
     logits[3] = -1e4
     logits[3, MASK_ID] = 0.0
     conf = confidence_of(logits, x)
+    assert conf.lo == 2 and conf.masked.all()
     assert conf.tokens.tolist() == [4, 1]
     p = T.softmax_rows(T.tensor(logits[2])).data
     assert conf.probs[0] == p[4] and conf.probs[1] == 0.0
@@ -608,6 +689,7 @@ def test_confidence_of_breaks_token_ties_by_lowest_id():
     logits[2, [1, 4]] = 3.0
     logits[3, [5, 2]] = 3.0
     conf = confidence_of(logits, x)
+    assert conf.lo == 2 and conf.masked.all()
     assert conf.tokens.tolist() == [1, 2]
     np.testing.assert_allclose(conf.probs, np.exp(3.0) / (2 * np.exp(3.0) + 4))
 

@@ -863,7 +863,7 @@ def test_a_built_config_is_frozen(cfg, field, value):
 
 
 def _select_static(r):
-    conf = diffusion.Confidence(np.array([4, 5]), np.array([0.6, 0.9]), np.array([7, 8]))
+    conf = diffusion.Confidence(4, np.array([True, True]), np.array([0.6, 0.9]), np.array([7, 8]))
     return diffusion.Policy("static", r=r).select(conf)
 
 
