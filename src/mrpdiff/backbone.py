@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import checkpoint
-from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, check_int,
-                     is_finite_real)
+from .corpus import VOCAB_SIZE
+from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError, check_int
 from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import (
@@ -39,18 +39,12 @@ class BackboneConfig:
     d_model: int = 64
     n_heads: int = 4
     n_layers: int = 4
-    vocab_size: int = 44
     block_size: int = 8
     max_len: int = 128
-    norm_eps: float = 1e-6
-    mlp_mult: int = 4
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "n_layers", "block_size", "max_len", "mlp_mult"):
+        for name in ("d_model", "n_heads", "n_layers", "block_size", "max_len"):
             check_int(name, getattr(self, name), 1)
-        check_int("vocab_size", self.vocab_size, 5)
-        if not (is_finite_real(self.norm_eps) and self.norm_eps > 0):
-            raise InvalidConfigError(f"norm_eps must be finite and > 0, got {self.norm_eps!r}")
         if self.d_model % self.n_heads:
             raise InvalidConfigError("d_model must be divisible by n_heads")
         if self.max_len % self.block_size:
@@ -85,6 +79,10 @@ class ParamSet:
             t.requires_grad = flag
 
 
+# the MLP's hidden width over the model width, in the backbone and the head
+MLP_RATIO = 4
+
+
 @dataclass
 class LayerParams(ParamSet):
     attn_norm: Tensor
@@ -95,15 +93,15 @@ class LayerParams(ParamSet):
     w_down: Tensor
 
     @classmethod
-    def init(cls, d: int, hidden: int, rng: np.random.Generator, std: float) -> LayerParams:
+    def init(cls, d: int, rng: np.random.Generator, std: float) -> LayerParams:
         """Norm gains at one; matrices drawn from N(0, std^2) in field order."""
         return cls(
             attn_norm=T.param(np.ones(d)),
             w_qkv=T.param(rng.normal(0.0, std, (d, 3 * d))),
             w_attn_out=T.param(rng.normal(0.0, std, (d, d))),
             mlp_norm=T.param(np.ones(d)),
-            w_up=T.param(rng.normal(0.0, std, (d, hidden))),
-            w_down=T.param(rng.normal(0.0, std, (hidden, d))),
+            w_up=T.param(rng.normal(0.0, std, (d, MLP_RATIO * d))),
+            w_down=T.param(rng.normal(0.0, std, (MLP_RATIO * d, d))),
         )
 
 
@@ -123,11 +121,11 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, std: float = 0.
     d = cfg.d_model
     return BackboneParams(
         config=cfg,
-        embed=T.param(rng.normal(0.0, std, (cfg.vocab_size, d))),
+        embed=T.param(rng.normal(0.0, std, (VOCAB_SIZE, d))),
         pos=T.param(rng.normal(0.0, std, (cfg.max_len, d))),
-        layers=[LayerParams.init(d, cfg.mlp_mult * d, rng, std) for _ in range(cfg.n_layers)],
+        layers=[LayerParams.init(d, rng, std) for _ in range(cfg.n_layers)],
         final_norm=T.param(np.ones(d)),
-        w_lm=T.param(rng.normal(0.0, std, (d, cfg.vocab_size))),
+        w_lm=T.param(rng.normal(0.0, std, (d, VOCAB_SIZE))),
     )
 
 
@@ -284,7 +282,7 @@ _AXES = {0: ((1, 2, 0, 3), (1, 0, 2)),
 
 
 def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
-                      addmask: np.ndarray | None, n_heads: int, eps: float,
+                      addmask: np.ndarray | None, n_heads: int,
                       cache: LayerKV | None = None) -> Tensor | np.ndarray:
     """One pre-norm block: masked self-attention + MLP, both residual.
 
@@ -313,7 +311,7 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     split, merge = _AXES[len(lead)]
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    a, inv1, _ = _rmsnorm_data(x, attn_norm, eps)
+    a, inv1, _ = _rmsnorm_data(x, attn_norm)
     q, k, v = np.matmul(a, w_qkv).reshape(*lead, L, 3, n_heads, dh).transpose(split)
     # keys in a contiguous ([B,] heads, dh, L) buffer, as a prefix cache
     # holds them: on a strided view the scores' matmul can give other bits
@@ -324,7 +322,7 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     probs = _softmax_data(scores)
     ctx = np.matmul(probs, v).transpose(merge).reshape(*lead, L, d)
     x1 = x + np.matmul(ctx, w_attn_out)
-    m, inv2, _ = _rmsnorm_data(x1, mlp_norm, eps)
+    m, inv2, _ = _rmsnorm_data(x1, mlp_norm)
     u = np.matmul(m, w_up)
     su, sig = _silu_data(u)
     out = x1 + np.matmul(su, w_down)
@@ -399,7 +397,7 @@ def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> 
         raise InvalidShapeError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     # a plain list: cheaper than two numpy reductions at a window's few ids
     values = ids.ravel().tolist()
-    if not values or min(values) < 0 or max(values) >= cfg.vocab_size:
+    if not values or min(values) < 0 or max(values) >= VOCAB_SIZE:
         raise InvalidShapeError("token ids must be non-empty and within the vocabulary")
     ops = active_ops()
     embed, pos = operands(ops, params.embed, params.pos)
@@ -448,8 +446,8 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
     ops = active_ops()
     final_norm, w_lm = operands(ops, params.final_norm, params.w_lm)
     for layer, cache in zip(params.layers, caches):
-        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps, cache)
-    h = ops.rmsnorm(stream, final_norm, cfg.norm_eps)
+        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cache)
+    h = ops.rmsnorm(stream, final_norm)
     logits = ops.matmul(h, w_lm)
     if prefix is not None:
         h, logits = prefix.complete(h, logits)
@@ -469,8 +467,7 @@ def load_backbone(path: str) -> BackboneParams:
     blob = checkpoint.load_tensors(path)
     cfg = checkpoint.read_config(blob, BackboneParams.PREFIX, BackboneConfig)
     d = cfg.d_model
-    checkpoint.check_shapes(blob, {"backbone.embed": (cfg.vocab_size, d),
-                                   "backbone.pos": (cfg.max_len, d),
-                                   "backbone.layers.0.w_up": (d, cfg.mlp_mult * d)})
+    checkpoint.check_shapes(blob, {"backbone.embed": (VOCAB_SIZE, d),
+                                   "backbone.pos": (cfg.max_len, d)})
     checkpoint.check_layer_count(blob, "backbone.layers", cfg.n_layers)
     return checkpoint.fill(init_backbone(cfg, checkpoint.UNFILLED), blob)

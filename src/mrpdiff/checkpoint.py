@@ -69,9 +69,9 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
     """Read an MRPC file into {name: float64 array}.
 
     A file that is missing or cannot be read (a directory, no permission)
-    raises MissingArtifactError. A file that is cut short, or whose header
-    does not describe records that lie inside the payload, raises
-    InvalidConfigError.
+    raises MissingArtifactError. A file that is cut short, whose header
+    does not describe records inside the payload, or that repeats a record
+    name or holds NaN or inf raises InvalidConfigError.
     """
     try:
         f = open(path, "rb")
@@ -104,6 +104,9 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         if payload + start + 4 * count > len(raw):
             raise InvalidConfigError(f"{path}: record {name!r} runs past the end of the file")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=payload + start)
+        if name in out or not np.isfinite(arr).all():
+            problem = "is repeated" if name in out else "holds NaN or inf"
+            raise InvalidConfigError(f"{path}: record {name!r} {problem}")
         out[name] = arr.reshape(shape).astype(np.float64)
     return out
 
@@ -122,7 +125,7 @@ def _record(blob: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
 def save_params(path: str, params) -> None:
     """Write `params.config` as one record per field, in field order, under
     `<params.PREFIX>.config.`, then every tensor `params.named_tensors()`
-    lists. Every config field is a number."""
+    lists. Every config field is an integer."""
     named = [(f"{params.PREFIX}.config.{f.name}", np.asarray([getattr(params.config, f.name)]))
              for f in dataclasses.fields(params.config)]
     named += [(name, t.data) for name, t in params.named_tensors()]
@@ -137,14 +140,9 @@ def read_config(blob: dict[str, np.ndarray], prefix: str, cls):
     for f in dataclasses.fields(cls):
         name = f"{prefix}.config.{f.name}"
         (value,) = _record(blob, name, (1,))
-        if isinstance(f.default, float):
-            # config scalars are stored as f32 records; snap floats to 6
-            # significant digits so values like 1e-6 round-trip exactly
-            kwargs[f.name] = float(f"{value:.6g}")
-        elif not value.is_integer():  # NaN and inf are not integers either
+        if not value.is_integer():  # NaN and inf are not integers either
             raise InvalidConfigError(f"checkpoint record {name!r} holds non-integral value {value}")
-        else:
-            kwargs[f.name] = int(value)
+        kwargs[f.name] = int(value)
     return cls(**kwargs)
 
 

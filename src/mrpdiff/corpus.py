@@ -28,6 +28,7 @@ _SPECIALS = ["<mask>", "<pad>", "<bos>", "<eos>"]
 _CHARS = [str(d) for d in range(10)] + ["+", "-", "=", " "] + [
     chr(c) for c in range(ord("a"), ord("z") + 1)
 ]
+VOCAB_SIZE = len(_SPECIALS) + len(_CHARS)
 
 
 _CHAR_TO_ID = {ch: i + len(_SPECIALS) for i, ch in enumerate(_CHARS)}

@@ -124,22 +124,25 @@ def state_from_example(ex, block_size: int, all_masked: bool = True) -> Sequence
 # ---------------------------------------------------------------------------
 
 
+def maskable(x0: SequenceState) -> np.ndarray:
+    """Where `corrupt` may mask clean `x0`: the response's non-PAD positions."""
+    return (x0.ids != PAD_ID) & (np.arange(x0.length) >= x0.prompt_len)
+
+
 def corrupt(x0: SequenceState, rng: np.random.Generator, rate: float | None = None) -> SequenceState:
-    """Mask response tokens independently with one shared rate u ~ U(0,1)
-    per sequence (rate can be forced for tests). Prompt and PAD positions
-    are never masked. A clean (B, L) stack draws row by row, as B calls
-    would. Before any draw, a masked `x0` raises ContractViolationError and
-    a forced rate that is not a number in [0, 1] InvalidConfigError."""
+    """Mask the `maskable` positions independently with one shared rate
+    u ~ U(0,1) per sequence (rate can be forced for tests). A clean (B, L)
+    stack draws row by row, as B calls would. Before any draw, a masked
+    `x0` raises ContractViolationError and a forced rate that is not a
+    number in [0, 1] InvalidConfigError."""
     if x0.masked.any():
         raise ContractViolationError("corrupt expects clean sequences")
     if rate is not None and not (is_finite_real(rate) and 0.0 <= rate <= 1.0):
         raise InvalidConfigError(f"corruption rate must lie in [0, 1], got {rate!r}")
     out = x0.clone()
-    for row in np.atleast_2d(out.ids):  # views of the clone's rows
+    for row, allowed in zip(np.atleast_2d(out.ids), np.atleast_2d(maskable(x0))):  # views
         u = float(rng.random()) if rate is None else float(rate)
-        hit = rng.random(out.length) < u
-        hit[:out.prompt_len] = False
-        row[hit & (row != PAD_ID)] = MASK_ID
+        row[(rng.random(out.length) < u) & allowed] = MASK_ID
     return out
 
 
@@ -446,7 +449,7 @@ def denoise_block_baseline(
     record per step, its kind "backbone"."""
     block = x.current_block
     lo, hi = x.block_bounds(block)
-    if not x.masked[lo:hi].all():
+    if block == x.n_blocks or not x.masked[lo:hi].all():
         raise ContractViolationError("baseline denoise expects a fully masked block")
     xw = x.window(block)
     stats = DecodeStats() if stats is None else stats

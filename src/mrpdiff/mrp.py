@@ -21,6 +21,7 @@ import numpy as np
 
 from . import checkpoint
 from .backbone import (
+    MLP_RATIO,
     BackboneConfig,
     BackboneParams,
     LayerParams,
@@ -68,7 +69,7 @@ class MrpParams(ParamSet):
 def init_mrp(cfg: MrpConfig, bb_cfg: BackboneConfig, rng: np.random.Generator) -> MrpParams:
     d = bb_cfg.d_model
     # the trunk draws before w_fuse; this order fixes the random stream
-    layers = [LayerParams.init(d, bb_cfg.mlp_mult * d, rng, _INIT_STD) for _ in range(cfg.depth)]
+    layers = [LayerParams.init(d, rng, _INIT_STD) for _ in range(cfg.depth)]
     return MrpParams(
         config=cfg,
         w_fuse=T.param(rng.normal(0.0, _INIT_STD, (2 * d, d))),
@@ -112,8 +113,8 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
         h = h.data
     stream = ops.add(ops.matmul(ops.concat_last(embedded, h), w_fuse), b_fuse)
     for layer in params.layers:
-        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cfg.norm_eps)
-    delta_h = ops.matmul(ops.rmsnorm(stream, out_norm, cfg.norm_eps), w_out)
+        stream = transformer_layer(stream, layer, addmask, cfg.n_heads)
+    delta_h = ops.matmul(ops.rmsnorm(stream, out_norm), w_out)
     delta_logits = ops.matmul(delta_h, w_lm)
     return T._as_tensor(delta_h), T._as_tensor(delta_logits)
 
@@ -130,15 +131,13 @@ def save_mrp(path: str, params: MrpParams) -> None:
 def load_mrp(path: str) -> MrpParams:
     blob = checkpoint.load_tensors(path)
     cfg = checkpoint.read_config(blob, MrpParams.PREFIX, MrpConfig)
-    # the file holds no backbone config: the head's widths come from its
-    # first MLP matrix (d x mlp_mult * d), and fill checks every other shape
+    # the file holds no backbone config: the head's width d is the first
+    # axis of its first MLP matrix, whose shape is checked before a skeleton
+    # of that width is built; fill checks every other shape
     w_up = blob.get("mrp.layers.0.w_up")
-    if w_up is None or w_up.ndim != 2 or w_up.shape[0] < 1:
-        raise InvalidConfigError(
-            "checkpoint record 'mrp.layers.0.w_up' is missing or not a matrix"
-        )
-    d, hidden = w_up.shape
+    d = w_up.shape[0] if w_up is not None and w_up.ndim == 2 else 1
+    checkpoint.check_shapes(blob, {"mrp.layers.0.w_up": (d, MLP_RATIO * d)})
     checkpoint.check_layer_count(blob, "mrp.layers", cfg.depth)
     # one attention head, so that any width is a valid config
-    widths = BackboneConfig(d_model=d, n_heads=1, mlp_mult=hidden // d)
+    widths = BackboneConfig(d_model=d, n_heads=1)
     return checkpoint.fill(init_mrp(cfg, widths, checkpoint.UNFILLED), blob)

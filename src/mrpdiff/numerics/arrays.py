@@ -32,5 +32,5 @@ def embed(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return table[ids]
 
 
-def rmsnorm(a: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    return _rmsnorm_data(a, gain, eps)[0]
+def rmsnorm(a: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    return _rmsnorm_data(a, gain)[0]

@@ -321,11 +321,14 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
 
 
-def _rmsnorm_data(x: np.ndarray, gain: np.ndarray, eps: float):
-    """(normed * gain, 1 / rms, normed) with normed = x / sqrt(mean(x^2) + eps)."""
+RMS_EPS = 1e-6
+
+
+def _rmsnorm_data(x: np.ndarray, gain: np.ndarray):
+    """(normed * gain, 1 / rms, normed) with normed = x / sqrt(mean(x^2) + RMS_EPS)."""
     # the ufunc reductions here and in _softmax_data are what np.mean/max/sum
     # compute, without their Python-level dispatch
-    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + RMS_EPS
     inv = 1.0 / np.sqrt(ms)
     normed = x * inv
     return normed * gain, inv, normed
@@ -338,10 +341,10 @@ def _rmsnorm_grad(g: np.ndarray, x: np.ndarray, gain: np.ndarray, inv: np.ndarra
     return inv * gg - (inv ** 3 / x.shape[-1]) * x * dot
 
 
-def rmsnorm(a, gain, eps: float = 1e-6) -> Tensor:
-    """y = x / sqrt(mean(x^2, last) + eps) * gain, gain shaped (d,)."""
+def rmsnorm(a, gain) -> Tensor:
+    """y = x / sqrt(mean(x^2, last) + RMS_EPS) * gain, gain shaped (d,)."""
     a, gain = _as_tensor(a), _as_tensor(gain)
-    out, inv, normed = _rmsnorm_data(a.data, gain.data, eps)
+    out, inv, normed = _rmsnorm_data(a.data, gain.data)
 
     def bwd(g, table):
         _push(table, a, _rmsnorm_grad(g, a.data, gain.data, inv))

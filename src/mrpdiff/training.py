@@ -24,8 +24,8 @@ import numpy as np
 
 from . import backbone as bb
 from . import mrp as mrp_mod
-from .corpus import MASK_ID, PAD_ID, Example
-from .diffusion import SequenceState, corrupt, state_from_example
+from .corpus import MASK_ID, Example
+from .diffusion import SequenceState, corrupt, maskable, state_from_example
 from .errors import (ContractViolationError, DivergenceError, InvalidConfigError,
                      InvalidShapeError, as_int64, check_int, is_finite_real)
 from .numerics import tensor as T
@@ -288,15 +288,13 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
 def _check_corruption(x0: SequenceState, xt: SequenceState) -> None:
     """Raise unless xt could come from `corrupt(x0)`: InvalidShapeError for
     another shape, ContractViolationError when xt has another prompt_len or
-    block_size, when x0 is not clean, when an unmasked position's id
-    differs from x0, or when a prompt or PAD position is masked."""
+    block_size, when x0 is not clean, or unless xt holds MASK_ID at some of
+    x0's `maskable` positions and x0's ids everywhere else."""
     _check_aligned(xt, x0)
     if x0.masked.any():
         raise ContractViolationError("kd_sequence_loss expects clean sequences")
-    if not np.array_equal(xt.ids, np.where(xt.masked, MASK_ID, x0.ids)):
-        raise ContractViolationError("corrupted state changes an unmasked token")
-    if xt.masked[..., :x0.prompt_len].any() or (xt.masked & (x0.ids == PAD_ID)).any():
-        raise ContractViolationError("corrupted state masks a prompt or PAD position")
+    if not np.array_equal(xt.ids, np.where(xt.masked & maskable(x0), MASK_ID, x0.ids)):
+        raise ContractViolationError("corrupted state changes a token or masks a non-maskable one")
 
 
 def kd_sequence_loss(

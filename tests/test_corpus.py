@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mrpdiff import corpus
-from mrpdiff.backbone import BackboneConfig
 from mrpdiff.corpus import (
     BOS_ID,
     EOS_ID,
@@ -29,7 +28,7 @@ from mrpdiff.errors import InvalidConfigError, MissingArtifactError
 
 def test_special_ids_fixed():
     assert (MASK_ID, PAD_ID, BOS_ID, EOS_ID) == (0, 1, 2, 3)
-    assert max(corpus._ID_TO_CHAR) < BackboneConfig().vocab_size
+    assert max(corpus._ID_TO_CHAR) == corpus.VOCAB_SIZE - 1 == 43
 
 
 def test_tokenize_roundtrip():
@@ -94,7 +93,7 @@ def test_example_block_padding_and_single_eos():
     for ex in gen_arithmetic(seed=2, count=300, max_operand=999):
         assert len(ex.response_ids) % 8 == 0
         assert sum(1 for i in ex.response_ids if i == EOS_ID) == 1
-        assert all(i < BackboneConfig().vocab_size for i in ex.prompt_ids + ex.response_ids)
+        assert all(i < corpus.VOCAB_SIZE for i in ex.prompt_ids + ex.response_ids)
         # answer + EOS, then only PAD
         tail = ex.response_ids[len(ex.answer) + 1:]
         assert all(i == PAD_ID for i in tail)

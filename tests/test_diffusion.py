@@ -198,6 +198,20 @@ def test_decoding_never_commits_the_mask_token():
     assert x.mask_count() == 0 and MASK_ID not in x.ids
 
 
+@pytest.mark.parametrize("state", ["partly masked", "clean"])
+def test_baseline_denoise_refuses_a_block_that_is_not_fully_masked(state):
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=8, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    ex = corpus.make_example(12, 3, "+", 8)
+    x = diffusion.state_from_example(ex, 8, all_masked=state != "clean")
+    if state != "clean":
+        x.ids[x.prompt_len] = ex.response_ids[0]
+    before = x.ids.copy()
+    with pytest.raises(ContractViolationError, match="expects a fully masked block"):
+        diffusion.denoise_block_baseline(params, x, Policy("static", r=1))
+    assert np.array_equal(x.ids, before)
+
+
 def test_step_records_keep_their_outputs_after_later_steps(monkeypatch):
     cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=8, max_len=64)
     params = bb.init_backbone(cfg, np.random.default_rng(8), std=0.3)
@@ -472,6 +486,7 @@ def test_corrupt_at_full_rate_masks_exactly_the_non_pad_response():
     xt = diffusion.corrupt(x0, np.random.default_rng(0), rate=1.0)
     resp = np.arange(len(x0.ids)) >= x0.prompt_len
     assert np.array_equal(xt.masked, resp & (x0.ids != PAD_ID))
+    assert np.array_equal(xt.masked, diffusion.maskable(x0))
     assert np.array_equal(xt.ids[~xt.masked], x0.ids[~xt.masked])
     xt.validate()
 
@@ -740,3 +755,15 @@ def test_decode_checkpoint_reproduces_recorded_answers(references, name, seed, m
         assert forwards < steps
     else:  # a dynamic policy drafts nothing
         assert forwards == steps
+
+
+def test_decode_checkpoint_config_records_match_the_constants():
+    # the loader ignores these records, so a file built with another
+    # vocabulary, norm epsilon or MLP ratio would otherwise go unnoticed
+    # until a shape check or a decode went wrong
+    blob = checkpoint.load_tensors(str(DATA / "decode_backbone.mrpc"))
+    assert blob["backbone.config.vocab_size"].tolist() == [corpus.VOCAB_SIZE]
+    assert blob["backbone.config.norm_eps"].tolist() == [float(np.float32(T.RMS_EPS))]
+    assert blob["backbone.config.mlp_mult"].tolist() == [bb.MLP_RATIO]
+    params = bb.load_backbone(str(DATA / "decode_backbone.mrpc"))
+    assert params.embed.shape == (corpus.VOCAB_SIZE, params.config.d_model)

@@ -11,7 +11,7 @@ import pytest
 
 from mrpdiff import backbone as bb
 from mrpdiff import checkpoint, corpus, mrp, training
-from mrpdiff.corpus import MASK_ID
+from mrpdiff.corpus import MASK_ID, VOCAB_SIZE
 from mrpdiff.diffusion import SequenceState, corrupt, state_from_example
 from mrpdiff.errors import InvalidConfigError, InvalidShapeError
 from mrpdiff.numerics import tensor as T
@@ -24,7 +24,7 @@ def _setup(seed=0, **mrp_kw):
     rng = np.random.default_rng(seed)
     bb_params = bb.init_backbone(BB_CFG, rng)
     head = mrp.init_mrp(mrp.MrpConfig(**mrp_kw), BB_CFG, rng)
-    ids = rng.integers(4, BB_CFG.vocab_size, size=3 + 2 * BB_CFG.block_size)
+    ids = rng.integers(4, VOCAB_SIZE, size=3 + 2 * BB_CFG.block_size)
     ids[[4, 6, 9]] = MASK_ID
     x = SequenceState(ids=ids, prompt_len=3, block_size=BB_CFG.block_size)
     with no_grad():
@@ -84,7 +84,7 @@ def test_no_grad_forwards_build_no_tensor_nodes(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("bad_id", [-1, BB_CFG.vocab_size])
+@pytest.mark.parametrize("bad_id", [-1, VOCAB_SIZE])
 @pytest.mark.parametrize("taped", [True, False])
 def test_mrp_forward_rejects_out_of_range_ids(bad_id, taped):
     bb_params, head, x, h = _setup()
@@ -163,6 +163,22 @@ def test_load_rejects_missing_or_misshapen_record(tmp_path, name):
         mrp.load_mrp(path)
 
 
+@pytest.mark.parametrize("shape", [(16, 48), (16,), (2 ** 20, 1)],
+                         ids=["ratio-3", "vector", "narrow"])
+def test_load_rejects_a_first_mlp_matrix_of_another_shape(tmp_path, shape):
+    # its first axis is the head's width, and the MLP is MLP_RATIO times as
+    # wide: a ratio-3 head, a vector, or a narrow record that would ask for
+    # a skeleton of width 2**20 are refused before a skeleton is built
+    _, head, _, _ = _setup(depth=2)
+    path = str(tmp_path / "head.mrpc")
+    mrp.save_mrp(path, head)
+    blob = checkpoint.load_tensors(path)
+    blob["mrp.layers.0.w_up"] = np.zeros(shape)
+    checkpoint.save_tensors(path, list(blob.items()))
+    with pytest.raises(InvalidConfigError, match="'mrp.layers.0.w_up' has shape"):
+        mrp.load_mrp(path)
+
+
 @pytest.mark.parametrize("depth", [1, 3, 2 ** 30])
 def test_load_rejects_a_depth_other_than_its_layer_records(tmp_path, depth):
     _, head, _, _ = _setup(depth=2)
@@ -215,14 +231,14 @@ def test_batched_mrp_forward_matches_per_sequence_calls(taped):
     rng = np.random.default_rng(4)
     states = []
     for _ in range(3):
-        ids = rng.integers(4, BB_CFG.vocab_size, size=3 + 2 * BB_CFG.block_size)
+        ids = rng.integers(4, VOCAB_SIZE, size=3 + 2 * BB_CFG.block_size)
         ids[3 + rng.choice(2 * BB_CFG.block_size, 3, replace=False)] = MASK_ID
         states.append(SequenceState(ids=ids, prompt_len=3, block_size=BB_CFG.block_size))
     stack = training._stack(states)
     h = rng.normal(0.0, 1.0, (3, stack.ids.shape[1], BB_CFG.d_model))
     with contextlib.nullcontext() if taped else no_grad():
         delta_h, delta_l = mrp.mrp_forward(stack, T.tensor(h), head, bb_params)
-        assert bool(delta_l._parents) == taped and delta_l.shape == (3, 11, BB_CFG.vocab_size)
+        assert bool(delta_l._parents) == taped and delta_l.shape == (3, 11, VOCAB_SIZE)
         for b, x in enumerate(states):
             dh, dl = mrp.mrp_forward(x, T.tensor(h[b]), head, bb_params)
             assert np.abs(delta_h.data[b] - dh.data).max() <= 1e-12

@@ -11,7 +11,7 @@ import pytest
 from mrpdiff import backbone as bb
 from mrpdiff import mrp as mrp_mod
 from mrpdiff import diffusion, training
-from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID, gen_arithmetic, make_example
+from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID, VOCAB_SIZE, gen_arithmetic, make_example
 from mrpdiff.diffusion import SequenceState, corrupt, state_from_example
 from mrpdiff.errors import (ContractViolationError, DivergenceError, InvalidConfigError,
                             InvalidShapeError)
@@ -480,7 +480,7 @@ def test_masked_cross_entropy_rejects_bad_targets(batched, bad):
     elif bad == "str":  # was a bare numpy UFuncTypeError
         targets = targets.astype(str)
     else:
-        targets[..., -1] = -1 if bad == "negative" else cfg.vocab_size
+        targets[..., -1] = -1 if bad == "negative" else VOCAB_SIZE
     _, logits = bb.forward(xt, params)
     with pytest.raises(InvalidShapeError, match="target"):
         training.masked_cross_entropy(logits, xt, targets)
@@ -869,8 +869,8 @@ def _select_static(r):
 
 @pytest.mark.parametrize("value", [1.5, "2"])
 @pytest.mark.parametrize("owner, field", [
-    *[(bb.BackboneConfig, name) for name in ("d_model", "n_heads", "n_layers", "vocab_size",
-                                             "block_size", "max_len", "mlp_mult")],
+    *[(bb.BackboneConfig, name) for name in ("d_model", "n_heads", "n_layers", "block_size",
+                                             "max_len")],
     *[(MrpConfig, name) for name in ("depth", "unroll", "reveal_k")],
     *[(training.TrainConfig, name) for name in ("epochs", "batch_size", "log_every",
                                                 "max_steps", "seed")],
