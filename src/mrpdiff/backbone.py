@@ -16,7 +16,8 @@ import numpy as np
 
 from . import checkpoint
 from .corpus import VOCAB_SIZE
-from .errors import ContractViolationError, InvalidConfigError, InvalidShapeError, check_int
+from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, as_int64,
+                     check_int)
 from .numerics import arrays as A
 from .numerics import tensor as T
 from .numerics.tensor import (
@@ -208,7 +209,8 @@ class PrefixKV:
     forward given the prefix computes every row and fills it; later ones
     compute only the rows from `rows` on and overwrite their keys and
     values. `tile` serves a stack of states that share a filled
-    one-sequence prefix's rows, such as drafted states of one block.
+    one-sequence prefix's rows, such as drafted states of one block, and
+    `lead` a smaller stack from a tile's first states.
     No-grad only.
     """
 
@@ -263,6 +265,21 @@ class PrefixKV:
         out.h, out.logits = (np.repeat(a[None], n, axis=0) for a in (self.h, self.logits))
         return out
 
+    def lead(self, n: int) -> PrefixKV:
+        """The filled prefix of this filled stack's first n states, as
+        views of its buffers: a leading-axis slice stays contiguous. A
+        forward on it writes only its states' rows from `rows` on, which
+        every forward overwrites before it reads them."""
+        if self.h is None or len(self.ids[0]) != 2 or not 1 <= n <= self.ids[0][0]:
+            raise ContractViolationError(
+                f"only a filled prefix of a stack of at least {n} states leads {n}")
+        (count, length), prefix_ids = self.ids
+        out = PrefixKV(self.rows)
+        out.ids = ((n, length), prefix_ids[:len(prefix_ids) // count * n])
+        out.layers = [LayerKV(kv.k_t[:n], kv.v[:n]) for kv in self.layers]
+        out.h, out.logits = self.h[:n], self.logits[:n]
+        return out
+
     def complete(self, h: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full window's h and logits, new arrays, from the rows this
         forward computed; an empty prefix keeps a copy of its rows."""
@@ -283,7 +300,8 @@ _AXES = {0: ((1, 2, 0, 3), (1, 0, 2)),
 
 def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
                       addmask: np.ndarray | None, n_heads: int,
-                      cache: LayerKV | None = None) -> Tensor | np.ndarray:
+                      cache: LayerKV | None = None,
+                      rows: np.ndarray | None = None) -> Tensor | np.ndarray:
     """One pre-norm block: masked self-attention + MLP, both residual.
 
     The forward computes on plain arrays. An ndarray stream gets an ndarray
@@ -299,6 +317,14 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     `LayerKV` with the stream's leading axes, and attention reads the whole
     window's from it; with a filled cache (no-grad only) the stream holds
     only the window's last rows.
+
+    `rows`, sorted distinct flat indices into the stream's (B·L) rows,
+    limits the work after attention to the rows a caller reads: keys,
+    values and attention run on every row, then the output projection,
+    residual and MLP only on `rows`, and the layer returns (R, d). Those
+    rows are bit-equal to the same rows of the full layer for R >= 2 (a
+    single row takes BLAS's matrix-vector path, within ~1e-15). None runs
+    every row.
     """
     taped = isinstance(stream, Tensor)
     if taped and cache is not None:
@@ -321,7 +347,10 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
         scores = scores + addmask
     probs = _softmax_data(scores)
     ctx = np.matmul(probs, v).transpose(merge).reshape(*lead, L, d)
-    x1 = x + np.matmul(ctx, w_attn_out)
+    res = x
+    if rows is not None:
+        res, ctx = x.reshape(-1, d)[rows], ctx.reshape(-1, d)[rows]
+    x1 = res + np.matmul(ctx, w_attn_out)
     m, inv2, _ = _rmsnorm_data(x1, mlp_norm)
     u = np.matmul(m, w_up)
     su, sig = _silu_data(u)
@@ -332,10 +361,19 @@ def transformer_layer(stream: Tensor | np.ndarray, layer: LayerParams,
     # here: the backward redoes those multiplies, so the graph does not
     # hold them until it runs
     saved = (x, inv1, q, k_t, v, probs, ctx, x1, inv2, u, sig)
-    return T._make(out, (stream, *params), _layer_backward(stream, params, saved, scale))
+    return T._make(out, (stream, *params), _layer_backward(stream, params, saved, scale, rows))
 
 
-def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
+def _scatter_rows(g_rows: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """An array of `shape` holding g_rows at the flat `rows` of its
+    (..., d) rows, and zeros elsewhere."""
+    g = np.zeros((math.prod(shape[:-1]), shape[-1]))
+    g[rows] = g_rows
+    return g.reshape(shape)
+
+
+def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float,
+                    rows: np.ndarray | None):
     """The backward of one taped `transformer_layer`, over the arrays its
     forward saved. The norms' outputs and silu's are recomputed here with
     the forward's own multiplies (`_rmsnorm_data`, `_silu_data`), so they
@@ -343,7 +381,11 @@ def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
     ops' backwards would, so every gradient has their bits: a stacked
     operand's weight gradient is one product over all rows (as in
     `tensor.matmul`), gain gradients are summed as `_unbroadcast` sums
-    them, and the residual's gradient comes before the norm's."""
+    them, and the residual's gradient comes before the norm's. With `rows`,
+    the context's and the residual's gradients are scattered from those
+    rows back to the full stream, and the attention backward runs as
+    without; products over a few rows may round otherwise than over all
+    (~1e-16 apart)."""
     x, inv1, q, k_t, v, probs, ctx, x1, inv2, u, sig = saved
     attn_norm, w_qkv, w_attn_out, mlp_norm, w_up, w_down = [t.data for t in params]
     *lead, L, d = x.shape
@@ -362,7 +404,11 @@ def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
         g_x1 = g + _rmsnorm_grad(g_m, x1, mlp_norm, inv2)
         # x1 = x + merge(softmax(q k^T * scale + mask) v) @ w_attn_out
         g_w_attn_out = _weight_grad(ctx, g_x1)
-        g_ctx = np.matmul(g_x1, w_attn_out.T).reshape(*lead, L, n_heads, dh).transpose(merge)
+        g_ctx = np.matmul(g_x1, w_attn_out.T)
+        g_res = g_x1
+        if rows is not None:
+            g_ctx, g_res = (_scatter_rows(g_r, rows, x.shape) for g_r in (g_ctx, g_x1))
+        g_ctx = g_ctx.reshape(*lead, L, n_heads, dh).transpose(merge)
         g_probs = np.matmul(g_ctx, v.swapaxes(-1, -2))
         g_v = np.matmul(probs.swapaxes(-1, -2), g_ctx)
         g_scores = _softmax_grad(g_probs, probs) * scale
@@ -378,7 +424,7 @@ def _layer_backward(stream: Tensor, params: tuple, saved: tuple, scale: float):
         g_w_qkv = _weight_grad(normed1 * attn_norm, g_qkv)
         g_a = np.matmul(g_qkv, w_qkv.T)
         g_attn_norm = _unbroadcast(g_a * normed1, attn_norm.shape)
-        T._push(table, stream, g_x1 + _rmsnorm_grad(g_a, x, attn_norm, inv1))
+        T._push(table, stream, g_res + _rmsnorm_grad(g_a, x, attn_norm, inv1))
         grads = (g_attn_norm, g_w_qkv, g_w_attn_out, g_mlp_norm, g_w_up, g_w_down)
         for t, grad in zip(params, grads):
             T._push(table, t, grad)
@@ -404,7 +450,18 @@ def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> 
     return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, end, start))
 
 
-def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[Tensor, Tensor]:
+def _check_rows(rows, n: int) -> np.ndarray:
+    """`rows` as an int64 array of sorted, distinct indices in [0, n), at
+    least one; InvalidShapeError otherwise."""
+    rows = as_int64("rows", rows, InvalidShapeError)
+    if (rows.ndim != 1 or not len(rows) or rows[0] < 0 or rows[-1] >= n
+            or (np.diff(rows) <= 0).any()):
+        raise InvalidShapeError(f"rows must be sorted, distinct indices in [0, {n}), at least one")
+    return rows
+
+
+def forward(x, params: BackboneParams, prefix: PrefixKV | None = None,
+            rows: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Run the denoiser on every row of sequence state `x` (ids, prompt_len,
     block_size); for the rows up to a block, pass `x.window(block)`.
 
@@ -426,10 +483,22 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
     runs on the tape or under `no_grad` and may take a prefix; a stacked
     window forward is bit-equal to each sequence's own (measured at the
     default widths, with and without a prefix).
+
+    `rows`, sorted distinct flat indices into the (B·L) rows of `x.ids`,
+    are the only rows the caller reads, such as a loss's masked positions:
+    the last layer goes past attention only on them (see
+    `transformer_layer`), and h and logits are (R, d) and (R, V), one row
+    per entry of `rows`. They are bit-equal to those rows of the full
+    forward for R >= 2 and within ~1e-15 at R = 1. Malformed rows raise
+    InvalidShapeError, and rows with a prefix ContractViolationError.
     """
     cfg = params.config
     L = x.length
     start, caches = 0, [None] * len(params.layers)
+    if rows is not None:
+        if prefix is not None:
+            raise ContractViolationError("a forward on rows takes no prefix")
+        rows = _check_rows(rows, x.ids.size)
     if prefix is not None:
         # first: a filled prefix refuses changed ids in its rows, which are not embedded
         start = prefix.begin(x, cfg)
@@ -445,8 +514,10 @@ def forward(x, params: BackboneParams, prefix: PrefixKV | None = None) -> tuple[
 
     ops = active_ops()
     final_norm, w_lm = operands(ops, params.final_norm, params.w_lm)
-    for layer, cache in zip(params.layers, caches):
-        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cache)
+    last = len(params.layers) - 1
+    for i, (layer, cache) in enumerate(zip(params.layers, caches)):
+        stream = transformer_layer(stream, layer, addmask, cfg.n_heads, cache,
+                                   rows if i == last else None)
     h = ops.rmsnorm(stream, final_norm)
     logits = ops.matmul(h, w_lm)
     if prefix is not None:

@@ -36,12 +36,17 @@ _PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header length
 def save_tensors(path: str, named: list[tuple[str, np.ndarray]]) -> None:
     """Write `named` as an MRPC file. A path that cannot be written (a
     missing directory, a directory, no permission) raises
-    MissingArtifactError."""
+    MissingArtifactError. A record holding NaN or inf, or a value beyond
+    float32's range (stored as inf), raises InvalidConfigError naming it
+    before anything is written: `load_tensors` would refuse the file."""
     records = []
     payloads = []
     offset = 0
     for name, arr in named:
-        arr32 = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            arr32 = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+        if not np.isfinite(arr32).all():
+            raise InvalidConfigError(f"record {name!r} holds NaN, inf or a value beyond float32")
         records.append(
             {"name": name, "shape": list(arr32.shape), "dtype": "f32", "offset": offset}
         )

@@ -445,7 +445,8 @@ def denoise_block_baseline(
     forwards, a stacked one once.
 
     The block's first forward caches the rows before the block; later
-    ones reuse them, a stacked one through a tile. The trace keeps one
+    ones reuse them, a stacked one through the leading states of one tile
+    for `_DRAFTS + 1` states. The trace keeps one
     record per step, its kind "backbone"."""
     block = x.current_block
     lo, hi = x.block_bounds(block)
@@ -453,8 +454,9 @@ def denoise_block_baseline(
         raise ContractViolationError("baseline denoise expects a fully masked block")
     xw = x.window(block)
     stats = DecodeStats() if stats is None else stats
-    # the block's prefix, and its tile for each stack size
-    caches = {1: bb.PrefixKV(lo)}
+    # the block's prefix, and one tile of it for the largest stack, whose
+    # first states serve every smaller stack
+    prefix, tiled = bb.PrefixKV(lo), None
     # the block's ids in each drafted state after xw's
     drafted = np.empty((0, x.block_size), np.int64)
     while True:
@@ -463,10 +465,13 @@ def denoise_block_baseline(
             ids = np.repeat(xw.ids[None], n, axis=0)
             ids[1:, lo:hi] = drafted
             xs = SequenceState(ids, xw.prompt_len, xw.block_size)
-        if n not in caches:
-            caches[n] = caches[1].tile(n)
+        cache = prefix
+        if n > 1:
+            if tiled is None:
+                tiled = prefix.tile(_DRAFTS + 1)
+            cache = tiled.lead(n)
         with no_grad():
-            h, logits = bb.forward(xs, params, prefix=caches[n])
+            h, logits = bb.forward(xs, params, prefix=cache)
         stats.backbone_forwards += 1
         conf = confidence_of(logits, xs)
         take = policy.select(conf)

@@ -5,7 +5,12 @@ Both trainers share one step and one loop (`_train_step`, `_fit`). A step
 corrupts its batch first and runs only the sequences with a loss, grouped by
 (length, prompt_len) so that a group shares one attention mask, as (B, L, d)
 stacks of at most `_CHUNK`, each graph freed after its backward.
-Pretraining's stack is one of corrupted sequences. Distillation unrolls a
+Pretraining's stack is one of corrupted sequences. The loss reads only the
+logits of its masked rows, so the forward takes them as `rows`: after the
+last layer's attention, the rest of the backbone runs on those rows alone
+(`backbone.forward`). Losses and gradients match a forward over every row
+to rounding (~1e-15): a product over a few rows can round otherwise.
+Distillation unrolls a
 stack: `reveal_ground_truth` takes each (B, L) state to the next, the frozen
 backbone runs once per state without gradients (computing the prompt's rows
 once, `backbone.PrefixKV`), and one taped head graph runs over the same
@@ -177,15 +182,20 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
     On a batch, logits (B, L, V) with `x.masked` and `targets` (B, L), each
     sequence's masked rows weigh 1 / (its masked count): the loss is the sum
     over the B sequences of each one's mean CE; a single sequence is a
-    batch of one. Logits without one row per position of the state,
-    targets that are not integers, a target array of another shape than
-    the state's, or a target id outside [0, V), raise InvalidShapeError.
+    batch of one, and a sequence with nothing masked adds nothing. The
+    logits hold one row per position of the state, or one row per masked
+    position in row-major order (`backbone.forward` on
+    `rows=np.flatnonzero(x.masked)`); other logits, targets that are not
+    integers, a target array of another shape than the state's, or a
+    target id outside [0, V), raise InvalidShapeError.
     """
-    if logits.shape[:-1] != x.ids.shape:
-        raise InvalidShapeError(
-            f"logits of shape {logits.shape} for a state of shape {x.ids.shape}"
-        )
     rows = np.flatnonzero(x.masked)
+    per_position = logits.shape[:-1] == x.ids.shape
+    if not per_position and logits.shape[:-1] != rows.shape:
+        raise InvalidShapeError(
+            f"logits of shape {logits.shape} for a state of shape {x.ids.shape} "
+            f"with {len(rows)} masked positions"
+        )
     if len(rows) == 0:
         return None
     vocab = logits.shape[-1]
@@ -197,12 +207,14 @@ def masked_cross_entropy(logits: Tensor, x: SequenceState, targets: np.ndarray) 
     picked_ids = targets.ravel()[rows]
     if picked_ids.min() < 0 or picked_ids.max() >= vocab:
         raise InvalidShapeError(f"target ids must lie in [0, {vocab})")
-    flat = logits if logits.ndim == 2 else T.reshape(logits, (-1, vocab))
-    logp = T.log_softmax_rows(T.select_rows(flat, rows))
-    picked = T.take_per_row(logp, picked_ids)
+    if per_position:
+        flat = logits if logits.ndim == 2 else T.reshape(logits, (-1, vocab))
+        logits = T.select_rows(flat, rows)
+    picked = T.take_per_row(T.log_softmax_rows(logits), picked_ids)
     masked = x.masked.reshape(-1, x.masked.shape[-1])
-    weights = -1.0 / masked.sum(axis=1)
-    return T.sum_all(T.mul(picked, weights[rows // masked.shape[1]]))
+    # a row's sequence has at least this row masked: no count is zero
+    weights = -1.0 / masked.sum(axis=1)[rows // masked.shape[1]]
+    return T.sum_all(T.mul(picked, weights))
 
 
 def train_backbone(
@@ -215,9 +227,10 @@ def train_backbone(
 
     A step corrupts its batch in order, stacks its sequences with a masked
     position once per (length, prompt_len) group, and runs chunks of at
-    most `_CHUNK` rows, one taped graph each. The gradient
-    and the logged loss are the mean over those sequences of each one's
-    mean CE, as a loop over single sequences would give them.
+    most `_CHUNK` rows, one taped graph each, whose forward computes the
+    logits of the masked positions only. The gradient and the logged loss
+    are the mean over those sequences of each one's mean CE, as a loop over
+    single sequences would give them.
     """
     if not examples:
         raise InvalidConfigError("empty dataset")
@@ -226,7 +239,8 @@ def train_backbone(
     named = params.named_tensors()
 
     def chunk_loss(x0, xt):
-        _, logits = bb.forward(xt, params)
+        # only the masked rows' logits enter the loss
+        _, logits = bb.forward(xt, params, rows=np.flatnonzero(xt.masked))
         # every row has a loss, and pretraining logs no per-step losses
         return masked_cross_entropy(logits, xt, x0.ids), [()] * len(xt.ids)
 

@@ -363,6 +363,68 @@ def test_fd_through_the_fused_layer(lead):
         bb.transformer_layer(stream, layer, addmask, 2), weights)), params, max_coords=8)
 
 
+# flat row sets into a (3, 11) stack: one row, two adjacent, one per
+# sequence, every other row, all rows
+_ROW_SETS = [[7], [4, 5], [2, 13, 30], list(range(0, 33, 2)), list(range(33))]
+
+
+@pytest.mark.parametrize("rows", _ROW_SETS, ids=lambda r: f"R{len(r)}")
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "no-grad"])
+@pytest.mark.parametrize("d_model", [16, 64])
+def test_forward_on_rows_is_the_full_forwards_rows(rows, taped, d_model):
+    cfg = tiny_config(d_model=d_model, n_heads=4)
+    params = bb.init_backbone(cfg, np.random.default_rng(0), std=0.3)
+    rng = np.random.default_rng(1)
+    x = make_state(np.stack([rand_state(rng, 3, 2, cfg.block_size, mask_frac=0.5).ids
+                             for _ in range(3)]), 3, cfg.block_size)
+    with contextlib.nullcontext() if taped else no_grad():
+        h, logits = bb.forward(x, params)
+        h_rows, logits_rows = bb.forward(x, params, rows=np.array(rows))
+    assert h_rows.shape == (len(rows), d_model) and logits_rows.shape == (len(rows), VOCAB_SIZE)
+    assert (logits_rows._parents != ()) == taped
+    want_h = h.data.reshape(-1, d_model)[rows]
+    want_logits = logits.data.reshape(-1, VOCAB_SIZE)[rows]
+    if len(rows) >= 2:
+        assert np.array_equal(h_rows.data, want_h) and np.array_equal(logits_rows.data, want_logits)
+    else:  # one row takes BLAS's matrix-vector path: a few ulps apart
+        # (up to 1.3e-15 of the row's largest value over 30 seeds and widths)
+        for got, want in ((h_rows.data, want_h), (logits_rows.data, want_logits)):
+            assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["L-d", "B-L-d"])
+def test_fd_through_a_layer_on_rows(lead):
+    layer, stream, _, addmask = _layer_case(lead, 4, 3, d=8, seed=1)
+    rows = np.array([0, 4, 5, 10])
+    weights = np.random.default_rng(2).normal(size=(len(rows), 8))
+    params = [stream] + [t for _, t in layer.named("layer")]
+    check_grads(lambda: T.sum_all(T.mul(
+        bb.transformer_layer(stream, layer, addmask, 2, rows=rows), weights)), params, max_coords=8)
+
+
+@pytest.mark.parametrize("rows", [[3, 1], [1, 1, 2], [-1, 2], [0, 33], [], [[0, 1]], [0.0, 1.0]],
+                         ids=["unsorted", "repeated", "negative", "past-end", "empty", "2-D",
+                              "float"])
+def test_forward_refuses_malformed_rows(rows):
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = make_state(np.stack([rand_state(rng, 3, 2, cfg.block_size).ids for _ in range(3)]),
+                   3, cfg.block_size)
+    with pytest.raises(InvalidShapeError, match="rows"):
+        bb.forward(x, params, rows=np.array(rows))
+
+
+def test_forward_on_rows_refuses_a_prefix():
+    cfg = tiny_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = rand_state(np.random.default_rng(1), 3, 2, cfg.block_size)
+    prefix = bb.PrefixKV(3)
+    with no_grad(), pytest.raises(ContractViolationError, match="prefix"):
+        bb.forward(x, params, prefix=prefix, rows=np.array([4, 5]))
+    assert prefix.h is None  # refused before the prefix was filled
+
+
 def test_taped_forward_records_one_node_per_layer(monkeypatch):
     cfg = tiny_config(n_layers=3)
     params = bb.init_backbone(cfg, np.random.default_rng(0))
@@ -451,28 +513,34 @@ def test_a_tiled_prefix_forward_matches_each_rows_own_prefix_forward_bit_for_bit
         with no_grad():
             # the block's first forward fills the prefix over the whole window
             bb.forward(xw, params, prefix=prefix)
+            largest = prefix.tile(3)
             for n in (1, 2, 3):
-                tiled = prefix.tile(n)
-                stack = stack_states([xw] * n)
-                # two forwards on the tile, each row's block revealed further
-                for _ in range(2):
-                    for row in stack.ids:
-                        hit = rng.choice(np.arange(lo, hi), size=2, replace=False)
-                        row[hit] = rng.integers(4, VOCAB_SIZE, size=2)
-                    h, logits = bb.forward(stack, params, prefix=tiled)
-                    for b, ids in enumerate(stack.ids):
-                        h1, l1 = bb.forward(make_state(ids, prompt_len, block_size), params,
-                                            prefix=prefix)
-                        assert h.data[b].tobytes() == h1.data.tobytes()
-                        assert logits.data[b].tobytes() == l1.data.tobytes()
-                changed = stack.clone()
-                changed.ids[:, lo - 1] = 3 if x.ids[lo - 1] != 3 else 4
-                with pytest.raises(ContractViolationError, match="changed"):
-                    bb.forward(changed, params, prefix=tiled)
+                # a tile of n, and the first n states of the tile of 3
+                for tiled in (prefix.tile(n), largest.lead(n)):
+                    stack = stack_states([xw] * n)
+                    # two forwards on the tile, each row's block revealed further
+                    for _ in range(2):
+                        for row in stack.ids:
+                            hit = rng.choice(np.arange(lo, hi), size=2, replace=False)
+                            row[hit] = rng.integers(4, VOCAB_SIZE, size=2)
+                        h, logits = bb.forward(stack, params, prefix=tiled)
+                        for b, ids in enumerate(stack.ids):
+                            h1, l1 = bb.forward(make_state(ids, prompt_len, block_size), params,
+                                                prefix=prefix)
+                            assert h.data[b].tobytes() == h1.data.tobytes()
+                            assert logits.data[b].tobytes() == l1.data.tobytes()
+                    changed = stack.clone()
+                    changed.ids[:, lo - 1] = 3 if x.ids[lo - 1] != 3 else 4
+                    with pytest.raises(ContractViolationError, match="changed"):
+                        bb.forward(changed, params, prefix=tiled)
             with pytest.raises(ContractViolationError, match="one-sequence"):
                 tiled.tile(2)
-    with pytest.raises(ContractViolationError, match="filled"):
-        bb.PrefixKV(lo).tile(2)
+            for bad in (lambda: largest.lead(4), lambda: prefix.lead(1)):
+                with pytest.raises(ContractViolationError, match="stack"):
+                    bad()
+    for bad in (lambda: bb.PrefixKV(lo).tile(2), lambda: bb.PrefixKV(lo).lead(1)):
+        with pytest.raises(ContractViolationError, match="filled"):
+            bad()
 
 
 # ---------------------------------------------------------------------------
@@ -859,15 +927,36 @@ def test_checkpoint_record_named_twice_raises_typed_error(tmp_path):
         checkpoint.load_tensors(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+def test_saving_a_record_that_loading_would_refuse_raises_typed_error(tmp_path, value):
+    # such a record used to be written, as inf beyond float32's range, and
+    # the file was refused only when loaded
+    path = tmp_path / "model.mrpc"
+    bb.save_backbone(str(path), bb.init_backbone(tiny_config(), np.random.default_rng(0)))
+    before = path.read_bytes()
+    params = bb.init_backbone(tiny_config(), np.random.default_rng(1))
+    params.layers[1].w_up.data[0, 1] = value
+    with pytest.raises(InvalidConfigError, match="'backbone.layers.1.w_up'"):
+        bb.save_backbone(str(path), params)
+    # the existing file is as it was, and no temporary file is left
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mrpc"]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checkpoint_record_holding_nan_or_inf_raises_typed_error(tmp_path, value):
     # a NaN weight used to load, and decoding then ran on NaN logits
     path = str(tmp_path / "model.mrpc")
     bb.save_backbone(path, bb.init_backbone(tiny_config(), np.random.default_rng(0)))
     blob = checkpoint.load_tensors(path)
+    # a sentinel written in place of each value, since saving refuses it
+    sentinel = np.float32(1234.5678)
     for name in ("backbone.layers.1.w_up", "backbone.w_lm"):
-        blob[name][0, 1] = value
+        blob[name][0, 1] = sentinel
     checkpoint.save_tensors(path, list(blob.items()))
+    raw = Path(path).read_bytes()
+    assert raw.count(sentinel.tobytes()) == 2
+    Path(path).write_bytes(raw.replace(sentinel.tobytes(), np.float32(value).tobytes()))
     # the first such record in the file is named
     with pytest.raises(InvalidConfigError, match="'backbone.layers.1.w_up' holds NaN or inf"):
         bb.load_backbone(path)

@@ -25,3 +25,6 @@ def test_bit_digest_prints_one_line_of_digests():
     assert train["steps"] == 1
     digests = [train[k] for k in ("backbone_log", "backbone_params", "mrp_log", "mrp_params")]
     assert all(len(d) == 64 for d in digests) and len(set(digests)) == 4
+    # each log's last loss, as a float, beside its digest
+    for key in ("backbone_last_loss", "mrp_last_loss"):
+        assert isinstance(train[key], float) and train[key] > 0

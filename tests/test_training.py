@@ -501,6 +501,61 @@ def test_masked_cross_entropy_rejects_logits_of_another_shape():
         training.masked_cross_entropy(logits, xt, x0.ids)
 
 
+def test_masked_cross_entropy_takes_one_logit_row_per_masked_position():
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
+    rng = np.random.default_rng(2)
+    x0s = [state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+           for a, b in [(12, 34), (21, 30)]]
+    xt = training._stack([corrupt(x0, rng, rate=0.6) for x0 in x0s])
+    targets = np.stack([x0.ids for x0 in x0s])
+    rows = np.flatnonzero(xt.masked)
+    _, logits = bb.forward(xt, params)
+    want = training.masked_cross_entropy(logits, xt, targets)
+    picked = T.tensor(logits.data.reshape(-1, VOCAB_SIZE)[rows])
+    assert training.masked_cross_entropy(picked, xt, targets).item() == want.item()
+    # one row short of the masked positions, and the full stack's rows flattened
+    for bad in (picked.data[1:], logits.data.reshape(-1, VOCAB_SIZE)):
+        with pytest.raises(InvalidShapeError, match="logits"):
+            training.masked_cross_entropy(T.tensor(bad), xt, targets)
+
+
+def test_masked_cross_entropy_skips_a_sequence_with_nothing_masked():
+    # a stack's unmasked sequence used to divide by its zero masked count
+    cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
+    params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
+    x0 = state_from_example(make_example(12, 34, "+", 4), 4, all_masked=False)
+    xt = corrupt(x0, np.random.default_rng(2), rate=0.6)
+    assert xt.masked.any()
+    stack = training._stack([x0, xt])
+    targets = np.stack([x0.ids, x0.ids])
+    loss = training.masked_cross_entropy(bb.forward(stack, params)[1], stack, targets)
+    alone = training.masked_cross_entropy(bb.forward(xt, params)[1], xt, x0.ids)
+    assert abs(loss.item() - alone.item()) <= 1e-15 * abs(alone.item())
+
+
+def test_pretraining_gradients_on_loss_rows_match_the_full_forward():
+    # a stack of four at the default widths, as a pretraining step's chunk
+    params = bb.init_backbone(bb.BackboneConfig(), np.random.default_rng(0))
+    rng = np.random.default_rng(3)
+    x0s = [state_from_example(make_example(a, b, "+", 8), 8, all_masked=False)
+           for a, b in [(12, 34), (21, 30), (40, 15), (33, 44)]]
+    xt = training._stack([corrupt(x0, rng) for x0 in x0s])
+    targets = np.stack([x0.ids for x0 in x0s])
+    named = params.named_tensors()
+    grads = []
+    for rows in (None, np.flatnonzero(xt.masked)):
+        T.zero_grads([t for _, t in named])
+        _, logits = bb.forward(xt, params, rows=rows)
+        loss = training.masked_cross_entropy(logits, xt, targets)
+        training.backward(loss)
+        grads.append((loss.item(), [t.grad for _, t in named]))
+    (full_loss, full), (rows_loss, pruned) = grads
+    assert abs(rows_loss - full_loss) <= 1e-12 * abs(full_loss)
+    for (name, _), g, ref in zip(named, pruned, full):
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
 def test_fd_stacked_kd_sequence_loss_wrt_head_parameters():
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
     params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)

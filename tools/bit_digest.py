@@ -14,7 +14,9 @@ only read):
 * ``train``: ``--steps``-step ``train_backbone`` and ``train_mrp`` runs on
   ``setup_train``'s examples with the benchmark's batch, learning rate and
   unroll: a digest of each log without wall time, and one of each final
-  parameter set's named tensors.
+  parameter set's named tensors. Each log's last loss is printed as a float
+  beside its digest (``backbone_last_loss``, ``mrp_last_loss``), so a change
+  at rounding level can be sized as well as detected.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def train_digest(steps: int, seed: int) -> dict:
                               mrp_mod.MrpConfig(unroll=spec.unroll), log_rows=dist_log)
     return {"steps": steps,
             "backbone_log": _log_digest(pre_log), "backbone_params": _params_digest(backbone),
-            "mrp_log": _log_digest(dist_log), "mrp_params": _params_digest(head)}
+            "backbone_last_loss": pre_log[-1]["loss"],
+            "mrp_log": _log_digest(dist_log), "mrp_params": _params_digest(head),
+            "mrp_last_loss": dist_log[-1]["loss"]}
 
 
 def main(argv=None) -> None:
