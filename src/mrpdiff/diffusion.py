@@ -174,8 +174,12 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
     current block, from one softmax over its rows. `x` is one sequence, or
     a (B, L) stack whose rows share their current block (else
     ContractViolationError); a clean sequence gives empty arrays. MASK_ID
-    is never the token: its column is set below every probability first."""
+    is never the token: its column is set below every probability first.
+    Logits with fewer than 2 axes raise InvalidShapeError."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    if data.ndim < 2:
+        raise InvalidShapeError(f"logits must have a row axis and a vocabulary axis, "
+                                f"got shape {data.shape}")
     masked = x.masked
     rows = masked.reshape(-1, x.length)
     # a row's current block starts on the grid at or before its first mask

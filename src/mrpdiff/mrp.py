@@ -1,12 +1,12 @@
 """The residual correction head.
 
 Fuses the backbone's hidden states with embeddings of the revealed
-sequence (concat then learned projection), runs a small stack of
-transformer layers under the same block-causal mask, and emits a hidden
-residual through a zero-initialized output projection. The logit residual
-is that hidden residual pushed through the backbone's own (bias-free) LM
-head, so accumulating hiddens and logits in parallel stays exactly
-consistent: delta_logits == delta_h @ w_lm by construction.
+sequence (concat then learned projection), runs its transformer layers
+(one by default, `MrpConfig.depth`) under the same block-causal mask, and
+emits a hidden residual through a zero-initialized output projection. The
+logit residual is that hidden residual pushed through the backbone's own
+(bias-free) LM head, so accumulating hiddens and logits in parallel stays
+exactly consistent: delta_logits == delta_h @ w_lm by construction.
 
 The zero output projection makes a freshly initialized head the identity
 correction (zero residual), which is the right starting point when the
@@ -45,7 +45,11 @@ _INIT_STD = 0.2
 class MrpConfig:
     """The head's sizes; checked when built, InvalidConfigError if invalid."""
 
-    depth: int = 3            # trunk transformer layers
+    # trunk transformer layers: one by default, so that a head round costs
+    # less than the cached backbone forward it stands in for (one layer over
+    # a block's window against every backbone layer over the block); a head
+    # file keeps its own depth
+    depth: int = 1
     unroll: int = 2           # training unroll steps per backward
     reveal_k: int = 1         # ground-truth tokens revealed per block per step
 
@@ -84,14 +88,15 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
                 bb_params: BackboneParams) -> tuple[Tensor, Tensor]:
     """Predict (hidden residual, logit residual) for the post-reveal state x.
 
-    `h` is the running hidden state with one row per row of x (a window
-    `x.window(block)` with its h), else InvalidShapeError. The trunk reuses
-    the backbone's token/positional embeddings and LM head; only the fusion,
-    trunk layers, output norm and output projection are its own. Under
-    `no_grad` it computes on plain ndarrays, as `backbone.forward` does. A
-    batch, `h` of shape (B, L, d) with `x.ids` of shape (B, L), runs as one
-    stack, as in `backbone.forward`. Its ids and positions are checked
-    where they are embedded, as in `backbone.forward` (InvalidShapeError).
+    `h`, a Tensor or ndarray, is the running hidden state with one row per
+    row of x (a window `x.window(block)` with its h), else
+    InvalidShapeError. The trunk reuses the backbone's token/positional
+    embeddings and LM head; only the fusion, trunk layers, output norm and
+    output projection are its own. Under `no_grad` it computes on plain
+    ndarrays, as `backbone.forward` does. A batch, `h` of shape (B, L, d)
+    with `x.ids` of shape (B, L), runs as one stack, as in
+    `backbone.forward`. Its ids and positions are checked where they are
+    embedded, as in `backbone.forward` (InvalidShapeError).
     """
     cfg = bb_params.config
     d = cfg.d_model
@@ -100,6 +105,9 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
             f"correction head of width {params.w_fuse.shape[1]} does not fit a "
             f"backbone of width {d}"
         )
+    if not isinstance(h, (Tensor, np.ndarray)):
+        raise InvalidShapeError(
+            f"hidden state must be a Tensor or ndarray, got {type(h).__name__}")
     if x.ids.shape != h.shape[:-1] or h.shape[-1] != d:
         raise InvalidShapeError(
             f"hidden state of shape {h.shape} does not align with ids of shape {x.ids.shape}"

@@ -106,12 +106,12 @@ def _groups(items: list, key) -> dict:
 # Sequences per taped graph, in both trainers. Every intermediate of a graph
 # is live until its backward. Pretraining: a graph of 4 takes ~0.7x the time
 # of 4 single-sequence graphs and raises peak memory by ~7%; 8 or 16 are a
-# little faster but raise it by ~20%. Distillation: the head's graph over a
-# stack sets the train benchmark's peak RSS; with a layer tape of 11 arrays
-# (see `backbone.transformer_layer`) and only sequences with a loss in a
-# stack, stacks of 4 peak at ~56.3 MB, and stacks of 6 and 8 at ~59.2 and
-# ~61.7 MB (2-vCPU x86 host). Stacks of 8 cut the train op_cost_p90 by a
-# further ~13%, at ~10% more peak memory.
+# little faster but raise it by ~20%. With the default one-layer head,
+# distillation's graph over a stack of 4 peaks just above pretraining's
+# (~51.2 against ~50.7 MB, read after each phase of a run), and the train
+# benchmark reports ~52.5 MB. At 6 and 8, pretraining's graph peaks higher:
+# the benchmark reports ~54.2 and ~56.4 MB, with op_cost_p50 ~7% and ~11%
+# lower (2-vCPU x86 host).
 _CHUNK = 4
 
 
@@ -294,6 +294,15 @@ def reveal_ground_truth(x: SequenceState, x0: SequenceState, k: int) -> Sequence
     return out
 
 
+def _keeps_a_mask(x: SequenceState, k: int) -> np.ndarray:
+    """Which rows of a (B, L) stack keep a masked position after
+    `reveal_ground_truth(x, x0, k)`: those with a response block of more
+    than k masks, counted without revealing."""
+    resp = x.masked[:, x.prompt_len:]
+    counts = resp.reshape(len(resp), -1, x.block_size).sum(axis=-1)
+    return (counts > k).any(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # distillation loss (the KL to the teacher of the residual-corrected logits)
 # ---------------------------------------------------------------------------
@@ -409,18 +418,18 @@ def mrp_train_step(
     loss, mean per-unroll-step losses) over the sequences that have a loss.
 
     The batch is grouped by (length, prompt_len) in first-seen order; each
-    group is stacked once and corrupted, and one ground-truth reveal finds
-    the rows that keep a masked position, the only ones with a loss. Those
-    rows run in chunks of at most `_CHUNK`, one `kd_sequence_loss` and one
-    backward per chunk. Gradients
-    flow only into the head: backbone forwards run without the tape, and
-    the hidden state enters the head's graph as a constant leaf.
+    group is stacked once and corrupted. Only the rows that keep a masked
+    position after the first ground-truth reveal have a loss
+    (`_keeps_a_mask`); they run in chunks of at most `_CHUNK`, one
+    `kd_sequence_loss` and one backward per chunk. Gradients flow only into
+    the head: backbone forwards run without the tape, and the hidden state
+    enters the head's graph as a constant leaf.
     """
     stacks = []
     for group in _groups(batch, _shape_key).values():
         x0 = _stack(group)
         xt = corrupt(x0, rng)
-        keep = reveal_ground_truth(xt, x0, g_params.config.reveal_k).masked.any(axis=1)
+        keep = _keeps_a_mask(xt, g_params.config.reveal_k)
         stacks.append((replace(x0, ids=x0.ids[keep]), replace(xt, ids=xt.ids[keep])))
 
     def chunk_loss(x0, xt):

@@ -663,6 +663,16 @@ def test_confidence_of_a_clean_sequence_is_empty():
         assert _selected(policy, conf) == []
 
 
+@pytest.mark.parametrize("logits", [np.zeros(44), np.float64(0.0), [0.0] * 4],
+                         ids=["vector", "scalar", "list"])
+@pytest.mark.parametrize("clean", [False, True], ids=["masked", "clean"])
+def test_confidence_of_logits_without_a_row_axis_raises_typed_error(logits, clean):
+    # on a masked state these used to raise a bare IndexError
+    ids = np.array([2, 7, 5, 6] if clean else [2, 7, MASK_ID, 6])
+    with pytest.raises(InvalidShapeError, match="row axis"):
+        confidence_of(logits, SequenceState(ids, 2, 2))
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"kind": "bogus"}, "unknown policy kind 'bogus'"),
     ({"kind": "static", "r": 0}, "r must be an integer >= 1"),

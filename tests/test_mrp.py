@@ -251,3 +251,65 @@ def test_batched_mrp_forward_matches_per_sequence_calls(taped):
         for x, short in ((stack, h[:, :7]), (states[0], h[0, :7])):
             with pytest.raises(InvalidShapeError, match="align"):
                 mrp.mrp_forward(x, T.tensor(short), head, bb_params)
+
+
+@pytest.mark.parametrize("h", [[[0.0] * 16] * 11, 0.0, None], ids=["list", "float", "None"])
+@pytest.mark.parametrize("taped", [True, False])
+def test_mrp_forward_refuses_a_hidden_state_that_is_not_an_array(h, taped):
+    # a list used to raise a bare AttributeError on `h.shape`
+    bb_params, head, x, _ = _setup()
+    with contextlib.nullcontext() if taped else no_grad():
+        with pytest.raises(InvalidShapeError, match="hidden state"):
+            mrp.mrp_forward(x, h, head, bb_params)
+
+
+def test_a_default_head_round_computes_fewer_layer_rows_than_a_cached_backbone_forward(
+        monkeypatch):
+    # a decode-static-b8 window: a 7-row prompt and one block of 8
+    cfg = bb.BackboneConfig()
+    rng = np.random.default_rng(0)
+    bb_params = bb.init_backbone(cfg, rng, std=0.3)
+    head = mrp.init_mrp(mrp.MrpConfig(), cfg, rng)
+    ids = np.concatenate([rng.integers(4, VOCAB_SIZE, 7), np.full(cfg.block_size, MASK_ID)])
+    x = SequenceState(ids=ids, prompt_len=7, block_size=cfg.block_size)
+    rows = []
+
+    def counted(layer):
+        def call(stream, *args, **kwargs):
+            rows.append(int(np.prod(stream.shape[:-1])))
+            return layer(stream, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bb, "transformer_layer", counted(bb.transformer_layer))
+    monkeypatch.setattr(mrp, "transformer_layer", counted(mrp.transformer_layer))
+    prefix = bb.PrefixKV(x.prompt_len)
+    with no_grad():
+        h, _ = bb.forward(x, bb_params, prefix=prefix)  # fills the prefix
+        rows.clear()
+        bb.forward(x, bb_params, prefix=prefix)
+        backbone_rows = sum(rows)
+        rows.clear()
+        mrp.mrp_forward(x, h, head, bb_params)
+        head_rows = sum(rows)
+    # every backbone layer on the block's 8 rows, against one head layer on
+    # the window's 15 rows; a depth-3 head would compute 45
+    assert (head_rows, backbone_rows) == (15, 32)
+
+
+def test_a_depth_3_head_file_still_loads_as_depth_3(tmp_path):
+    bb_params, head, x, h = _setup(depth=3)
+    rng = np.random.default_rng(5)
+    head.w_out.data = rng.normal(0.0, 0.1, head.w_out.shape)
+    # float32 values, which the file holds exactly
+    for _, t in head.named_tensors():
+        t.data = t.data.astype(np.float32).astype(np.float64)
+    path = str(tmp_path / "head.mrpc")
+    mrp.save_mrp(path, head)
+    loaded = mrp.load_mrp(path)
+    assert mrp.MrpConfig().depth != 3
+    assert loaded.config == head.config and len(loaded.layers) == 3
+    with no_grad():
+        saved, restored = (mrp.mrp_forward(x, h, g, bb_params) for g in (head, loaded))
+    assert saved[1].data.any()
+    for a, b in zip(saved, restored, strict=True):
+        assert np.array_equal(a.data, b.data)

@@ -28,3 +28,5 @@ def test_bit_digest_prints_one_line_of_digests():
     # each log's last loss, as a float, beside its digest
     for key in ("backbone_last_loss", "mrp_last_loss"):
         assert isinstance(train[key], float) and train[key] > 0
+    # the head the mrp_* digests hashed: the default depth, the benchmark's unroll
+    assert (train["mrp_depth"], train["mrp_unroll"]) == (1, 2)

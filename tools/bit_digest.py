@@ -16,7 +16,9 @@ only read):
   unroll: a digest of each log without wall time, and one of each final
   parameter set's named tensors. Each log's last loss is printed as a float
   beside its digest (``backbone_last_loss``, ``mrp_last_loss``), so a change
-  at rounding level can be sized as well as detected.
+  at rounding level can be sized as well as detected. The distilled
+  head's ``mrp_depth`` and ``mrp_unroll`` name the head the ``mrp_*``
+  digests hashed.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def train_digest(steps: int, seed: int) -> dict:
             "backbone_log": _log_digest(pre_log), "backbone_params": _params_digest(backbone),
             "backbone_last_loss": pre_log[-1]["loss"],
             "mrp_log": _log_digest(dist_log), "mrp_params": _params_digest(head),
-            "mrp_last_loss": dist_log[-1]["loss"]}
+            "mrp_last_loss": dist_log[-1]["loss"],
+            "mrp_depth": head.config.depth, "mrp_unroll": head.config.unroll}
 
 
 def main(argv=None) -> None:
