@@ -75,10 +75,6 @@ class ParamSet:
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return self.named(self.PREFIX)
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for _, t in self.named_tensors():
-            t.requires_grad = flag
-
 
 # the MLP's hidden width over the model width, in the backbone and the head
 MLP_RATIO = 4
@@ -447,7 +443,7 @@ def input_embedding(params: BackboneParams, ids: np.ndarray, start: int = 0) -> 
         raise InvalidShapeError("token ids must be non-empty and within the vocabulary")
     ops = active_ops()
     embed, pos = operands(ops, params.embed, params.pos)
-    return ops.add(ops.embed(embed, ids), ops.slice_rows(pos, end, start))
+    return ops.add(ops.select_rows(embed, ids), ops.slice_rows(pos, end, start))
 
 
 def _check_rows(rows, n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import checkpoint
-from .corpus import EOS_ID, MASK_ID, PAD_ID
+from .corpus import EOS_ID, MASK_ID, PAD_ID, VOCAB_SIZE
 from .errors import (ContractViolationError, InvalidConfigError, InvalidShapeError, as_int64,
                      check_int, is_finite_real)
 from .numerics.tensor import Tensor, _softmax_data, no_grad
@@ -175,11 +175,13 @@ def confidence_of(logits, x: SequenceState) -> Confidence:
     a (B, L) stack whose rows share their current block (else
     ContractViolationError); a clean sequence gives empty arrays. MASK_ID
     is never the token: its column is set below every probability first.
-    Logits with fewer than 2 axes raise InvalidShapeError."""
+    Logits need a row axis and a vocabulary axis after the leading axes of
+    `x.ids` (one per stacked sequence), else InvalidShapeError."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if data.ndim < 2:
-        raise InvalidShapeError(f"logits must have a row axis and a vocabulary axis, "
-                                f"got shape {data.shape}")
+    if data.ndim < 2 or data.shape[:-2] != x.ids.shape[:-1]:
+        raise InvalidShapeError(f"logits must have a row axis and a vocabulary axis after the "
+                                f"leading axes of ids of shape {x.ids.shape}, got shape "
+                                f"{data.shape}")
     masked = x.masked
     rows = masked.reshape(-1, x.length)
     # a row's current block starts on the grid at or before its first mask
@@ -235,8 +237,8 @@ class Policy:
 
 def reveal(x: SequenceState, positions, tokens) -> SequenceState:
     """Set ids at `positions` (distinct response positions, all currently
-    masked), one integer token >= 1 per position (so never MASK_ID). `x` is
-    one sequence."""
+    masked), one integer token in [1, VOCAB_SIZE) per position (so never
+    MASK_ID), else ContractViolationError. `x` is one sequence."""
     x._one_sequence("reveal")
     positions = as_int64("reveal positions", positions, ContractViolationError)
     tokens = as_int64("reveal tokens", tokens, ContractViolationError)
@@ -258,8 +260,10 @@ def reveal(x: SequenceState, positions, tokens) -> SequenceState:
         raise ContractViolationError("reveal of a repeated position")
     if (x.ids[positions] != MASK_ID).any():
         raise ContractViolationError("reveal of a position that is not masked")
-    if min(tokens.tolist()) < 1:
-        raise ContractViolationError("reveal of the MASK token or a negative id")
+    values = tokens.tolist()
+    if min(values) < 1 or max(values) >= VOCAB_SIZE:
+        raise ContractViolationError(
+            f"reveal of the MASK token or an id outside the vocabulary [1, {VOCAB_SIZE})")
     x.ids[positions] = tokens
     return x
 
@@ -450,12 +454,17 @@ def denoise_block_baseline(
 
     The block's first forward caches the rows before the block; later
     ones reuse them, a stacked one through the leading states of one tile
-    for `_DRAFTS + 1` states. The trace keeps one
-    record per step, its kind "backbone"."""
+    for `_DRAFTS + 1` states. The trace keeps one record per step, its
+    kind "backbone"; a trace of another block_size or prompt_len than x's
+    raises ContractViolationError before any forward."""
     block = x.current_block
     lo, hi = x.block_bounds(block)
     if block == x.n_blocks or not x.masked[lo:hi].all():
         raise ContractViolationError("baseline denoise expects a fully masked block")
+    if trace is not None and (trace.block_size, trace.prompt_len) != (x.block_size, x.prompt_len):
+        raise ContractViolationError(
+            f"a trace of block_size {trace.block_size} and prompt_len {trace.prompt_len} "
+            f"for a state of block_size {x.block_size} and prompt_len {x.prompt_len}")
     xw = x.window(block)
     stats = DecodeStats() if stats is None else stats
     # the block's prefix, and one tile of it for the largest stack, whose

@@ -8,6 +8,10 @@ logit residual is that hidden residual pushed through the backbone's own
 (bias-free) LM head, so accumulating hiddens and logits in parallel stays
 exactly consistent: delta_logits == delta_h @ w_lm by construction.
 
+The backbone is frozen by construction: its embeddings and LM head enter
+the head's graph as constants, so a backward through the head reaches the
+head's parameters only, whatever the backbone's grad flags are.
+
 The zero output projection makes a freshly initialized head the identity
 correction (zero residual), which is the right starting point when the
 target itself is a small correction.
@@ -91,8 +95,9 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
     `h`, a Tensor or ndarray, is the running hidden state with one row per
     row of x (a window `x.window(block)` with its h), else
     InvalidShapeError. The trunk reuses the backbone's token/positional
-    embeddings and LM head; only the fusion, trunk layers, output norm and
-    output projection are its own. Under `no_grad` it computes on plain
+    embeddings and LM head as constants, off the tape; only the fusion,
+    trunk layers, output norm and output projection are its own, and only
+    they receive gradients. Under `no_grad` it computes on plain
     ndarrays, as `backbone.forward` does. A batch, `h` of shape (B, L, d)
     with `x.ids` of shape (B, L), runs as one stack, as in
     `backbone.forward`. Its ids and positions are checked where they are
@@ -112,18 +117,24 @@ def mrp_forward(x, h: Tensor | np.ndarray, params: MrpParams,
         raise InvalidShapeError(
             f"hidden state of shape {h.shape} does not align with ids of shape {x.ids.shape}"
         )
-    embedded = input_embedding(bb_params, x.ids)  # checks the ids before a mask is cached
-    addmask = additive_mask(x.length, x.block_size, x.prompt_len)
     ops = active_ops()
-    w_fuse, b_fuse, out_norm, w_out, w_lm = operands(
-        ops, params.w_fuse, params.b_fuse, params.out_norm, params.w_out, bb_params.w_lm)
+    # the embedding checks the ids before a mask is cached; on the tape it
+    # runs untaped, so the backbone's rows are constants of the head's graph
+    if ops is T:
+        with T.no_grad():
+            embedded = input_embedding(bb_params, x.ids)
+    else:
+        embedded = input_embedding(bb_params, x.ids)
+    addmask = additive_mask(x.length, x.block_size, x.prompt_len)
+    w_fuse, b_fuse, out_norm, w_out = operands(
+        ops, params.w_fuse, params.b_fuse, params.out_norm, params.w_out)
     if ops is A and isinstance(h, Tensor):
         h = h.data
     stream = ops.add(ops.matmul(ops.concat_last(embedded, h), w_fuse), b_fuse)
     for layer in params.layers:
         stream = transformer_layer(stream, layer, addmask, cfg.n_heads)
     delta_h = ops.matmul(ops.rmsnorm(stream, out_norm), w_out)
-    delta_logits = ops.matmul(delta_h, w_lm)
+    delta_logits = ops.matmul(delta_h, bb_params.w_lm.data)
     return T._as_tensor(delta_h), T._as_tensor(delta_logits)
 
 

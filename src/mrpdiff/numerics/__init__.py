@@ -1,2 +1,3 @@
-"""Float64 tensors with tape autodiff (tensor), their forward-only twins on
-plain ndarrays (arrays) and AdamW (optim)."""
+"""Float64 tensors with tape autodiff, one op per operation (tensor), the
+forward-only twins of the ops the model forwards call on plain ndarrays
+(arrays) and AdamW (optim)."""

@@ -1,5 +1,6 @@
 """Forward-only twins of the tensor ops the model forwards call outside
-their transformer layers, on plain ndarrays.
+their transformer layers, on plain ndarrays: ``add``, ``matmul``,
+``concat_last``, ``slice_rows``, ``select_rows`` and ``rmsnorm``.
 
 Every op takes and returns ndarrays: the model forwards pass each
 parameter's ``.data``. An op computes the values its namesake in
@@ -28,8 +29,8 @@ def slice_rows(a: np.ndarray, stop: int, start: int = 0) -> np.ndarray:
     return a[start:stop]
 
 
-def embed(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return table[ids]
+def select_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return a[idx]
 
 
 def rmsnorm(a: np.ndarray, gain: np.ndarray) -> np.ndarray:

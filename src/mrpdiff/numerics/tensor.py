@@ -2,8 +2,13 @@
 
 All compute is 64-bit; 32-bit exists only as checkpoint storage (see
 mrpdiff.checkpoint). The op set is exactly what a small pre-norm
-transformer plus a distillation loss needs; there is no broadcasting
-machinery beyond what those forwards require.
+transformer plus a distillation loss needs, one op per operation: ``add``,
+``mul`` (a float factor is a 0-d constant), ``silu``; ``reshape``,
+``transpose``, ``concat_last``, ``slice_last``, ``slice_rows``, the one
+gather ``select_rows`` (embedding lookup and loss-row selection) and
+``take_per_row``; ``matmul``, ``rmsnorm``, ``softmax_rows``,
+``log_softmax_rows``, ``sum_all`` and ``kl_per_row``. There is no
+broadcasting machinery beyond what those forwards require.
 
 Backward semantics: ``backward(loss)`` walks the tape once with a scratch
 gradient table and *adds* the result into ``.grad`` of every tensor with
@@ -153,17 +158,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def scale(a, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = float(s)
-    out = a.data * s
-
-    def bwd(g, table):
-        _push(table, a, g * s)
-
-    return _make(out, (a,), bwd)
-
-
 def _silu_data(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(silu(x), sigmoid(x))."""
     sig = 1.0 / (1.0 + np.exp(-x))
@@ -249,7 +243,8 @@ def slice_rows(a, stop: int, start: int = 0) -> Tensor:
 
 
 def select_rows(a, idx) -> Tensor:
-    """Gather rows of a 2-D tensor by integer index (loss-row selection)."""
+    """Gather rows of a 2-D tensor by an integer index array of any shape:
+    an embedding lookup of (B, L) ids, or the rows a loss reads."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
@@ -275,20 +270,6 @@ def take_per_row(a, cols) -> Tensor:
         _push(table, a, full)
 
     return _make(out, (a,), bwd)
-
-
-def embed(table_t, ids) -> Tensor:
-    """Row lookup into an embedding table; ids is a plain integer array."""
-    table_t = _as_tensor(table_t)
-    ids = np.asarray(ids, dtype=np.int64)
-    out = table_t.data[ids]
-
-    def bwd(g, table):
-        full = np.zeros_like(table_t.data)
-        np.add.at(full, ids, g)
-        _push(table, table_t, full)
-
-    return _make(out, (table_t,), bwd)
 
 
 # ---------------------------------------------------------------------------

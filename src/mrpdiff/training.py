@@ -14,10 +14,11 @@ Distillation unrolls a
 stack: `reveal_ground_truth` takes each (B, L) state to the next, the frozen
 backbone runs once per state without gradients (computing the prompt's rows
 once, `backbone.PrefixKV`), and one taped head graph runs over the same
-stack, with one KL node per unroll step. Gradients and losses match a
-per-sequence loop to rounding (~1e-15). A step where no sequence has a loss
-logs a loss of 0.0 and makes no update. Only the correction head's
-parameters ever receive updates.
+stack, with one KL node per unroll step. The head reads the backbone as
+constants (`mrp.mrp_forward`), so only the correction head's parameters
+receive gradients and updates, and distillation sets no grad flag.
+Gradients and losses match a per-sequence loop to rounding (~1e-15). A
+step where no sequence has a loss logs a loss of 0.0 and makes no update.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _train_step(named: list, opt: OptimizerState, stacks: list, chunk_loss,
             x0, xt = (replace(x, ids=x.ids[lo:lo + _CHUNK]) for x in (clean, corrupted))
             total, per_seq = chunk_loss(x0, xt)
             used += per_seq
-            backward(T.scale(total, 1.0 / batch_size))
+            backward(T.mul(total, 1.0 / batch_size))
             loss_sum += total.item()
             del total  # frees the chunk's graph before the next one is built
     if not used:
@@ -333,15 +334,17 @@ def kd_sequence_loss(
 
     `xt`, when given, is the stack's corruption and `rng` is not drawn
     from; when it is None, the stack is corrupted with `corrupt(x0, rng)`,
-    row by row. The unroll keeps `unroll + 1` stacked states:
-    states[0] = x_t and states[j + 1] = reveal_ground_truth(states[j]).
-    Only the sequences still masked in states[1] have a loss; the others
-    take no part, and a stack with none returns before any forward. The
-    frozen backbone runs once per state without gradients: states[0] gives
-    the hidden states and base logits, states[j + 1] the teacher of step
-    j + 1. The head runs on states[j + 1] with the accumulated hiddens, its
-    logit residuals accumulate on the base logits, and the step's loss is
-    the KL from the teacher to that corrected student over each sequence's
+    row by row. Only the sequences that keep a masked position after the
+    first ground-truth reveal have a loss (`_keeps_a_mask`, counted without
+    revealing); the others take no part, and a stack with none returns
+    before any reveal or forward. The unroll keeps `unroll + 1` stacked
+    states of the sequences with a loss: states[0] = x_t and
+    states[j + 1] = reveal_ground_truth(states[j]). The frozen backbone
+    runs once per state without gradients: states[0] gives the hidden
+    states and base logits, states[j + 1] the teacher of step j + 1. The
+    head runs on states[j + 1] with the accumulated hiddens, its logit
+    residuals accumulate on the base logits, and the step's loss is the KL
+    from the teacher to that corrected student over each sequence's
     still-masked positions, a mean per sequence.
 
     Returns the total over the stack's sequences and one per-step list per
@@ -362,15 +365,16 @@ def kd_sequence_loss(
         _check_corruption(x0, xt)
     L = x0.ids.shape[-1]
     x0, xt = (SequenceState(x.ids.reshape(-1, L), x.prompt_len, x.block_size) for x in (x0, xt))
-    states = [xt]
-    for _ in range(k_steps):
-        states.append(reveal_ground_truth(states[-1], x0, g_cfg.reveal_k))
-    # the teacher's and the head's stack: the sequences that have a loss
-    has_loss = states[1].masked.any(axis=1)
+    # the unroll's, the teacher's and the head's stack: the sequences that
+    # have a loss
+    has_loss = _keeps_a_mask(xt, g_cfg.reveal_k)
     per_seq = [[] if b else None for b in has_loss.tolist()]
     if not has_loss.any():
         return None, per_seq
-    states = [SequenceState(x.ids[has_loss], x.prompt_len, x.block_size) for x in states]
+    x0, xt = (replace(x, ids=x.ids[has_loss]) for x in (x0, xt))
+    states = [xt]
+    for _ in range(k_steps):
+        states.append(reveal_ground_truth(states[-1], x0, g_cfg.reveal_k))
     # the states differ only in the response, so the first forward caches
     # the prompt's rows and the later ones compute only the response's
     prefix = bb.PrefixKV(x0.prompt_len)
@@ -421,9 +425,10 @@ def mrp_train_step(
     group is stacked once and corrupted. Only the rows that keep a masked
     position after the first ground-truth reveal have a loss
     (`_keeps_a_mask`); they run in chunks of at most `_CHUNK`, one
-    `kd_sequence_loss` and one backward per chunk. Gradients flow only into
-    the head: backbone forwards run without the tape, and the hidden state
-    enters the head's graph as a constant leaf.
+    `kd_sequence_loss` and one backward per chunk. Gradients reach only the
+    head, by construction and whatever the backbone's grad flags: the
+    backbone forwards run without the tape, and the head reads the hidden
+    states, embeddings and LM head of the backbone as constants.
     """
     stacks = []
     for group in _groups(batch, _shape_key).values():
@@ -446,8 +451,9 @@ def train_mrp(
     g_cfg: mrp_mod.MrpConfig,
     log_rows: list | None = None,
 ) -> mrp_mod.MrpParams:
-    """Distill a correction head against the frozen backbone. The backbone's
-    requires_grad flags are restored on return, also when a step raises."""
+    """Distill a correction head against the frozen backbone. The backbone
+    is read as constants (`mrp.mrp_forward`, teacher forwards under
+    `no_grad`): its tensors, grad flags and gradients are left as found."""
     if not examples:
         raise InvalidConfigError("empty dataset")
     block_size = bb_params.config.block_size
@@ -458,11 +464,5 @@ def train_mrp(
         batch = [state_from_example(ex, block_size, all_masked=False) for ex in batch]
         return mrp_train_step(batch, bb_params, g_params, opt, rng)
 
-    flags = [t.requires_grad for _, t in bb_params.named_tensors()]
-    bb_params.set_requires_grad(False)
-    try:
-        _fit(examples, cfg, g_params, rng, step, log_rows)
-    finally:
-        for (_, t), flag in zip(bb_params.named_tensors(), flags):
-            t.requires_grad = flag
+    _fit(examples, cfg, g_params, rng, step, log_rows)
     return g_params

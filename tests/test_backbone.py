@@ -311,7 +311,7 @@ def reference_layer(stream, layer, addmask, n_heads):
     a = T.rmsnorm(stream, layer.attn_norm)
     qkv = T.matmul(a, layer.w_qkv)
     q, k, v = (heads(T.slice_last(qkv, i * d, (i + 1) * d)) for i in range(3))
-    scores = T.scale(T.matmul(q, T.transpose(k, keys)), 1.0 / math.sqrt(dh))
+    scores = T.mul(T.matmul(q, T.transpose(k, keys)), 1.0 / math.sqrt(dh))
     if addmask is not None:
         scores = T.add(scores, addmask)
     ctx = T.reshape(T.transpose(T.matmul(T.softmax_rows(scores), v), merge), (*lead, L, d))

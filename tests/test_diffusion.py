@@ -217,6 +217,21 @@ def test_baseline_denoise_refuses_a_block_that_is_not_fully_masked(state):
     assert np.array_equal(x.ids, before)
 
 
+@pytest.mark.parametrize("block_size, prompt_shift", [(4, 1), (4, 0), (8, 1)],
+                         ids=["both", "block_size", "prompt_len"])
+def test_baseline_denoise_refuses_a_trace_of_another_grid(monkeypatch, block_size, prompt_shift):
+    # a trace of another grid would be saved as a file that load_trace refuses
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=8, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    x = diffusion.state_from_example(corpus.make_example(12, 3, "+", 8), 8)
+    trace = diffusion.DecodeTrace(block_size=block_size, prompt_len=x.prompt_len + prompt_shift)
+    forwards, before = [], x.ids.copy()
+    monkeypatch.setattr(bb, "forward", lambda *args, **kwargs: forwards.append(args))
+    with pytest.raises(ContractViolationError, match="trace of block_size"):
+        diffusion.denoise_block_baseline(params, x, Policy("static", r=1), trace=trace)
+    assert forwards == [] and trace.records == [] and np.array_equal(x.ids, before)
+
+
 def test_step_records_keep_their_outputs_after_later_steps(monkeypatch):
     cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=8, max_len=64)
     params = bb.init_backbone(cfg, np.random.default_rng(8), std=0.3)
@@ -324,6 +339,7 @@ def _two_block_state():
     ([9], [5.9]),           # a float token, once truncated to 5
     ([9], [-3]),            # a negative token
     ([[]], [[]]),           # an empty 2-D list, once accepted
+    ([9, 10], [5, corpus.VOCAB_SIZE]),  # past the vocabulary: refused here, not in a forward
 ])
 def test_reveal_rejects_bad_positions_and_tokens(positions, tokens):
     x = _two_block_state()
@@ -451,8 +467,8 @@ def test_per_sequence_operations_refuse_a_stack(op):
 
 def test_reveal_writes_each_token_at_its_position():
     x = _two_block_state()
-    diffusion.reveal(x, [10, 9], [6, 5])
-    assert x.ids[9:11].tolist() == [5, 6] and not x.masked[9:11].any()
+    diffusion.reveal(x, [10, 9], [corpus.VOCAB_SIZE - 1, 5])
+    assert x.ids[9:11].tolist() == [5, corpus.VOCAB_SIZE - 1] and not x.masked[9:11].any()
     x.ids[9:11] = MASK_ID  # nothing else was written
     assert np.array_equal(x.ids, _two_block_state().ids)
     x.validate()
@@ -671,6 +687,17 @@ def test_confidence_of_logits_without_a_row_axis_raises_typed_error(logits, clea
     ids = np.array([2, 7, 5, 6] if clean else [2, 7, MASK_ID, 6])
     with pytest.raises(InvalidShapeError, match="row axis"):
         confidence_of(logits, SequenceState(ids, 2, 2))
+
+
+@pytest.mark.parametrize("lead, stacked", [((), True), ((2,), False), ((3,), True)],
+                         ids=["no stack axis", "one sequence", "three for two"])
+def test_confidence_of_logits_of_other_leading_axes_raise_typed_error(lead, stacked):
+    # rows that do not line up with the state's sequences
+    ids = np.array([2, 7, MASK_ID, MASK_ID])
+    x = SequenceState(np.stack([ids, ids]) if stacked else ids, 2, 2)
+    with pytest.raises(InvalidShapeError, match="leading axes"):
+        confidence_of(np.zeros((*lead, 4, 6)), x)
+    assert confidence_of(np.zeros((*x.ids.shape, 6)), x).probs.shape == x.ids[..., 2:].shape
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -129,7 +129,7 @@ def test_leaf_gradients_never_share_memory():
     # backward adds into one of them only
     a, b = T.param(np.ones(3)), T.param(np.ones(3))
     backward(T.sum_all(T.add(a, b)))
-    backward(T.sum_all(T.scale(a, 2.0)))
+    backward(T.sum_all(T.mul(a, 2.0)))
     assert np.array_equal(a.grad, [3.0, 3.0, 3.0]) and np.array_equal(b.grad, [1.0, 1.0, 1.0])
 
 
@@ -179,7 +179,7 @@ def test_fd_elementwise_ops():
     c = _rand(rng, 5)  # broadcast add
     check_grads(lambda: T.sum_all(T.mul(T.add(a, c), T.add(a, c))), [a, c])
     check_grads(lambda: T.sum_all(T.silu(a)), [a])
-    check_grads(lambda: T.sum_all(T.scale(a, 2.5)), [a])
+    check_grads(lambda: T.sum_all(T.mul(a, 2.5)), [a])
 
 
 def test_fd_matmul():
@@ -230,9 +230,12 @@ def test_array_twin_of_slice_rows_matches_tensor_op():
 
 def test_fd_gather_ops():
     rng = np.random.default_rng(5)
+    # one gather: an embedding lookup of (B, L) ids, and the rows a loss reads
     table = _rand(rng, 9, 4)
-    ids = np.array([1, 3, 3, 0])
-    check_grads(lambda: T.sum_all(T.mul(T.embed(table, ids), T.embed(table, ids))), [table])
+    ids = np.array([[1, 3, 3, 0], [8, 1, 0, 1]])
+    assert np.array_equal(A.select_rows(table.data, ids), T.select_rows(table, ids).data)
+    check_grads(lambda: T.sum_all(T.mul(T.select_rows(table, ids), T.select_rows(table, ids))),
+                [table])
     x = _rand(rng, 6, 5)
     idx = np.array([0, 2, 2, 5])
     check_grads(lambda: T.sum_all(T.mul(T.select_rows(x, idx), T.select_rows(x, idx))), [x])

@@ -1,5 +1,7 @@
-"""Correction-head distillation leaves the backbone's grad flags as it found
-them; finite-difference gradients of the training losses."""
+"""Correction-head distillation reads the backbone as constants: it sets no
+grad flag and leaves no gradient on the backbone. Finite-difference
+gradients of the training losses; the bucketed steps against per-sequence
+loops."""
 
 from __future__ import annotations
 
@@ -30,9 +32,41 @@ def _flags(params):
 
 def test_train_mrp_keeps_a_frozen_backbone_frozen():
     params = bb.init_backbone(BB_CFG, np.random.default_rng(0))
-    params.set_requires_grad(False)
+    for _, t in params.named_tensors():
+        t.requires_grad = False
     training.train_mrp(gen_arithmetic(0, 4, block_size=4), params, TRAIN, MrpConfig(depth=1))
     assert not any(_flags(params))
+
+
+def test_distillation_leaves_no_gradient_on_a_backbone_that_requires_grad(monkeypatch):
+    # the head reads the backbone as constants, so a backbone as built, its
+    # flags on, is left without gradients and changes no head gradient
+    x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
+                          for a, b in [(999, 99), (987, 65)]])
+    batch = [state_from_example(ex, 4, all_masked=False)
+             for ex in gen_arithmetic(0, 16, 999, block_size=4)]
+    steps, kd = [], []
+    monkeypatch.setattr(training, "adamw_step",
+                        lambda named, opt: steps[-1].extend(t.grad.copy() for _, t in named))
+    for flag in (True, False):
+        params = bb.init_backbone(DISTILL_CFG, np.random.default_rng(0), std=0.3)
+        for _, t in params.named_tensors():
+            t.requires_grad = flag
+        head = init_mrp(MrpConfig(), DISTILL_CFG, np.random.default_rng(1))
+        head.w_out.data[:] = np.random.default_rng(2).normal(0.0, 0.3, head.w_out.shape)
+        steps.append([])
+        opt = training.OptimizerState(peak_lr=1e-3, min_lr=1e-5, total_steps=1)
+        training.mrp_train_step(batch, params, head, opt, np.random.default_rng(3))
+        assert all(t.grad is None for _, t in params.named_tensors())
+        T.zero_grads([t for _, t in head.named_tensors()])
+        total, _ = training.kd_sequence_loss(x0, params, head, None, np.random.default_rng(4))
+        training.backward(total)
+        assert all(t.grad is None for _, t in params.named_tensors())
+        kd.append([t.grad for _, t in head.named_tensors()])
+    # the head's gradients are those on a frozen backbone, bit for bit
+    for grads in (steps, kd):
+        assert len(grads[0]) == len(head.named_tensors())
+        assert all(np.array_equal(a, b) for a, b in zip(*grads, strict=True))
 
 
 def test_trained_parameters_hold_no_gradients():
@@ -270,7 +304,6 @@ def test_fd_masked_cross_entropy_through_backbone_forward():
 def test_fd_kd_sequence_loss_wrt_head_parameters():
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
     params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
-    params.set_requires_grad(False)
     head = init_mrp(MrpConfig(depth=1), cfg, np.random.default_rng(3))
     # a zero output projection would zero every other head gradient
     head.w_out.data[:] = np.random.default_rng(4).normal(0.0, 0.3, head.w_out.shape)
@@ -333,7 +366,7 @@ def test_bucketed_step_matches_a_per_sequence_loop(monkeypatch):
     for (x0, _), xt in corrupted:
         if xt.masked.any():
             loss = training.masked_cross_entropy(bb.forward(xt, params)[1], xt, x0.ids)
-            training.backward(T.scale(loss, 1.0 / len(corrupted)))
+            training.backward(T.mul(loss, 1.0 / len(corrupted)))
             losses.append(loss.item())
     assert abs(log[0]["loss"] - np.mean(losses)) <= 1e-12
     for name, t in params.named_tensors():
@@ -420,13 +453,13 @@ def test_a_non_finite_loss_raises_divergence_error(monkeypatch, trainer):
     nan, updates = float("nan"), []
     if trainer == "backbone":
         ce = training.masked_cross_entropy
-        monkeypatch.setattr(training, "masked_cross_entropy", lambda *a: T.scale(ce(*a), nan))
+        monkeypatch.setattr(training, "masked_cross_entropy", lambda *a: T.mul(ce(*a), nan))
     else:
         kd = training.kd_sequence_loss
 
         def poisoned(*args, **kwargs):
             total, per_seq = kd(*args, **kwargs)
-            return None if total is None else T.scale(total, nan), per_seq
+            return None if total is None else T.mul(total, nan), per_seq
 
         monkeypatch.setattr(training, "kd_sequence_loss", poisoned)
     _record(monkeypatch, training, "adamw_step", updates)
@@ -564,7 +597,6 @@ def test_pretraining_gradients_on_loss_rows_match_the_full_forward():
 def test_fd_stacked_kd_sequence_loss_wrt_head_parameters():
     cfg = bb.BackboneConfig(d_model=8, n_heads=2, n_layers=1, block_size=4, max_len=16)
     params = bb.init_backbone(cfg, np.random.default_rng(1), std=0.3)
-    params.set_requires_grad(False)
     head = init_mrp(MrpConfig(depth=1), cfg, np.random.default_rng(3))
     head.w_out.data[:] = np.random.default_rng(4).normal(0.0, 0.3, head.w_out.shape)
     x0 = training._stack([state_from_example(make_example(a, b, "+", 4), 4, all_masked=False)
@@ -598,15 +630,14 @@ def _row_by_row(fake):
 
 
 def _distill_setup(monkeypatch):
-    """A frozen backbone, a head with a non-zero output projection, 18
-    clean states in five (length, prompt_len) buckets, and
-    `training.corrupt` replaced by a table of fixed corrupted states. In
-    the (13, 9) bucket of seven the first sequence keeps one masked
+    """A backbone (its grad flags on, as built: distillation reads it as
+    constants), a head with a non-zero output projection, 18 clean states
+    in five (length, prompt_len) buckets, and `training.corrupt` replaced
+    by a table of fixed corrupted states. In the (13, 9) bucket of seven the first sequence keeps one masked
     position and the third none, so neither has a loss after the first
     reveal; some others have a loss at the first unroll step only.
     Returns the states and the number of sequences with a loss as well."""
     params = bb.init_backbone(DISTILL_CFG, np.random.default_rng(0), std=0.3)
-    params.set_requires_grad(False)
     head = init_mrp(MrpConfig(depth=1), DISTILL_CFG, np.random.default_rng(1))
     head.w_out.data[:] = np.random.default_rng(2).normal(0.0, 0.3, head.w_out.shape)
     examples = (gen_arithmetic(1, 8, 99, block_size=4) + gen_arithmetic(2, 8, 999, block_size=4)
@@ -665,7 +696,7 @@ def test_bucketed_distillation_step_matches_a_per_sequence_loop(monkeypatch):
         total, (seq_steps,) = training.kd_sequence_loss(x0, params, head, training.TrainConfig(),
                                                         np.random.default_rng(0))
         if total is not None:
-            training.backward(T.scale(total, 1.0 / len(batch)))
+            training.backward(T.mul(total, 1.0 / len(batch)))
             losses.append(total.item())
             steps.append(seq_steps)
     assert len(losses) == with_loss
@@ -762,6 +793,29 @@ def test_a_lone_sequence_without_a_loss_runs_no_teacher_forward(monkeypatch):
     total, per_seq = training.kd_sequence_loss(clean, params, head, training.TrainConfig(),
                                                np.random.default_rng(0))
     assert total is None and per_seq == [None] and calls == []
+
+
+def test_distillation_reveals_only_the_rows_with_a_loss(monkeypatch):
+    params, head, batch, _ = _distill_setup(monkeypatch)
+    bucket = [x0 for x0 in batch if (x0.length, x0.prompt_len) == (13, 9)]
+    rows = []
+    reveal = training.reveal_ground_truth
+
+    def counted(x, x0, k):
+        rows.append(x.ids.shape[0])
+        return reveal(x, x0, k)
+
+    monkeypatch.setattr(training, "reveal_ground_truth", counted)
+    # the first and third sequences have no loss
+    _, per_seq = training.kd_sequence_loss(training._stack(bucket), params, head, None,
+                                           np.random.default_rng(0))
+    assert [i for i, v in enumerate(per_seq) if v is None] == [0, 2]
+    assert rows == [len(bucket) - 2] * head.config.unroll
+    # a stack without a loss returns before any reveal
+    rows.clear()
+    total, per_seq = training.kd_sequence_loss(training._stack([bucket[0], bucket[2]]), params,
+                                               head, None, np.random.default_rng(0))
+    assert total is None and per_seq == [None, None] and rows == []
 
 
 def test_stack_and_rows_round_trip_the_ids_alone():
