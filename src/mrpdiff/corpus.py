@@ -5,10 +5,8 @@ The task is 2-3 digit addition/subtraction with non-negative results, e.g.
 metric at desk scale.
 
 An `Example` is its question and answer text and the block size its
-response is padded to; its token ids are derived when read. `make_example`,
-`gen_arithmetic` and `load_dataset` build it directly. Text read from a file
-is checked against the vocabulary there; generated text holds only
-vocabulary characters by construction.
+response is padded to; its token ids are derived when read. Datasets are
+built from a seed (`gen_arithmetic`), never read from a file.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UNREADABLE, InvalidConfigError, MissingArtifactError, check_int
+from .errors import InvalidConfigError, check_int
 
 MASK_ID = 0
 PAD_ID = 1
@@ -137,54 +135,6 @@ def gen_arithmetic(
                 out.append(Example(f"{b}-{a}=", str(b - a), block_size))
             else:
                 out.append(Example(f"{a}-{b}=", str(a - b), block_size))
-    return out
-
-
-def write_dataset(path: str, examples: list[Example]) -> int:
-    """Write one TAB-separated prompt and response per line; returns the
-    count. A path that cannot be written (a missing directory, a
-    directory, no permission) raises MissingArtifactError."""
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            for ex in examples:
-                f.write(f"{ex.question}\t{ex.answer}\n")
-    except UNREADABLE as e:
-        raise MissingArtifactError(f"cannot write dataset {path}: {e.strerror}") from None
-    return len(examples)
-
-
-def load_dataset(path: str, block_size: int = 8) -> list[Example]:
-    """Read a file written by `write_dataset`. A file that is missing or
-    cannot be read (a directory, no permission) raises MissingArtifactError;
-    bytes that are not UTF-8, a line that is not a TAB-separated pair, or a
-    character outside the vocabulary raise InvalidConfigError naming the
-    path (and the line)."""
-    check_int("block_size", block_size, 1)
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except UNREADABLE as e:
-        raise MissingArtifactError(f"cannot read dataset {path}: {e.strerror}") from None
-    except UnicodeDecodeError:
-        raise InvalidConfigError(f"{path}: not UTF-8 text") from None
-    out = []
-    for lineno, line in enumerate(lines):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        try:
-            question, answer = line.split("\t")
-        except ValueError:
-            raise InvalidConfigError(
-                f"{path}:{lineno + 1}: expected TAB-separated prompt and response"
-            ) from None
-        # the ids are derived when read, so the text is checked here, once
-        for field, text in (("prompt", question), ("response", answer)):
-            try:
-                tokenize(text)
-            except InvalidConfigError as e:
-                raise InvalidConfigError(f"{path}:{lineno + 1}: {field}: {e}") from None
-        out.append(Example(question, answer, block_size))
     return out
 
 

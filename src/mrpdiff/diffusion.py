@@ -8,7 +8,7 @@ the decoding policy (`Policy.select`, the one rule for which offsets a
 step reveals: the static top r or those above a dynamic threshold), the
 write that reveals tokens (`reveal`), the baseline denoising loop with its
 counts (`DecodeStats`), and the decode trace: one record per step, its
-kind "backbone" or "mrp", saved to and loaded from a tensor file.
+kind "backbone" or "mrp", saved as six records of a tensor file.
 Decoding never commits MASK_ID, so every block ends clean.
 
 The baseline loop drafts and verifies losslessly, as speculative decoding
@@ -297,8 +297,10 @@ class StepRecord:
     kind "backbone": h/logits are the model outputs over the window. kind
     "mrp": h/logits hold the correction head's hidden and logit residuals.
     `ids` is the window the forward ran on (up to the end of `block`); its
-    MASK_ID positions are the masked ones. Any other kind raises
-    InvalidConfigError when built.
+    MASK_ID positions are the masked ones. Checked when built: another
+    kind raises InvalidConfigError, and InvalidShapeError follows unless
+    ids are 1-D integers, h and logits 2-D with one row per id, and
+    revealed positions and tokens 1-D of one count.
     """
 
     kind: str
@@ -312,6 +314,13 @@ class StepRecord:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidConfigError(f"unknown step record kind {self.kind!r}")
+        ids, h, logits = (np.asarray(a) for a in (self.ids, self.h, self.logits))
+        shown = np.shape(self.revealed_positions), np.shape(self.revealed_tokens)
+        # one row of h and of logits per id makes the ids 1-D
+        if not (ids.dtype.kind in "iu" and h.ndim == logits.ndim == 2 and shown[0] == shown[1]
+                and h.shape[:1] == logits.shape[:1] == ids.shape and len(shown[0]) == 1):
+            raise InvalidShapeError(f"a step record of {ids.dtype} ids of shape {ids.shape}, h "
+                                    f"{h.shape}, logits {logits.shape} and reveals {shown}")
 
 
 @dataclass
@@ -322,80 +331,65 @@ class DecodeTrace:
 
 
 def save_trace(path: str, trace: DecodeTrace) -> None:
-    named = [("trace.meta", np.asarray([len(trace.records), trace.block_size, trace.prompt_len]))]
-    for i, r in enumerate(trace.records):
-        p = f"step.{i:05d}"
-        named += [
-            (f"{p}.meta", np.asarray([float(_KINDS.index(r.kind)), float(r.block)])),
-            (f"{p}.ids", r.ids.astype(np.float64)),
-            (f"{p}.h", r.h),
-            (f"{p}.logits", r.logits),
-            (f"{p}.revealed_positions", r.revealed_positions.astype(np.float64)),
-            (f"{p}.revealed_tokens", r.revealed_tokens.astype(np.float64)),
-        ]
-    checkpoint.save_tensors(path, named)
+    """Write `trace` as six records: `trace.meta` [n, block_size,
+    prompt_len]; `trace.steps`, a (kind index in `_KINDS`, block, reveal
+    count) row per step; `trace.ids`, `trace.h`, `trace.logits` and
+    `trace.revealed` (position, token), every step's rows in step order.
+    Records of differing h or logits widths raise InvalidShapeError."""
+    records = trace.records
+    if len({(r.h.shape[1], r.logits.shape[1]) for r in records}) > 1:
+        raise InvalidShapeError("a trace's records must share their h and logits widths")
+
+    def rows(name: str, empty: tuple) -> np.ndarray:
+        return np.concatenate([getattr(r, name) for r in records] or [np.empty(empty)])
+
+    steps = [(_KINDS.index(r.kind), r.block, len(r.revealed_positions)) for r in records]
+    checkpoint.save_tensors(path, [
+        ("trace.meta", np.asarray([len(records), trace.block_size, trace.prompt_len])),
+        ("trace.steps", np.reshape(steps, (-1, 3))), ("trace.ids", rows("ids", 0)),
+        ("trace.h", rows("h", (0, 0))), ("trace.logits", rows("logits", (0, 0))),
+        ("trace.revealed", np.stack([rows("revealed_positions", 0), rows("revealed_tokens", 0)],
+                                    axis=1))])
 
 
 def load_trace(path: str) -> DecodeTrace:
-    """Read a trace written by `save_trace`. A file that is not a trace,
-    that lacks a step record, or whose records are malformed (an integer
-    record holding anything but finite integers >= 0, a meta record of
-    other than two, a kind code that names no kind) or disagree (ids that
-    are not the rows up to the end of the step's block, h or logits not
-    one row per id, revealed positions and tokens of other counts, a
-    revealed position outside the block) raises InvalidConfigError naming
-    the record."""
+    """Read a trace written by `save_trace`; a step's rows are those up to
+    the end of its block, prompt_len + (block + 1) * block_size. A record
+    missing or of another shape (totals other than the steps give), an
+    integer record not of integers in [0, 2**24] (float32 holds them
+    exactly), a kind code naming no kind, or a revealed position outside
+    its step's block raises InvalidConfigError naming the record."""
     blob = checkpoint.load_tensors(path)
 
-    def get(name: str) -> np.ndarray:
-        if name not in blob:
-            raise InvalidConfigError(f"{path}: not a decode trace, no tensor {name!r}")
-        return blob[name]
+    def record(name: str, shape: tuple, integer: bool = True) -> np.ndarray:
+        """Record `name` of `shape` (None: any extent), as int64 if `integer`."""
+        values = blob.get(name)
+        got = np.shape(values)  # () when missing: no trace record is 0-d
+        if len(got) != len(shape) or any(s not in (None, v) for s, v in zip(shape, got)):
+            raise InvalidConfigError(f"{path}: a decode trace holds {name!r} of shape {shape}, "
+                                     f"got {'none' if values is None else got}")
+        if integer and not ((values >= 0) & (values <= 2**24) & (values % 1 == 0)).all():
+            raise InvalidConfigError(f"{path}: {name!r} must hold only integers in [0, 2**24]")
+        return values.astype(np.int64) if integer else values
 
-    def ints(name: str, count: int | None = None) -> np.ndarray:
-        """Record `name` as int64."""
-        values = get(name)
-        whole = np.isfinite(values) & (values >= 0) & (values == np.floor(values))
-        if not whole.all() or count not in (None, values.size):
-            raise InvalidConfigError(f"{path}: {name!r} must hold {count or 'only'} integers >= 0")
-        return values.astype(np.int64)
-
-    n, block_size, prompt_len = ints("trace.meta", 3).tolist()
-    trace = DecodeTrace(block_size=block_size, prompt_len=prompt_len)
-    for i in range(n):
-        p = f"step.{i:05d}"
-        kind_code, block = ints(f"{p}.meta", 2).tolist()
-        if kind_code >= len(_KINDS):
-            raise InvalidConfigError(f"{path}: {p}.meta has kind {kind_code}, "
-                                     f"must be below {len(_KINDS)}")
-        record = StepRecord(
-            kind=_KINDS[kind_code],
-            block=block,
-            ids=ints(f"{p}.ids"),
-            h=get(f"{p}.h"),
-            logits=get(f"{p}.logits"),
-            revealed_positions=ints(f"{p}.revealed_positions"),
-            revealed_tokens=ints(f"{p}.revealed_tokens"),
-        )
-        lo = prompt_len + block * block_size
-        hi = lo + block_size
-        if record.ids.shape != (hi,):
-            raise InvalidConfigError(f"{path}: {p}.ids holds {record.ids.size} ids, not the "
-                                     f"{hi} rows up to the end of block {block}")
-        for rows in (record.h, record.logits):
-            if rows.ndim != 2 or len(rows) != hi:
-                raise InvalidConfigError(f"{path}: {p}.h and {p}.logits must hold one row "
-                                         f"per id, got shapes {record.h.shape} and "
-                                         f"{record.logits.shape} for {hi} ids")
-        positions, tokens = record.revealed_positions, record.revealed_tokens
-        if positions.shape != tokens.shape:
-            raise InvalidConfigError(f"{path}: {p} reveals {positions.size} positions "
-                                     f"with {tokens.size} tokens")
-        if positions.size and (positions.min() < lo or positions.max() >= hi):
-            raise InvalidConfigError(f"{path}: {p} reveals a position outside its block "
-                                     f"[{lo}, {hi})")
-        trace.records.append(record)
-    return trace
+    n, block_size, prompt_len = record("trace.meta", (3,)).tolist()
+    kinds, blocks, counts = record("trace.steps", (n, 3)).T
+    if kinds.size and kinds.max() >= len(_KINDS):
+        raise InvalidConfigError(f"{path}: 'trace.steps' holds kind code {kinds.max()}")
+    lo = prompt_len + blocks * block_size  # each step's block is [lo, lo + block_size)
+    # Python ints: an int64 sum of many large counts could wrap
+    rows = sum((lo + block_size).tolist())
+    ids = record("trace.ids", (rows,))
+    h, logits = (record(f"trace.{name}", (rows, None), integer=False) for name in ("h", "logits"))
+    positions, tokens = record("trace.revealed", (sum(counts.tolist()), 2)).T
+    offsets = positions - np.repeat(lo, counts)
+    if ((offsets < 0) | (offsets >= block_size)).any():
+        raise InvalidConfigError(f"{path}: 'trace.revealed' holds a position outside its block")
+    columns = [np.split(a, np.cumsum(lo + block_size)[:-1]) for a in (ids, h, logits)]
+    columns += [np.split(a, np.cumsum(counts)[:-1]) for a in (positions, tokens)]
+    return DecodeTrace(block_size, prompt_len, [
+        StepRecord(_KINDS[kind], block, *arrays)
+        for kind, block, *arrays in zip(kinds.tolist(), blocks.tolist(), *columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +488,9 @@ def denoise_block_baseline(
             step = take[j]
             positions, revealed = step.nonzero()[0] + lo, tokens[j][step]
             if trace is not None:
-                trace.records.append(
-                    StepRecord(
-                        kind="backbone", block=block, ids=xw.ids.copy(),
-                        h=h.data.reshape(n, hi, -1)[j], logits=logits.data.reshape(n, hi, -1)[j],
-                        revealed_positions=positions, revealed_tokens=revealed,
-                    )
-                )
+                trace.records.append(StepRecord(
+                    "backbone", block, xw.ids.copy(), h.data.reshape(n, hi, -1)[j],
+                    logits.data.reshape(n, hi, -1)[j], positions, revealed))
             stats.block_steps[block] = stats.block_steps.get(block, 0) + 1
             reveal(xw, positions, revealed)
             stats.tokens_generated += len(positions)

@@ -37,7 +37,7 @@ class ContractViolationError(MrpdiffError):
 
 
 class MissingArtifactError(MrpdiffError):
-    """A required input file (dataset, checkpoint) does not exist or cannot be read."""
+    """A required input file (a checkpoint or trace) does not exist or cannot be read."""
 
     exit_code = 3
 

@@ -13,7 +13,8 @@ broadcasting machinery beyond what those forwards require.
 Backward semantics: ``backward(loss)`` walks the tape once with a scratch
 gradient table and *adds* the result into ``.grad`` of every tensor with
 ``requires_grad=True``, so repeated calls accumulate. Intermediate nodes
-never retain gradients.
+never retain gradients. An op's backward computes the gradient of each
+tracked operand only: a constant operand costs no gradient product.
 
 ``no_grad()`` turns recording off. The ops here still return Tensors, with
 no tape behind them. The model forwards (``backbone.forward``,
@@ -141,8 +142,9 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bwd(g, table):
-        _push(table, a, _unbroadcast(g, a.data.shape))
-        _push(table, b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t._tracked():
+                _push(table, t, _unbroadcast(g, t.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -152,8 +154,9 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bwd(g, table):
-        _push(table, a, _unbroadcast(g * b.data, a.data.shape))
-        _push(table, b, _unbroadcast(g * a.data, b.data.shape))
+        for t, other in ((a, b), (b, a)):
+            if t._tracked():
+                _push(table, t, _unbroadcast(g * other.data, t.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -211,8 +214,9 @@ def concat_last(a, b) -> Tensor:
     na = a.data.shape[-1]
 
     def bwd(g, table):
-        _push(table, a, g[..., :na])
-        _push(table, b, g[..., na:])
+        for t, part in ((a, g[..., :na]), (b, g[..., na:])):
+            if t._tracked():
+                _push(table, t, part)
 
     return _make(out, (a, b), bwd)
 
@@ -284,13 +288,12 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def bwd(g, table):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.data.ndim == 2:
-            gb = _weight_grad(a.data, g)
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _push(table, a, _unbroadcast(ga, a.data.shape))
-        _push(table, b, _unbroadcast(gb, b.data.shape))
+        if a._tracked():
+            _push(table, a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b._tracked():
+            gb = (_weight_grad(a.data, g) if b.data.ndim == 2
+                  else np.matmul(np.swapaxes(a.data, -1, -2), g))
+            _push(table, b, _unbroadcast(gb, b.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -328,20 +331,28 @@ def rmsnorm(a, gain) -> Tensor:
     out, inv, normed = _rmsnorm_data(a.data, gain.data)
 
     def bwd(g, table):
-        _push(table, a, _rmsnorm_grad(g, a.data, gain.data, inv))
-        _push(table, gain, _unbroadcast(g * normed, gain.data.shape))
+        if a._tracked():
+            _push(table, a, _rmsnorm_grad(g, a.data, gain.data, inv))
+        if gain._tracked():
+            _push(table, gain, _unbroadcast(g * normed, gain.data.shape))
 
     return _make(out, (a, gain), bwd)
 
 
-def _softmax_data(z: np.ndarray) -> np.ndarray:
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z - row max, its exp, the exp's row sums): the one shift of both softmaxes."""
     # max-subtraction keeps exp() <= 1 and the row sum >= 1. An entry more
     # than ~745 below its row's max (a blocked attention score, additive
     # mask -1e30) becomes exactly 0, so neither it nor its gradient is a
     # subnormal, which would slow every later product it enters.
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _softmax_data(z: np.ndarray) -> np.ndarray:
+    _, e, total = _shifted_exp(z)
+    return e / total
 
 
 def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -365,10 +376,8 @@ def log_softmax_rows(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim == 0 or a.data.shape[-1] < 1:
         raise InvalidShapeError("log_softmax_rows requires a non-empty last extent")
-    m = np.max(a.data, axis=-1, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    out = shifted - lse
+    shifted, _, total = _shifted_exp(a.data)
+    out = shifted - np.log(total)
     p = np.exp(out)
 
     def bwd(g, table):
@@ -413,9 +422,10 @@ def kl_per_row(p, q) -> Tensor:
 
     def bwd(g, table):
         g = np.expand_dims(g, -1)
-        if p._tracked():  # a distillation teacher's rows are constants
+        if p._tracked():
             _push(table, p, np.where(active, log_ratio + 1.0, 0.0) * g)
-        _push(table, q, np.where(active & (q.data >= _KL_EPS), -p.data / qc, 0.0) * g)
+        if q._tracked():
+            _push(table, q, np.where(active & (q.data >= _KL_EPS), -p.data / qc, 0.0) * g)
 
     return _make(out, (p, q), bwd)
 

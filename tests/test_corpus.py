@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import errno
 import re
 
 import numpy as np
@@ -23,7 +22,7 @@ from mrpdiff.corpus import (
     tokenize,
 )
 from mrpdiff.diffusion import state_from_example
-from mrpdiff.errors import InvalidConfigError, MissingArtifactError
+from mrpdiff.errors import InvalidConfigError
 
 
 def test_special_ids_fixed():
@@ -235,98 +234,38 @@ def test_operand_histogram_uniform_3sigma():
     assert np.all(np.abs(counts - n * p) <= 3 * sigma)
 
 
-def test_dataset_file_roundtrip(tmp_path):
-    path = tmp_path / "data.tsv"
-    exs = gen_arithmetic(seed=9, count=40)
-    corpus.write_dataset(str(path), exs)
-    loaded = corpus.load_dataset(str(path))
-    assert loaded == exs
-    # byte-determinism for identical seeds
-    path2 = tmp_path / "data2.tsv"
-    corpus.write_dataset(str(path2), gen_arithmetic(seed=9, count=40))
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_dataset_raises_typed_errors_for_a_missing_or_non_utf8_file(tmp_path, monkeypatch):
-    path = tmp_path / "data.tsv"
-    with pytest.raises(MissingArtifactError, match="data.tsv: No such file"):
-        corpus.load_dataset(str(path))
-    with pytest.raises(MissingArtifactError, match=re.escape(f"{tmp_path}: Is a directory")):
-        corpus.load_dataset(str(tmp_path))
-    path.write_bytes(b"12+3=\t15\n\xff\xfe+1=\t2\n")
-    with pytest.raises(MissingArtifactError, match="data.tsv/x: Not a directory"):
-        corpus.load_dataset(str(path / "x"))
-    with pytest.raises(InvalidConfigError, match="data.tsv: not UTF-8"):
-        corpus.load_dataset(str(path))
-
-    # run as root, chmod does not stop a read, so `open` refuses instead
-    def refuse(path, *args, **kwargs):
-        raise PermissionError(errno.EACCES, "Permission denied", path)
-
-    monkeypatch.setattr(corpus, "open", refuse, raising=False)
-    with pytest.raises(MissingArtifactError, match="data.tsv: Permission denied"):
-        corpus.load_dataset(str(path))
-
-
-@pytest.mark.parametrize("target, reason", [("missing/data.tsv", "No such file"),
-                                             (".", "Is a directory")])
-def test_write_dataset_to_a_missing_directory_or_a_directory_raises(tmp_path, target, reason):
-    path = str(tmp_path / target)
-    with pytest.raises(MissingArtifactError, match=re.escape(f"{path}: {reason}")):
-        corpus.write_dataset(path, gen_arithmetic(seed=0, count=1))
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_load_dataset_names_the_line_of_an_unknown_character(tmp_path):
-    path = tmp_path / "data.tsv"
-    path.write_text("12+3=\t15\n\n4+4=\t8\n12*3=\t36\n", encoding="utf-8")
-    with pytest.raises(InvalidConfigError,
-                       match=re.escape("data.tsv:4: prompt: unknown character '*' at offset 2")):
-        corpus.load_dataset(str(path))
-    path.write_text("12+3=\t15\n4+4=\t8é\n", encoding="utf-8")
-    with pytest.raises(InvalidConfigError,
-                       match=re.escape("data.tsv:2: response: unknown character 'é' at offset 1")):
-        corpus.load_dataset(str(path))
-
-
-# id -> (build from a dataset path, the name the error gives)
+# id -> (build, the name the error gives)
 _NON_INTEGERS = {
-    "gen-count-float": (lambda path: gen_arithmetic(0, 1.5), "count"),
-    "gen-count-str": (lambda path: gen_arithmetic(0, "3"), "count"),
-    "gen-count-bool": (lambda path: gen_arithmetic(0, True), "count"),
-    "gen-seed-bool": (lambda path: gen_arithmetic(True, 2), "seed"),
-    "gen-max-operand-float": (lambda path: gen_arithmetic(0, 2, max_operand=99.5), "max_operand"),
-    "gen-max-operand-str": (lambda path: gen_arithmetic(0, 2, max_operand="99"), "max_operand"),
-    "gen-block-float": (lambda path: gen_arithmetic(0, 2, block_size=2.0), "block_size"),
-    "make-block-float": (lambda path: make_example(12, 3, "+", 2.5), "block_size"),
-    "make-operand-negative": (lambda path: make_example(5, -3, "+", 8), "operand b"),
-    "make-operand-float": (lambda path: make_example(5.0, 3, "+", 8), "operand a"),
-    "make-operand-bool": (lambda path: make_example(5, True, "+", 8), "operand b"),
-    "example-block-bool": (lambda path: Example("1+2=", "3", True), "block_size"),
-    "load-block-float": (lambda path: corpus.load_dataset(path, 2.5), "block_size"),
-    "state-block-float": (lambda path: state_from_example(make_example(12, 3, "+", 4), 2.0),
+    "gen-count-float": (lambda: gen_arithmetic(0, 1.5), "count"),
+    "gen-count-str": (lambda: gen_arithmetic(0, "3"), "count"),
+    "gen-count-bool": (lambda: gen_arithmetic(0, True), "count"),
+    "gen-seed-bool": (lambda: gen_arithmetic(True, 2), "seed"),
+    "gen-max-operand-float": (lambda: gen_arithmetic(0, 2, max_operand=99.5), "max_operand"),
+    "gen-max-operand-str": (lambda: gen_arithmetic(0, 2, max_operand="99"), "max_operand"),
+    "gen-block-float": (lambda: gen_arithmetic(0, 2, block_size=2.0), "block_size"),
+    "make-block-float": (lambda: make_example(12, 3, "+", 2.5), "block_size"),
+    "make-operand-negative": (lambda: make_example(5, -3, "+", 8), "operand b"),
+    "make-operand-float": (lambda: make_example(5.0, 3, "+", 8), "operand a"),
+    "make-operand-bool": (lambda: make_example(5, True, "+", 8), "operand b"),
+    "example-block-bool": (lambda: Example("1+2=", "3", True), "block_size"),
+    "state-block-float": (lambda: state_from_example(make_example(12, 3, "+", 4), 2.0),
                           "block_size"),
-    "state-block-str": (lambda path: state_from_example(make_example(12, 3, "+", 4), "2"),
+    "state-block-str": (lambda: state_from_example(make_example(12, 3, "+", 4), "2"),
                         "block_size"),
 }
 
 
 @pytest.mark.parametrize("case", _NON_INTEGERS)
-def test_integer_inputs_refuse_non_integers(tmp_path, case):
+def test_integer_inputs_refuse_non_integers(case):
     build, name = _NON_INTEGERS[case]
-    path = tmp_path / "data.tsv"
-    corpus.write_dataset(str(path), gen_arithmetic(seed=0, count=1))
     with pytest.raises(InvalidConfigError, match=f"{name} must be an integer >= "):
-        build(str(path))
+        build()
 
 
 @pytest.mark.parametrize("block_size", [0, -2])
-def test_examples_reject_a_block_size_below_one(tmp_path, block_size):
-    path = tmp_path / "data.tsv"
-    corpus.write_dataset(str(path), gen_arithmetic(seed=0, count=1))
+def test_examples_reject_a_block_size_below_one(block_size):
     for build in (lambda: make_example(12, 3, "+", block_size),
-                  lambda: gen_arithmetic(0, 1, block_size=block_size),
-                  lambda: corpus.load_dataset(str(path), block_size)):
+                  lambda: gen_arithmetic(0, 1, block_size=block_size)):
         with pytest.raises(InvalidConfigError, match="block_size"):
             build()
 

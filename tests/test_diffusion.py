@@ -16,7 +16,8 @@ from mrpdiff import backbone as bb
 from mrpdiff import checkpoint, corpus, diffusion
 from mrpdiff.corpus import EOS_ID, MASK_ID, PAD_ID
 from mrpdiff.diffusion import Policy, SequenceState, confidence_of
-from mrpdiff.errors import ContractViolationError, InvalidConfigError, InvalidShapeError
+from mrpdiff.errors import (ContractViolationError, InvalidConfigError, InvalidShapeError,
+                            MrpdiffError)
 from mrpdiff.numerics import tensor as T
 
 
@@ -81,80 +82,201 @@ def test_baseline_decode_keeps_state_valid_and_traces_round_trip(
             assert np.array_equal(a.logits.astype(np.float32), b.logits)
 
 
+# the six records of a trace file, in the order save_trace writes them
+SIX = ["trace.meta", "trace.steps", "trace.ids", "trace.h", "trace.logits", "trace.revealed"]
+
+
 def _one_step_trace(path, **records):
-    """A trace of one backbone step, with `records` replacing its own."""
-    step = {"meta": [0.0, 0.0], "ids": [5.0, 0.0], "h": np.zeros((2, 3)),
-            "logits": np.zeros((2, 5)), "revealed_positions": [1.0], "revealed_tokens": [6.0]}
-    named = {"trace.meta": [1.0, 1.0, 1.0],
-             **{f"step.00000.{name}": value for name, value in step.items()}, **records}
-    checkpoint.save_tensors(path, [(name, np.asarray(v)) for name, v in named.items()])
+    """A trace file of one backbone step in block 0, a 1-row prompt and
+    blocks of 1 (its rows end at row 2), revealing token 6 at position 1,
+    with `records` replacing its own (None: drop the record)."""
+    named = {"trace.meta": [1.0, 1.0, 1.0], "trace.steps": [[0.0, 0.0, 1.0]],
+             "trace.ids": [5.0, 0.0], "trace.h": np.zeros((2, 3)),
+             "trace.logits": np.zeros((2, 5)), "trace.revealed": [[1.0, 6.0]], **records}
+    checkpoint.save_tensors(path, [(name, np.asarray(v)) for name, v in named.items()
+                                   if v is not None])
+
+
+def _decoded_trace():
+    """The trace of a full static r=1 decode of one 2-block answer by a
+    small std-0.3 backbone: 8 records."""
+    cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=2, block_size=4, max_len=64)
+    params = bb.init_backbone(cfg, np.random.default_rng(4), std=0.3)
+    x = diffusion.state_from_example(corpus.make_example(999, 999, "+", 4), 4)
+    trace = diffusion.DecodeTrace(block_size=4, prompt_len=x.prompt_len)
+    while x.current_block < x.n_blocks:
+        diffusion.denoise_block_baseline(params, x, Policy("static", r=1), trace=trace)
+        diffusion.finalize_block(x)
+    return trace
 
 
 def test_load_trace_rejects_a_file_that_is_not_a_trace(tmp_path):
     cfg = bb.BackboneConfig(d_model=16, n_heads=2, n_layers=1, block_size=4, max_len=32)
     path = str(tmp_path / "backbone.mrpc")
     bb.save_backbone(path, bb.init_backbone(cfg, np.random.default_rng(0)))
-    with pytest.raises(InvalidConfigError, match="not a decode trace"):
+    with pytest.raises(InvalidConfigError, match="a decode trace holds 'trace.meta'"):
         diffusion.load_trace(path)
-    # a trace whose meta promises a step record that the file lacks
     path = str(tmp_path / "trace.mrpc")
-    checkpoint.save_tensors(path, [("trace.meta", np.asarray([1.0, 4.0, 9.0]))])
-    with pytest.raises(InvalidConfigError, match="step.00000"):
-        diffusion.load_trace(path)
-    # malformed records, each once a bare ValueError, a wrong kind or an
-    # empty trace, beside the well-formed trace they change
     _one_step_trace(path)
     (record,) = diffusion.load_trace(path).records
-    assert (record.kind, record.ids.tolist()) == ("backbone", [5, 0])
-    for records, match in [
-        ({"trace.meta": [1.0, 1.0]}, "trace.meta"),
-        ({"trace.meta": [1.0, 1.0, 1.0, 1.0]}, "trace.meta"),
-        ({"trace.meta": [-1.0, 1.0, 1.0]}, "trace.meta"),
-        ({"trace.meta": [float("nan"), 1.0, 1.0]}, "trace.meta"),
-        ({"trace.meta": [1.5, 1.0, 1.0]}, "trace.meta"),
-        ({"step.00000.meta": [0.0]}, "step.00000.meta"),
-        ({"step.00000.meta": [0.0, 0.0, 0.0]}, "step.00000.meta"),
-        ({"step.00000.meta": [7.0, 0.0]}, "kind 7"),
-        ({"step.00000.meta": [0.0, -1.0]}, "step.00000.meta"),
-        # integer records that are not integers >= 0: once a garbage id
-        # with a RuntimeWarning, 2 read from 2.5, or a negative id kept
-        ({"step.00000.revealed_tokens": [float("nan")]}, "step.00000.revealed_tokens"),
-        ({"step.00000.ids": [2.5, 0.0]}, "step.00000.ids"),
-        ({"step.00000.ids": [5.0, -1.0]}, "step.00000.ids"),
-        ({"step.00000.revealed_positions": [float("inf")]}, "step.00000.revealed_positions"),
-        ({"step.00000.revealed_positions": [-1.0]}, "step.00000.revealed_positions"),
-    ]:
-        if not np.isfinite(np.concatenate([np.ravel(v) for v in records.values()])).all():
-            # saving refuses NaN and inf, naming the record, as loading would
-            with pytest.raises(InvalidConfigError, match=match):
-                _one_step_trace(path, **records)
-            continue
-        _one_step_trace(path, **records)
-        with pytest.raises(InvalidConfigError, match=match):
+    assert (record.kind, record.block, record.ids.tolist()) == ("backbone", 0, [5, 0])
+    assert (record.revealed_positions.tolist(), record.revealed_tokens.tolist()) == ([1], [6])
+    # each of the six records missing, named
+    for name in SIX:
+        _one_step_trace(path, **{name: None})
+        with pytest.raises(InvalidConfigError, match=f"'{name}' of shape .* got none"):
             diffusion.load_trace(path)
 
 
 @pytest.mark.parametrize("records, match", [
-    # 3 revealed positions with 1 token, a MASK
-    ({"step.00000.revealed_positions": [1.0, 1.0, 1.0], "step.00000.revealed_tokens": [0.0]},
-     "3 positions with 1 tokens"),
-    ({"step.00000.h": np.zeros((7, 3))}, "one row per id"),
-    ({"step.00000.logits": np.zeros((1, 5))}, "one row per id"),
-    ({"step.00000.h": np.zeros(6)}, "one row per id"),
+    # a wrong shape for each of the six
+    ({"trace.meta": [1.0, 1.0]}, "trace.meta"),
+    ({"trace.meta": [1.0, 1.0, 1.0, 1.0]}, "trace.meta"),
+    ({"trace.steps": [[0.0, 0.0]]}, "trace.steps"),
+    ({"trace.steps": [[0.0, 0.0, 1.0, 0.0]]}, "trace.steps"),
+    ({"trace.steps": [0.0, 0.0, 1.0]}, "trace.steps"),
+    ({"trace.ids": [[5.0, 0.0]]}, "trace.ids"),
+    ({"trace.h": np.zeros(6)}, "trace.h"),
+    ({"trace.logits": np.zeros((2, 5, 1))}, "trace.logits"),
+    ({"trace.revealed": [1.0, 6.0]}, "trace.revealed"),
+    ({"trace.revealed": [[1.0, 6.0, 0.0]]}, "trace.revealed"),
+    # integer records holding other than integers in [0, 2**24]: once 2
+    # read from 2.5, a negative id kept, or a garbage id cast
+    ({"trace.meta": [-1.0, 1.0, 1.0]}, "trace.meta"),
+    ({"trace.meta": [1.5, 1.0, 1.0]}, "trace.meta"),
+    ({"trace.steps": [[0.0, -1.0, 1.0]]}, "trace.steps"),
+    ({"trace.steps": [[0.0, 0.5, 1.0]]}, "trace.steps"),
+    ({"trace.ids": [2.5, 0.0]}, "trace.ids"),
+    ({"trace.ids": [5.0, -1.0]}, "trace.ids"),
+    ({"trace.ids": [5.0, 2.0 ** 30]}, "trace.ids"),
+    ({"trace.revealed": [[-1.0, 6.0]]}, "trace.revealed"),
+    ({"trace.revealed": [[1.0, 6.5]]}, "trace.revealed"),
+    # kind codes that name no kind
+    ({"trace.steps": [[7.0, 0.0, 1.0]]}, "kind code 7"),
+    ({"trace.steps": [[float(len(diffusion._KINDS)), 0.0, 1.0]]},
+     f"kind code {len(diffusion._KINDS)}"),
+    # totals off by one
+    ({"trace.meta": [2.0, 1.0, 1.0]}, "trace.steps"),
+    ({"trace.meta": [0.0, 1.0, 1.0]}, "trace.steps"),
+    ({"trace.ids": [5.0]}, "trace.ids"),
+    ({"trace.h": np.zeros((3, 3))}, "trace.h"),
+    ({"trace.logits": np.zeros((1, 5))}, "trace.logits"),
+    ({"trace.revealed": [[1.0, 6.0], [1.0, 7.0]]}, "trace.revealed"),
+    ({"trace.steps": [[0.0, 0.0, 0.0]]}, "trace.revealed"),
+])
+def test_load_trace_names_a_malformed_record(tmp_path, records, match):
+    path = str(tmp_path / "trace.mrpc")
+    _one_step_trace(path, **records)
+    with pytest.raises(InvalidConfigError, match=match):
+        diffusion.load_trace(path)
+
+
+@pytest.mark.parametrize("records", [{"trace.meta": [float("nan"), 1.0, 1.0]},
+                                     {"trace.revealed": [[1.0, float("nan")]]},
+                                     {"trace.revealed": [[float("inf"), 6.0]]}])
+def test_saving_refuses_nan_and_inf_naming_the_record(tmp_path, records):
+    # as loading would
+    (name,) = records
+    with pytest.raises(InvalidConfigError, match=name):
+        _one_step_trace(str(tmp_path / "trace.mrpc"), **records)
+
+
+@pytest.mark.parametrize("records, match", [
+    # 3 reveals counted for 1 revealed row
+    ({"trace.steps": [[0.0, 0.0, 3.0]]}, "'trace.revealed' .* shape \\(3, 2\\)"),
+    ({"trace.h": np.zeros((7, 3))}, "'trace.h' .* shape \\(2, None\\)"),
+    ({"trace.logits": np.zeros((1, 5))}, "'trace.logits' .* shape \\(2, None\\)"),
+    ({"trace.h": np.zeros(6)}, "'trace.h' .* shape \\(2, None\\)"),
     # block 5 of a trace with a 1-row prompt and blocks of 1 ends at row 7
-    ({"step.00000.meta": [0.0, 5.0]}, "not the 7 rows up to the end of block 5"),
-    ({"step.00000.ids": [5.0, 0.0, 0.0]}, "not the 2 rows"),
-    ({"step.00000.ids": [[5.0, 0.0]]}, "not the 2 rows"),
-    ({"step.00000.revealed_positions": [0.0]}, r"outside its block \[1, 2\)"),
-    ({"step.00000.revealed_positions": [2.0]}, r"outside its block \[1, 2\)"),
+    ({"trace.steps": [[0.0, 5.0, 1.0]]}, "'trace.ids' .* shape \\(7,\\)"),
+    ({"trace.ids": [5.0, 0.0, 0.0]}, "'trace.ids' .* shape \\(2,\\)"),
+    ({"trace.ids": [[5.0, 0.0]]}, "'trace.ids' .* shape \\(2,\\)"),
+    ({"trace.revealed": [[0.0, 6.0]]}, "'trace.revealed' holds a position outside its block"),
+    ({"trace.revealed": [[2.0, 6.0]]}, "'trace.revealed' holds a position outside its block"),
 ], ids=["counts", "h-rows", "logits-rows", "h-1d", "block-past-ids", "ids-long", "ids-2d",
         "position-in-prompt", "position-past-block"])
 def test_load_trace_checks_each_record_against_its_trace(tmp_path, records, match):
-    # each of these used to load without error
+    # each of these used to load without error, in the layout of one set of
+    # records per step
     path = str(tmp_path / "trace.mrpc")
     _one_step_trace(path, **records)
-    with pytest.raises(InvalidConfigError, match=f"step.00000.*{match}"):
+    with pytest.raises(InvalidConfigError, match=match):
         diffusion.load_trace(path)
+
+
+def test_a_position_outside_a_later_block_is_found_among_several_steps(tmp_path):
+    # two steps of blocks 0 and 1 (rows 2 and 3): position 1 lies in block
+    # 0, so the second step cannot reveal it
+    path = str(tmp_path / "trace.mrpc")
+    base = {"trace.meta": [2.0, 1.0, 1.0], "trace.ids": [5.0, 0.0, 5.0, 6.0, 0.0],
+            "trace.h": np.zeros((5, 3)), "trace.logits": np.zeros((5, 5))}
+    _one_step_trace(path, **base, **{"trace.steps": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+                                     "trace.revealed": [[1.0, 6.0], [2.0, 7.0]]})
+    first, second = diffusion.load_trace(path).records
+    assert (first.kind, second.kind, second.block, second.ids.tolist()) == (
+        "backbone", "mrp", 1, [5, 6, 0])
+    assert second.revealed_positions.tolist() == [2] and second.h.shape == (3, 3)
+    _one_step_trace(path, **base, **{"trace.steps": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+                                     "trace.revealed": [[1.0, 6.0], [1.0, 7.0]]})
+    with pytest.raises(InvalidConfigError, match="outside its block"):
+        diffusion.load_trace(path)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["one-step", "full-decode"])
+def test_a_saved_trace_holds_exactly_six_records(tmp_path, full):
+    trace = _decoded_trace()
+    if not full:
+        trace.records = trace.records[:1]
+    assert len(trace.records) == (8 if full else 1)
+    path = str(tmp_path / "trace.mrpc")
+    diffusion.save_trace(path, trace)
+    blob = checkpoint.load_tensors(path)
+    assert list(blob) == SIX
+    rows = sum(len(r.ids) for r in trace.records)
+    reveals = sum(len(r.revealed_positions) for r in trace.records)
+    assert blob["trace.steps"].shape == (len(trace.records), 3)
+    assert blob["trace.ids"].shape == (rows,) and blob["trace.h"].shape == (rows, 16)
+    assert blob["trace.revealed"].shape == (reveals, 2)
+
+
+def test_an_empty_trace_round_trips(tmp_path):
+    path = str(tmp_path / "trace.mrpc")
+    diffusion.save_trace(path, diffusion.DecodeTrace(block_size=4, prompt_len=6))
+    assert list(checkpoint.load_tensors(path)) == SIX
+    loaded = diffusion.load_trace(path)
+    assert (loaded.block_size, loaded.prompt_len, loaded.records) == (4, 6, [])
+
+
+def test_a_trace_of_records_of_differing_widths_is_refused(tmp_path):
+    record = diffusion.StepRecord("mrp", 0, np.array([5, 0]), np.zeros((2, 3)), np.zeros((2, 5)),
+                                  np.array([1]), np.array([6]))
+    wider = dataclasses.replace(record, logits=np.zeros((2, 6)))
+    path = tmp_path / "trace.mrpc"
+    with pytest.raises(InvalidShapeError, match="widths"):
+        diffusion.save_trace(str(path), diffusion.DecodeTrace(1, 1, [record, wider]))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flip", [None, 0xFF, 0x01], ids=["truncate", "flip-all", "flip-low"])
+def test_a_damaged_trace_file_raises_only_typed_errors(tmp_path, flip):
+    # a byte every 11 of the header and of each record's payload: cut
+    # there, or with its bits in `flip` inverted
+    path = tmp_path / "trace.mrpc"
+    diffusion.save_trace(str(path), _decoded_trace())
+    raw = path.read_bytes()
+    loaded = refused = 0
+    for offset in range(0, len(raw), 11):
+        if flip is None:
+            path.write_bytes(raw[:offset])
+        else:
+            path.write_bytes(raw[:offset] + bytes([raw[offset] ^ flip]) + raw[offset + 1:])
+        try:
+            diffusion.load_trace(str(path))
+            loaded += 1
+        except MrpdiffError:
+            refused += 1
+    # a flipped byte of h or logits may still load; a cut file never does
+    assert refused > 0 and (loaded == 0) == (flip is None)
 
 
 def test_a_trace_round_trips_an_mrp_record(tmp_path):
@@ -167,13 +289,37 @@ def test_a_trace_round_trips_an_mrp_record(tmp_path):
     path = str(tmp_path / "trace.mrpc")
     diffusion.save_trace(path, diffusion.DecodeTrace(block_size=2, prompt_len=2,
                                                      records=[record]))
-    assert checkpoint.load_tensors(path)["step.00000.meta"].tolist() == [1.0, 1.0]
+    assert checkpoint.load_tensors(path)["trace.steps"].tolist() == [[1.0, 1.0, 1.0]]
     (loaded,) = diffusion.load_trace(path).records
     assert (loaded.kind, loaded.block) == ("mrp", 1)
     for name in ("ids", "revealed_positions", "revealed_tokens"):
         assert np.array_equal(getattr(loaded, name), getattr(record, name))
     assert np.array_equal(loaded.h, record.h.astype(np.float32))
     assert np.array_equal(loaded.logits, record.logits.astype(np.float32))
+
+
+_RECORD = dict(kind="backbone", block=0, ids=np.array([5, MASK_ID]), h=np.zeros((2, 3)),
+               logits=np.zeros((2, 5)), revealed_positions=np.array([1]),
+               revealed_tokens=np.array([6]))
+
+
+@pytest.mark.parametrize("fields", [
+    {"ids": np.array([[5, MASK_ID]])},
+    {"ids": np.array([5.0, 0.0])},
+    {"ids": np.array(5)},
+    {"h": np.zeros(6)},
+    {"h": np.zeros((3, 3))},
+    {"logits": np.zeros((1, 5))},
+    {"logits": np.zeros((2, 5, 1))},
+    {"revealed_positions": np.array([1, 1])},
+    {"revealed_tokens": np.array([[6]])},
+    {"revealed_positions": np.array(1), "revealed_tokens": np.array(6)},
+], ids=["ids-2d", "ids-float", "ids-0d", "h-1d", "h-rows", "logits-rows", "logits-3d",
+        "reveal-counts", "tokens-2d", "reveals-0d"])
+def test_a_step_record_is_checked_when_built(fields):
+    # a loaded record is built the same way, so both follow this rule
+    with pytest.raises(InvalidShapeError, match="a step record of"):
+        diffusion.StepRecord(**{**_RECORD, **fields})
 
 
 @pytest.mark.parametrize("kind", ["verify", "Backbone", ""])

@@ -163,6 +163,30 @@ def test_diamond_graph_grad():
     assert abs(x.grad[0] - 8.0) < 1e-12
 
 
+_TWO_OPERANDS = {"add": [(3, 4), (3, 4)], "mul": [(3, 4), (4,)],
+                 "concat_last": [(3, 4), (3, 2)], "matmul": [(3, 4), (4, 2)],
+                 "rmsnorm": [(3, 4), (4,)], "kl_per_row": [(3, 4), (3, 4)]}
+
+
+@pytest.mark.parametrize("constant", [0, 1], ids=["first-constant", "second-constant"])
+@pytest.mark.parametrize("op", _TWO_OPERANDS)
+def test_a_backward_takes_no_gradient_for_a_constant_operand(monkeypatch, op, constant):
+    rng = np.random.default_rng(3)
+    # positive rows summing to 1: probability rows for kl_per_row
+    arrays = [a / a.sum(axis=-1, keepdims=True)
+              for a in (rng.random(shape) + 0.1 for shape in _TWO_OPERANDS[op])]
+    pushed, push = [], T._push
+    monkeypatch.setattr(T, "_push", lambda table, t, g: (pushed.append(t), push(table, t, g)))
+    grads = []
+    for tracked in ({1 - constant}, {0, 1}):
+        operands = [T.param(a) if i in tracked else a for i, a in enumerate(arrays)]
+        backward(T.sum_all(getattr(T, op)(*operands)))
+        grads.append(operands[1 - constant].grad)
+    assert pushed and all(t._tracked() for t in pushed)
+    # the tracked operand's gradient is the one it takes beside a tracked twin
+    assert np.array_equal(*grads)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks, one per differentiable op
 # ---------------------------------------------------------------------------

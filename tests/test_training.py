@@ -69,6 +69,32 @@ def test_distillation_leaves_no_gradient_on_a_backbone_that_requires_grad(monkey
         assert all(np.array_equal(a, b) for a, b in zip(*grads, strict=True))
 
 
+def test_no_backward_computes_a_gradient_for_a_constant(monkeypatch):
+    # every gradient an op's backward computes goes to a tracked tensor: a
+    # constant operand (a frozen backbone's tensors, a teacher's rows, a
+    # loss weight) costs no gradient product
+    untracked = []
+    push = T._push
+
+    def checked_push(table, t, g):
+        if not t._tracked():
+            untracked.append(g.shape)
+        push(table, t, g)
+
+    monkeypatch.setattr(T, "_push", checked_push)
+    examples = gen_arithmetic(0, 8, 999, block_size=4)
+    one_step = training.TrainConfig(batch_size=8, max_steps=1)
+    params = training.train_backbone(examples, one_step, DISTILL_CFG)
+    pretraining = len(untracked)
+    head = init_mrp(MrpConfig(), DISTILL_CFG, np.random.default_rng(1))
+    batch = [state_from_example(ex, 4, all_masked=False) for ex in examples]
+    opt = training.OptimizerState(peak_lr=1e-3, min_lr=1e-5, total_steps=1)
+    training.mrp_train_step(batch, params, head, opt, np.random.default_rng(3))
+    assert (pretraining, len(untracked)) == (0, 0)
+    # both steps took a gradient
+    assert all(t.grad is not None for _, t in head.named_tensors())
+
+
 def test_trained_parameters_hold_no_gradients():
     examples = gen_arithmetic(0, 4, block_size=4)
     backbone = training.train_backbone(examples, TRAIN, BB_CFG)

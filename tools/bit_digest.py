@@ -9,8 +9,12 @@ only read):
 * per decode workload, the first ``--answers`` answers of the workload's
   shuffled prompt pool at ``--seed``: a digest of their response ids, and
   one of every trace record (kind, block, ids, h, logits, revealed
-  positions and tokens). ``matches`` counts the answers equal to the ids
-  recorded in ``perfbench/data/references.json``.
+  positions and tokens). ``trace_file`` digests the same fields of each
+  answer's trace after ``save_trace`` and ``load_trace`` in a temporary
+  directory (h and logits at float32), so it is equal across a change of
+  the trace file's layout only if the loaded records are. ``matches``
+  counts the answers equal to the ids recorded in
+  ``perfbench/data/references.json``.
 * ``train``: ``--steps``-step ``train_backbone`` and ``train_mrp`` runs on
   ``setup_train``'s examples with the benchmark's batch, learning rate and
   unroll: a digest of each log without wall time, and one of each final
@@ -28,6 +32,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -53,10 +58,17 @@ def _update(h, *arrays) -> None:
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def decode_digest(spec, answers: int, seed: int) -> dict:
+def _update_records(h, records) -> None:
+    for r in records:
+        h.update(f"{r.kind}:{r.block}".encode())
+        _update(h, r.ids, r.h, r.logits, r.revealed_positions, r.revealed_tokens)
+
+
+def decode_digest(spec, answers: int, seed: int, scratch: str) -> dict:
     inputs = workloads.setup_decode(spec, seed)
-    ids_hash, trace_hash = hashlib.sha256(), hashlib.sha256()
+    ids_hash, trace_hash, file_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     records = matches = 0
+    path = os.path.join(scratch, "trace.mrpc")
     for ex, ref in zip(inputs.examples[:answers], inputs.ref_ids):
         x = diffusion.state_from_example(ex, spec.block_size)
         trace = diffusion.DecodeTrace(spec.block_size, x.prompt_len)
@@ -66,12 +78,15 @@ def decode_digest(spec, answers: int, seed: int) -> dict:
         response = x.ids[x.prompt_len:]
         _update(ids_hash, response)
         matches += np.array_equal(response, ref)
-        for r in trace.records:
-            trace_hash.update(f"{r.kind}:{r.block}".encode())
-            _update(trace_hash, r.ids, r.h, r.logits, r.revealed_positions, r.revealed_tokens)
+        _update_records(trace_hash, trace.records)
         records += len(trace.records)
+        diffusion.save_trace(path, trace)
+        loaded = diffusion.load_trace(path)
+        file_hash.update(f"{loaded.block_size}:{loaded.prompt_len}".encode())
+        _update_records(file_hash, loaded.records)
     return {"answers": min(answers, len(inputs.examples)), "matches": matches,
-            "records": records, "ids": ids_hash.hexdigest(), "trace": trace_hash.hexdigest()}
+            "records": records, "ids": ids_hash.hexdigest(), "trace": trace_hash.hexdigest(),
+            "trace_file": file_hash.hexdigest()}
 
 
 def _log_digest(rows: list) -> str:
@@ -111,8 +126,9 @@ def main(argv=None) -> None:
     ap.add_argument("--steps", type=int, default=12, help="optimizer steps per trainer")
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args(argv)
-    out = {name: decode_digest(spec, args.answers, args.seed)
-           for name, spec in workloads.DECODE.items()}
+    with tempfile.TemporaryDirectory() as scratch:
+        out = {name: decode_digest(spec, args.answers, args.seed, scratch)
+               for name, spec in workloads.DECODE.items()}
     out[workloads.TRAIN.name] = train_digest(args.steps, args.seed)
     print(json.dumps({"seed": args.seed, **out}, sort_keys=True))
 
